@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -37,12 +38,8 @@ def _require_head(cfg: ExperimentConfig) -> HeadKind:
     return cfg.head
 
 
-def _head_dir(cfg: ExperimentConfig) -> Path:
-    return Path(cfg.out_dir) / _require_head(cfg).value
-
-
 def _load_model(args, cfg: ExperimentConfig):
-    ckpt = args.checkpoint or _head_dir(cfg) / "checkpoint.json"
+    ckpt = args.checkpoint or Path(cfg.out_dir) / _require_head(cfg).value / "checkpoint.json"
     params, head_str, _ = load_checkpoint(ckpt)
     head = HeadKind(head_str)
     if cfg.head is not None and head is not cfg.head:
@@ -50,66 +47,16 @@ def _load_model(args, cfg: ExperimentConfig):
     return params, head
 
 
-def cmd_train(args) -> int:
+def _run_stage(name: str, args) -> int:
+    """Run one stage of ``harness.STAGES`` for one head and print its summary."""
     cfg = _load_config(args)
-    head = _require_head(cfg)
-    result = harness.train(cfg, out_dir=_head_dir(cfg))
-    print(f"trained head '{head.value}' for {cfg.optim.steps} steps; "
-          f"final train accuracy {result.final_accuracy:.4f}")
-    return 0
-
-
-def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    params, head = _load_model(args, cfg)
-    _, test_d, ood_points = harness.make_datasets(cfg)
-    result = harness.evaluate(params, head, test_d, ood_points, cfg,
-                              out_dir=Path(cfg.out_dir) / head.value)
-    summary = result.summary
-    line = f"head '{head.value}': accuracy {summary['accuracy']:.4f}, ece {summary['ece']:.4f}"
-    if "auroc" in summary:
-        line += f", auroc {summary['auroc']:.4f}, auprc {summary['auprc']:.4f}"
-    print(line)
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    params, head = _load_model(args, cfg)
-    _, test_d, _ = harness.make_datasets(cfg)
-    result = harness.shift_sweep(params, head, test_d, cfg,
-                                 out_dir=Path(cfg.out_dir) / head.value)
-    for row in result.rows:
-        print(f"{row.kind:>14} intensity {row.intensity}: "
-              f"accuracy {row.accuracy:.4f}, ece {row.ece:.4f}")
-    return 0
-
-
-def cmd_landscape(args) -> int:
-    cfg = _load_config(args)
-    params, head = _load_model(args, cfg)
-    grid = harness.landscape(params, head, cfg)
-    head_dir = Path(cfg.out_dir) / head.value
-    head_dir.mkdir(parents=True, exist_ok=True)
-    harness.write_landscape_csv(head_dir / "landscape.csv", grid)
-    if cfg.landscape.write_pgm:
-        harness.write_landscape_pgm(head_dir / "landscape.pgm", grid)
-    print(f"landscape written for head '{head.value}' "
-          f"({cfg.landscape.resolution}x{cfg.landscape.resolution} grid)")
-    return 0
-
-
-def cmd_centers(args) -> int:
-    cfg = _load_config(args)
-    params, head = _load_model(args, cfg)
-    train_d, _, _ = harness.make_datasets(cfg)
-    report = harness.centers_report(params, head, train_d)
-    head_dir = Path(cfg.out_dir) / head.value
-    head_dir.mkdir(parents=True, exist_ok=True)
-    harness.write_centers_csv(head_dir / "centers.csv", report)
-    mean_err = float(report.alignment_errors.mean())
-    print(f"centers report written for head '{head.value}'; "
-          f"mean alignment error {mean_err:.4f}")
+    if name == "train":
+        params, head = None, _require_head(cfg)
+    else:
+        params, head = _load_model(args, cfg)
+    _, summary = harness.STAGES[name](cfg, head, params, lambda: harness.make_datasets(cfg),
+                                      Path(cfg.out_dir) / head.value)
+    print(summary)
     return 0
 
 
@@ -138,11 +85,9 @@ def main(argv=None) -> int:
     common.add_argument("--checkpoint", help="explicit checkpoint path "
                                              "(default: <out>/<head>/checkpoint.json)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("train", parents=[common]).set_defaults(fn=cmd_train)
-    sub.add_parser("evaluate", parents=[common]).set_defaults(fn=cmd_evaluate)
-    sub.add_parser("sweep", parents=[common]).set_defaults(fn=cmd_sweep)
-    sub.add_parser("landscape", parents=[common]).set_defaults(fn=cmd_landscape)
-    sub.add_parser("centers", parents=[common]).set_defaults(fn=cmd_centers)
+    for name in harness.STAGES:
+        sub.add_parser(name, parents=[common]).set_defaults(
+            fn=functools.partial(_run_stage, name))
     sub.add_parser("run-all", parents=[common]).set_defaults(fn=cmd_run_all)
     args = parser.parse_args(argv)
     try:

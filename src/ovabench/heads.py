@@ -18,17 +18,15 @@ from enum import Enum
 
 import numpy as np
 
-from .nncore import ForwardTrace, ModelParams, backward, forward
+from .nncore import ModelParams, _as_matrix, backward, forward
 
 __all__ = [
-    "HeadGradients",
     "HeadKind",
     "PROB_CLAMP",
     "logit_gradient",
     "logits",
     "loss",
     "loss_and_grads",
-    "loss_gradient",
     "predict",
     "probabilities",
 ]
@@ -66,19 +64,12 @@ class HeadKind(str, Enum):
 
 
 @dataclass
-class HeadGradients:
+class _HeadGradients:
     """Gradients of the mean loss w.r.t. head parameters and the embedding."""
 
     weights: np.ndarray
     biases: np.ndarray | None
     embedding: np.ndarray
-
-
-def _as_matrix(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    return arr
 
 
 def _check_head_params(head: HeadKind, params: ModelParams) -> None:
@@ -215,7 +206,7 @@ def logit_gradient(head: HeadKind, logits_, labels) -> np.ndarray:
 
 
 def _head_grads(head: HeadKind, params: ModelParams, emb: np.ndarray,
-                z: np.ndarray, g: np.ndarray) -> HeadGradients:
+                z: np.ndarray, g: np.ndarray) -> _HeadGradients:
     if head.is_distance:
         d = -z
         diff = emb[:, None, :] - params.head_weights.T[None, :, :]
@@ -224,20 +215,11 @@ def _head_grads(head: HeadKind, params: ModelParams, emb: np.ndarray,
                         diff / np.where(d == 0.0, 1.0, d)[:, :, None], 0.0)
         demb = -np.einsum("bk,bke->be", g, unit)
         dw = np.einsum("bk,bke->ek", g, unit)
-        return HeadGradients(weights=dw, biases=None, embedding=demb)
+        return _HeadGradients(weights=dw, biases=None, embedding=demb)
     dw = emb.T @ g
     db = g.sum(axis=0)
     demb = g @ params.head_weights.T
-    return HeadGradients(weights=dw, biases=db, embedding=demb)
-
-
-def loss_gradient(head: HeadKind, params: ModelParams, trace: ForwardTrace,
-                  labels) -> HeadGradients:
-    """Exact gradients of the mean loss for the head parameters, plus the
-    embedding gradient to feed :func:`ovabench.nncore.backward`."""
-    z = logits(head, params, trace.embedding)
-    g = logit_gradient(head, z, labels)
-    return _head_grads(head, params, trace.embedding, z, g)
+    return _HeadGradients(weights=dw, biases=db, embedding=demb)
 
 
 def loss_and_grads(head: HeadKind, params: ModelParams, inputs,

@@ -1,14 +1,14 @@
-"""Calibration, ranking, and summary metrics over prediction records.
+"""Calibration, ranking, and summary metrics over scored predictions.
 
-All metrics consume plain per-example records (confidence, predicted label,
-true label or an out-of-distribution marker) so they can be recomputed from
-the CSV prediction dumps the harness writes.
+All metrics consume columnar predictions (confidence, predicted label, true
+label and an out-of-distribution marker per example) so they can be
+recomputed from the CSV prediction dumps the harness writes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ __all__ = [
     "CalibrationTable",
     "ConfidenceHistograms",
     "Pca2Result",
-    "PredictionRecord",
+    "Predictions",
     "RankingResult",
     "ThresholdCurve",
     "accuracy_vs_confidence",
@@ -34,25 +34,54 @@ __all__ = [
 ]
 
 
-@dataclass
-class PredictionRecord:
-    """One scored example; ``true_label`` is None for OOD points."""
+_PREDICTIONS_HEADER = ["confidence", "predicted_label", "true_label", "is_ood"]
 
-    confidence: float
-    predicted_label: int
-    true_label: int | None
+
+@dataclass
+class Predictions:
+    """Scored examples as four parallel columns; ``true_label`` is -1 on OOD rows."""
+
+    confidence: np.ndarray
+    predicted_label: np.ndarray
+    true_label: np.ndarray
+    is_ood: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        self.confidence = np.asarray(self.confidence, dtype=np.float64)
+        self.predicted_label = np.asarray(self.predicted_label, dtype=np.int64)
+        self.true_label = np.asarray(self.true_label, dtype=np.int64)
+        self.is_ood = np.asarray(self.is_ood, dtype=bool)
+        if any(c.ndim != 1 or c.shape != self.confidence.shape for c in self._columns()):
+            raise ValueError("prediction columns must be equal-length vectors")
+        bad = ~((self.confidence >= 0.0) & (self.confidence <= 1.0))  # NaN included
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"confidence {self.confidence[i]} at row {i} outside [0, 1]")
+
+    @classmethod
+    def from_scores(cls, confidence, predicted_label, true_label=None) -> "Predictions":
+        """In-distribution rows, or OOD rows when ``true_label`` is None."""
+        n = len(confidence)
+        if true_label is None:
+            return cls(confidence, predicted_label, np.full(n, -1), np.ones(n, dtype=bool))
+        return cls(confidence, predicted_label, true_label, np.zeros(n, dtype=bool))
+
+    @classmethod
+    def concatenate(cls, parts) -> "Predictions":
+        return cls(*map(np.concatenate, zip(*(p._columns() for p in parts))))
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.confidence)
+
+    def __getitem__(self, mask) -> "Predictions":
+        return Predictions(*(c[mask] for c in self._columns()))
 
     @property
-    def is_ood(self) -> bool:
-        return self.true_label is None
-
-    @property
-    def is_correct(self) -> bool:
-        return self.true_label is not None and self.predicted_label == self.true_label
+    def is_correct(self) -> np.ndarray:
+        return ~self.is_ood & (self.predicted_label == self.true_label)
 
 
 @dataclass
@@ -131,21 +160,21 @@ def _bin_indices(confidences: np.ndarray, num_bins: int) -> np.ndarray:
     return np.clip(idx, 0, num_bins - 1)
 
 
-def ece(records: list[PredictionRecord], num_bins: int = 15) -> tuple[float, CalibrationTable]:
+def ece(preds: Predictions, num_bins: int = 15) -> tuple[float, CalibrationTable]:
     """Expected calibration error plus the per-bin reliability table.
 
     ECE is the occupancy-weighted mean absolute gap between per-bin accuracy
     and per-bin mean confidence; empty bins contribute nothing.  Only
-    in-distribution records are accepted.
+    in-distribution rows are accepted.
     """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
-    if not records:
-        raise ValueError("ece requires at least one record")
-    if any(r.is_ood for r in records):
-        raise ValueError("ece is an in-distribution metric; drop OOD records first")
-    conf = np.array([r.confidence for r in records])
-    correct = np.array([r.is_correct for r in records], dtype=np.float64)
+    if not len(preds):
+        raise ValueError("ece requires at least one prediction")
+    if preds.is_ood.any():
+        raise ValueError("ece is an in-distribution metric; drop OOD rows first")
+    conf = preds.confidence
+    correct = preds.is_correct.astype(np.float64)
     idx = _bin_indices(conf, num_bins)
     counts = np.bincount(idx, minlength=num_bins)
     conf_sums = np.bincount(idx, weights=conf, minlength=num_bins)
@@ -153,7 +182,7 @@ def ece(records: list[PredictionRecord], num_bins: int = 15) -> tuple[float, Cal
     with np.errstate(invalid="ignore"):
         mean_conf = np.where(counts > 0, conf_sums / counts, np.nan)
         acc = np.where(counts > 0, correct_sums / counts, np.nan)
-    total = len(records)
+    total = len(preds)
     value = 0.0
     for b in range(num_bins):
         if counts[b] > 0:
@@ -163,16 +192,15 @@ def ece(records: list[PredictionRecord], num_bins: int = 15) -> tuple[float, Cal
     return value, table
 
 
-def accuracy_vs_confidence(records: list[PredictionRecord],
-                           thresholds) -> ThresholdCurve:
-    """Accuracy over the records whose confidence is >= each threshold.
+def accuracy_vs_confidence(preds: Predictions, thresholds) -> ThresholdCurve:
+    """Accuracy over the rows whose confidence is >= each threshold.
 
-    OOD records count as incorrect whenever retained; a threshold that
-    retains nothing gets NaN accuracy rather than zero.
+    OOD rows count as incorrect whenever retained; a threshold that retains
+    nothing gets NaN accuracy rather than zero.
     """
     taus = np.asarray(thresholds, dtype=np.float64)
-    conf = np.array([r.confidence for r in records])
-    correct = np.array([r.is_correct for r in records], dtype=np.float64)
+    conf = preds.confidence
+    correct = preds.is_correct.astype(np.float64)
     retained = np.empty(len(taus), dtype=np.int64)
     accuracy = np.empty(len(taus))
     for i, tau in enumerate(taus):
@@ -217,23 +245,21 @@ def auroc_auprc(scores, is_positive) -> RankingResult:
                          pr_points=list(zip(tpr.tolist(), precision.tolist())))
 
 
-def confidence_histograms(correct_id, incorrect_id, ood,
-                          num_bins: int = 15) -> ConfidenceHistograms:
-    """Histogram three confidence collections over shared [0, 1] bins."""
+def confidence_histograms(preds: Predictions, num_bins: int = 15) -> ConfidenceHistograms:
+    """Histogram the confidences of correct ID, incorrect ID and OOD rows
+    over shared [0, 1] bins."""
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
 
-    def count(values):
-        v = np.asarray(values, dtype=np.float64)
-        if v.size == 0:
-            return np.zeros(num_bins, dtype=np.int64)
-        if (v < 0).any() or (v > 1).any():
-            raise ValueError("confidences must lie in [0, 1]")
-        return np.bincount(_bin_indices(v, num_bins), minlength=num_bins)
+    def count(mask):
+        return np.bincount(_bin_indices(preds.confidence[mask], num_bins),
+                           minlength=num_bins)
 
+    correct = preds.is_correct
     return ConfidenceHistograms(bin_edges=np.linspace(0.0, 1.0, num_bins + 1),
-                                correct_id=count(correct_id),
-                                incorrect_id=count(incorrect_id), ood=count(ood))
+                                correct_id=count(correct),
+                                incorrect_id=count(~correct & ~preds.is_ood),
+                                ood=count(preds.is_ood))
 
 
 def boxplot_stats(values) -> BoxplotStats:
@@ -256,19 +282,14 @@ def boxplot_stats(values) -> BoxplotStats:
                         q3=quantile(0.75), maximum=float(s[-1]))
 
 
-_PCA_START_SEED = 0x9E3779B9
-_PCA_MAX_ITER = 1_000_000
-
-
-def pca2(points, extra_points=None, tol: float = 1e-10) -> Pca2Result:
+def pca2(points, extra_points=None) -> Pca2Result:
     """Project points (and optional extras) onto the top-2 PCA subspace.
 
     Centering uses the points' mean; extra points share that centering.  The
-    two components come from power iteration with deflation, run until the
-    eigen-residual ||C v - lambda v|| drops below ``tol``; they are
-    orthonormal, and each is sign-fixed so its largest-magnitude coordinate
-    is positive.  Raises if the covariance has fewer than two nonzero
-    eigenvalues.
+    two components are the top eigenvectors of the covariance from an exact
+    symmetric eigendecomposition; they are orthonormal, and each is
+    sign-fixed so its largest-magnitude coordinate is positive.  Raises if
+    the covariance has fewer than two nonzero eigenvalues.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] < 2:
@@ -277,37 +298,13 @@ def pca2(points, extra_points=None, tol: float = 1e-10) -> Pca2Result:
     centered = pts - mean
     cov = centered.T @ centered / (pts.shape[0] - 1)
     scale = max(float(np.trace(cov)), 1.0)
-    rng = np.random.default_rng(_PCA_START_SEED)
-
-    deflated = cov.copy()
-    components, eigenvalues = [], []
-    for _ in range(2):
-        v = rng.standard_normal(cov.shape[0])
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(_PCA_MAX_ITER):
-            w = deflated @ v
-            for c in components:
-                w -= (c @ w) * c
-            norm = np.linalg.norm(w)
-            if norm <= scale * 1e-14:
-                raise ValueError("covariance has fewer than 2 nonzero eigenvalues")
-            v = w / norm
-            lam = float(v @ (deflated @ v))
-            if np.linalg.norm(deflated @ v - lam * v) < tol:
-                break
-        else:
-            raise RuntimeError("power iteration did not converge")
-        if lam <= scale * 1e-12:
-            raise ValueError("covariance has fewer than 2 nonzero eigenvalues")
-        top = int(np.argmax(np.abs(v)))
-        if v[top] < 0:
-            v = -v
-        components.append(v)
-        eigenvalues.append(lam)
-        deflated = deflated - lam * np.outer(v, v)
-
-    basis = np.stack(components, axis=1)
+    values, vectors = np.linalg.eigh(cov)  # ascending
+    eigenvalues = values[[-1, -2]]
+    if eigenvalues[1] <= scale * 1e-12:
+        raise ValueError("covariance has fewer than 2 nonzero eigenvalues")
+    basis = vectors[:, [-1, -2]]
+    top = np.argmax(np.abs(basis), axis=0)
+    basis *= np.where(basis[top, [0, 1]] < 0, -1.0, 1.0)
     projected = centered @ basis
     extras = None
     if extra_points is not None:
@@ -316,26 +313,43 @@ def pca2(points, extra_points=None, tol: float = 1e-10) -> Pca2Result:
             raise ValueError("extra_points must be [m x d] with matching d")
         extras = (extra - mean) @ basis
     return Pca2Result(points=projected, extras=extras, components=basis,
-                      eigenvalues=np.array(eigenvalues))
+                      eigenvalues=eigenvalues)
 
 
-def write_predictions(path, records: list[PredictionRecord]) -> None:
-    """Dump records as CSV: confidence,predicted_label,true_label,is_ood."""
-    rows = []
-    for r in records:
-        rows.append((fmt_float(r.confidence), str(r.predicted_label),
-                     "" if r.is_ood else str(r.true_label), "1" if r.is_ood else "0"))
-    write_csv(path, ["confidence", "predicted_label", "true_label", "is_ood"], rows)
+def write_predictions(path, preds: Predictions) -> None:
+    """Dump predictions as CSV: confidence,predicted_label,true_label,is_ood."""
+    rows = ((fmt_float(c), str(p), "" if o else str(t), "1" if o else "0")
+            for c, p, t, o in zip(preds.confidence.tolist(), preds.predicted_label.tolist(),
+                                  preds.true_label.tolist(), preds.is_ood.tolist()))
+    write_csv(path, _PREDICTIONS_HEADER, rows)
 
 
-def read_predictions(path) -> list[PredictionRecord]:
+def _parse_prediction(line: str) -> tuple[float, int, int, bool]:
+    cells = line.split(",")
+    if len(cells) != 4:
+        raise ValueError(f"expected 4 columns, got {len(cells)}")
+    conf, pred, true, ood = cells
+    if ood not in ("0", "1"):
+        raise ValueError(f"is_ood must be 0 or 1, got {ood!r}")
+    is_ood = ood == "1"
+    if (true == "") != is_ood:
+        raise ValueError("true_label must be empty exactly when is_ood is 1")
+    confidence = float(conf)
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError(f"confidence {confidence} outside [0, 1]")
+    return confidence, int(pred), -1 if is_ood else int(true), is_ood
+
+
+def read_predictions(path) -> Predictions:
+    """Load a prediction dump; a malformed row raises naming its 1-based line."""
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "confidence,predicted_label,true_label,is_ood":
+    if not lines or lines[0] != ",".join(_PREDICTIONS_HEADER):
         raise ValueError(f"{path} is not a prediction dump")
-    records = []
-    for line in lines[1:]:
-        conf, pred, true, ood = line.split(",")
-        records.append(PredictionRecord(
-            confidence=float(conf), predicted_label=int(pred),
-            true_label=None if ood == "1" else int(true)))
-    return records
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            rows.append(_parse_prediction(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    columns = list(zip(*rows)) or [()] * 4
+    return Predictions(*columns)

@@ -16,7 +16,7 @@ from ovabench.data import CorruptionSpec, corrupt, ring_class_means
 from ovabench.harness import (ExperimentConfig, centers_report, derive_seed,
                               landscape, make_datasets, run_all, train)
 from ovabench.heads import HeadKind, loss_and_grads, predict, probabilities, logits
-from ovabench.metrics import (PredictionRecord, auroc_auprc, boxplot_stats, ece,
+from ovabench.metrics import (Predictions, auroc_auprc, boxplot_stats, ece,
                               read_predictions)
 from ovabench.nncore import forward, gradient_check, init_params
 
@@ -186,8 +186,8 @@ class TestCriterion5GradientCorrectness:
 class TestCriterion6MetricOracles:
     def test_metric_oracles(self):
         # ECE single-bin hand case, exact
-        records = [PredictionRecord(0.9, 0, 0), PredictionRecord(0.9, 0, 0),
-                   PredictionRecord(0.9, 0, 0), PredictionRecord(0.9, 0, 1)]
+        records = Predictions(confidence=[0.9, 0.9, 0.9, 0.9], predicted_label=[0, 0, 0, 0],
+                              true_label=[0, 0, 0, 1], is_ood=[False] * 4)
         value, _ = ece(records, 15)
         hand = abs(3 / 4 - (0.9 + 0.9 + 0.9 + 0.9) / 4)
         ece_ok = value == hand
@@ -246,9 +246,8 @@ class TestCriterion7ShiftDegradation:
                 for i in (1, 5):
                     emb = forward(result.params, noisy[i].features).embedding
                     pred, conf = predict(probabilities(head, logits(head, result.params, emb)))
-                    records = [PredictionRecord(float(c), int(p), int(t))
-                               for c, p, t in zip(conf, pred, noisy[i].labels)]
-                    acc[(head, i)] = float(np.mean([r.is_correct for r in records]))
+                    records = Predictions.from_scores(conf, pred, noisy[i].labels)
+                    acc[(head, i)] = float(np.mean(records.is_correct))
                     if i == 5:
                         ece_at_5[head], _ = ece(records, 15)
             degrades = all(acc[(h, 5)] < acc[(h, 1)] for h in ALL_HEADS)
@@ -311,11 +310,10 @@ class TestCriterion9RoundTrip:
         for head in ALL_HEADS:
             summary = json.loads((out / head.value / "metrics.json").read_text())
             records = read_predictions(out / head.value / "predictions.csv")
-            id_records = [r for r in records if not r.is_ood]
-            acc = float(np.mean([r.is_correct for r in id_records]))
+            id_records = records[~records.is_ood]
+            acc = float(np.mean(id_records.is_correct))
             value, _ = ece(id_records, summary["num_bins"])
-            ranking = auroc_auprc([r.confidence for r in records],
-                                  [not r.is_ood for r in records])
+            ranking = auroc_auprc(records.confidence, ~records.is_ood)
             for got, want in ((acc, summary["accuracy"]), (value, summary["ece"]),
                               (ranking.auroc, summary["auroc"]),
                               (ranking.auprc, summary["auprc"])):

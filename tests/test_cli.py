@@ -72,3 +72,43 @@ def test_missing_head_reports_error(tmp_path, config_file, capsys):
     code = main(["train", "--config", str(config_file), "--out", str(tmp_path)])
     assert code == 1
     assert "head" in capsys.readouterr().err
+
+
+HEADS = ("softmax", "dm", "ova", "ova_dm")
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_stage_commands_write_the_run_all_files(tmp_path, config_file):
+    all_out, staged_out = tmp_path / "all", tmp_path / "staged"
+    assert main(["run-all", "--config", str(config_file), "--out", str(all_out)]) == 0
+    for head in HEADS:
+        stages = ["train", "evaluate", "sweep", "landscape"]
+        if head in ("dm", "ova_dm"):
+            stages.append("centers")
+        for stage in stages:
+            assert main([stage, "--config", str(config_file), "--out", str(staged_out),
+                         "--head", head]) == 0
+    for head in HEADS:
+        expected = _tree(all_out / head)
+        assert expected
+        assert _tree(staged_out / head) == expected, head
+
+
+def test_landscape_does_not_generate_datasets(tmp_path, config_file, monkeypatch):
+    from ovabench import harness
+
+    base = ["--config", str(config_file), "--out", str(tmp_path), "--head", "dm"]
+    assert main(["train", *base]) == 0
+    calls = []
+    original = harness.make_datasets
+    monkeypatch.setattr(harness, "make_datasets",
+                        lambda cfg: calls.append(cfg) or original(cfg))
+    assert main(["landscape", *base]) == 0
+    assert (tmp_path / "dm" / "landscape.csv").exists()
+    assert calls == []
+    assert main(["centers", *base]) == 0
+    assert len(calls) == 1  # the counter does see stages that need data

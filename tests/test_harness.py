@@ -140,11 +140,10 @@ class TestEvaluate:
         ev = evaluate(result.params, HeadKind.OVA_AFFINE, test_d, ood, cfg,
                       out_dir=tmp_path)
         records = read_predictions(tmp_path / "predictions.csv")
-        id_records = [r for r in records if not r.is_ood]
-        acc = float(np.mean([r.is_correct for r in id_records]))
+        id_records = records[~records.is_ood]
+        acc = float(np.mean(id_records.is_correct))
         ece_value, _ = ece(id_records, cfg.metrics.num_bins)
-        ranking = auroc_auprc([r.confidence for r in records],
-                              [not r.is_ood for r in records])
+        ranking = auroc_auprc(records.confidence, ~records.is_ood)
         assert abs(acc - ev.summary["accuracy"]) < 1e-12
         assert abs(ece_value - ev.summary["ece"]) < 1e-12
         assert abs(ranking.auroc - ev.summary["auroc"]) < 1e-12
@@ -274,7 +273,7 @@ class TestShiftSweep:
         for row in sweep.rows:
             dump = tmp_path / "shift" / f"predictions_{row.kind}_{row.intensity}.csv"
             records = read_predictions(dump)
-            acc = float(np.mean([r.is_correct for r in records]))
+            acc = float(np.mean(records.is_correct))
             value, _ = ece(records, cfg.metrics.num_bins)
             assert abs(acc - row.accuracy) < 1e-12
             assert abs(value - row.ece) < 1e-12

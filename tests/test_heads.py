@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovabench.heads import (HeadKind, logit_gradient, logits, loss, loss_and_grads,
-                            loss_gradient, predict, probabilities)
-from ovabench.nncore import (DenseLayer, ModelParams, forward, gradient_check,
-                             init_params)
+                            predict, probabilities)
+from ovabench.nncore import (DenseLayer, ModelParams, backward, forward,
+                             gradient_check, init_params)
 
 ALL_HEADS = list(HeadKind)
 DISTANCE_HEADS = [HeadKind.SOFTMAX_DISTANCE, HeadKind.OVA_DISTANCE]
@@ -246,10 +246,10 @@ class TestGradients:
         w = np.array([[1.0, -1.0], [2.0, 0.5]])  # embed_dim 2, K 2
         params = head_only_params(w)
         x = w.T[:1]  # embedding == center 0
-        trace = forward(params, x)
-        hg = loss_gradient(HeadKind.OVA_DISTANCE, params, trace, [0])
-        assert np.isfinite(hg.weights).all()
-        assert np.isfinite(hg.embedding).all()
+        _, grads = loss_and_grads(HeadKind.OVA_DISTANCE, params, x, [0])
+        # identity body and batch 1: the body bias gradient is the embedding gradient
+        assert np.isfinite(grads.head_weights).all()
+        assert np.isfinite(grads.layers[0].biases).all()
 
     def test_loss_gradient_affine_matches_chain(self):
         rng = np.random.default_rng(11)
@@ -257,12 +257,17 @@ class TestGradients:
         x = rng.standard_normal((5, 2))
         y = rng.integers(0, 10, 5)
         trace = forward(params, x)
-        hg = loss_gradient(HeadKind.OVA_AFFINE, params, trace, y)
+        _, grads = loss_and_grads(HeadKind.OVA_AFFINE, params, x, y)
         z = logits(HeadKind.OVA_AFFINE, params, trace.embedding)
         g = logit_gradient(HeadKind.OVA_AFFINE, z, y)
-        assert np.allclose(hg.weights, trace.embedding.T @ g, atol=1e-15)
-        assert np.allclose(hg.biases, g.sum(axis=0), atol=1e-15)
-        assert np.allclose(hg.embedding, g @ params.head_weights.T, atol=1e-15)
+        assert np.allclose(grads.head_weights, trace.embedding.T @ g, atol=1e-15)
+        assert np.allclose(grads.head_biases, g.sum(axis=0), atol=1e-15)
+        # every body layer's gradient is backward() of the per-row embedding
+        # gradient, so a wrong row would show in some layer's weights
+        chain = backward(params, trace, g @ params.head_weights.T)
+        for got, want in zip(grads.layers, chain, strict=True):
+            assert np.allclose(got.weights, want.weights, atol=1e-15)
+            assert np.allclose(got.biases, want.biases, atol=1e-15)
 
 
 class TestPredict:

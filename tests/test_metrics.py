@@ -5,26 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovabench.metrics import (PredictionRecord, accuracy_vs_confidence, auroc_auprc,
+from ovabench.metrics import (Predictions, accuracy_vs_confidence, auroc_auprc,
                               boxplot_stats, confidence_histograms, ece, pca2,
                               read_predictions, write_predictions)
 
 
 def rec(confidence, correct=True, ood=False):
+    """One row: (confidence, predicted_label, true_label, is_ood)."""
     if ood:
-        return PredictionRecord(confidence=confidence, predicted_label=0, true_label=None)
-    return PredictionRecord(confidence=confidence, predicted_label=0,
-                            true_label=0 if correct else 1)
+        return (confidence, 0, -1, True)
+    return (confidence, 0, 0 if correct else 1, False)
+
+
+def preds(rows):
+    """Columnar predictions from ``rec`` rows."""
+    return Predictions(*(zip(*rows) if rows else [()] * 4))
+
+
+def hist_preds(correct_id, incorrect_id, ood):
+    """Predictions whose correct, incorrect and OOD confidences are the given lists."""
+    return preds([rec(c, True) for c in correct_id] + [rec(c, False) for c in incorrect_id]
+                 + [rec(c, ood=True) for c in ood])
 
 
 class TestEce:
     def test_perfectly_calibrated_bin(self):
-        records = [rec(0.75, True), rec(0.75, True), rec(0.75, True), rec(0.75, False)]
+        records = preds([rec(0.75, True), rec(0.75, True), rec(0.75, True), rec(0.75, False)])
         value, _ = ece(records, 15)
         assert value == 0.0
 
     def test_single_bin_hand_case(self):
-        records = [rec(0.9, True), rec(0.9, True), rec(0.9, True), rec(0.9, False)]
+        records = preds([rec(0.9, True), rec(0.9, True), rec(0.9, True), rec(0.9, False)])
         value, table = ece(records, 15)
         # scalar re-derivation of the same quantity
         mean_conf = (0.9 + 0.9 + 0.9 + 0.9) / 4
@@ -34,7 +45,7 @@ class TestEce:
         assert table.counts.sum() == 4
 
     def test_confidence_one_lands_in_top_bin(self):
-        records = [rec(1.0, True) for _ in range(5)]
+        records = preds([rec(1.0, True) for _ in range(5)])
         value, table = ece(records, 15)
         assert value == 0.0
         assert table.counts[14] == 5
@@ -42,26 +53,26 @@ class TestEce:
 
     def test_interior_edge_goes_to_higher_bin(self):
         edge = np.linspace(0.0, 1.0, 16)[3]
-        _, table = ece([rec(float(edge))], 15)
+        _, table = ece(preds([rec(float(edge))]), 15)
         assert table.counts[3] == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ece([], 15)
+            ece(preds([]), 15)
 
     def test_ood_rejected(self):
         with pytest.raises(ValueError, match="in-distribution"):
-            ece([rec(0.5, ood=True)], 15)
+            ece(preds([rec(0.5, ood=True)]), 15)
 
     @settings(max_examples=50)
     @given(st.lists(st.tuples(st.floats(0, 1), st.booleans()), min_size=1, max_size=40),
            st.randoms(use_true_random=False))
     def test_permutation_invariance(self, pairs, rnd):
         records = [rec(c, ok) for c, ok in pairs]
-        value, _ = ece(records, 15)
+        value, _ = ece(preds(records), 15)
         shuffled = list(records)
         rnd.shuffle(shuffled)
-        value2, _ = ece(shuffled, 15)
+        value2, _ = ece(preds(shuffled), 15)
         assert value2 == pytest.approx(value, abs=1e-12)
 
     @settings(max_examples=50)
@@ -70,16 +81,16 @@ class TestEce:
     def test_single_bin_equals_gap_exactly(self, pairs):
         # all confidences inside one 1/15-wide bin
         records = [rec(c, ok) for c, ok in pairs]
-        value, _ = ece(records, 15)
+        value, _ = ece(preds(records), 15)
         conf_total, correct_total = 0.0, 0.0
-        for r in records:  # left-to-right accumulation, as the binned sums do
-            conf_total += r.confidence
-            correct_total += 1.0 if r.is_correct else 0.0
+        for conf, _, true, _ in records:  # left-to-right accumulation, as the binned sums do
+            conf_total += conf
+            correct_total += 1.0 if true == 0 else 0.0
         assert value == abs(correct_total / len(records) - conf_total / len(records))
 
     def test_mean_confidence_within_bin_edges(self):
         rng = np.random.default_rng(0)
-        records = [rec(float(c), bool(rng.integers(2))) for c in rng.uniform(0, 1, 500)]
+        records = preds([rec(float(c), bool(rng.integers(2))) for c in rng.uniform(0, 1, 500)])
         _, table = ece(records, 15)
         for b in range(15):
             if table.counts[b]:
@@ -89,37 +100,38 @@ class TestEce:
 
 class TestAccuracyVsConfidence:
     def test_all_correct_full_confidence(self):
-        records = [rec(1.0, True) for _ in range(4)]
+        records = preds([rec(1.0, True) for _ in range(4)])
         curve = accuracy_vs_confidence(records, np.linspace(0, 1, 11))
         assert (curve.accuracy == 1.0).all()
         assert (curve.retained == 4).all()
 
     def test_ood_counted_incorrect(self):
-        records = [rec(0.9, True), rec(0.9, True), rec(0.95, ood=True)]
+        records = preds([rec(0.9, True), rec(0.9, True), rec(0.95, ood=True)])
         curve = accuracy_vs_confidence(records, [0.92])
         assert curve.retained[0] == 1
         assert curve.accuracy[0] == 0.0
 
     def test_zero_threshold_is_overall_accuracy(self):
-        records = [rec(0.9, True), rec(0.9, True), rec(0.95, ood=True)]
+        records = preds([rec(0.9, True), rec(0.9, True), rec(0.95, ood=True)])
         curve = accuracy_vs_confidence(records, [0.0])
         assert curve.retained[0] == 3
         assert curve.accuracy[0] == pytest.approx(2 / 3)
 
     def test_empty_retention_is_nan_not_zero(self):
-        records = [rec(0.2, True)]
+        records = preds([rec(0.2, True)])
         curve = accuracy_vs_confidence(records, [0.5])
         assert curve.retained[0] == 0
         assert math.isnan(curve.accuracy[0])
 
     def test_retained_nonincreasing(self):
         rng = np.random.default_rng(1)
-        records = [rec(float(c), True) for c in rng.uniform(0, 1, 100)]
+        records = preds([rec(float(c), True) for c in rng.uniform(0, 1, 100)])
         curve = accuracy_vs_confidence(records, np.linspace(0, 1, 101))
         assert (np.diff(curve.retained) <= 0).all()
 
     def test_threshold_above_max_ood_confidence_excludes_ood(self):
-        records = [rec(0.8, True), rec(0.99, True), rec(0.6, ood=True), rec(0.7, ood=True)]
+        records = preds([rec(0.8, True), rec(0.99, True), rec(0.6, ood=True),
+                         rec(0.7, ood=True)])
         curve = accuracy_vs_confidence(records, [0.7000000001])
         assert curve.retained[0] == 2
         assert curve.accuracy[0] == 1.0
@@ -193,13 +205,13 @@ class TestRanking:
 
 class TestHistograms:
     def test_empty_ood_list(self):
-        h = confidence_histograms([0.5, 0.9], [0.3], [], 10)
+        h = confidence_histograms(hist_preds([0.5, 0.9], [0.3], []), 10)
         assert h.ood.sum() == 0
         assert h.correct_id.sum() == 2
         assert h.incorrect_id.sum() == 1
 
     def test_all_half_one_bin(self):
-        h = confidence_histograms([0.5] * 7, [0.5] * 3, [0.5] * 2, 10)
+        h = confidence_histograms(hist_preds([0.5] * 7, [0.5] * 3, [0.5] * 2), 10)
         assert h.correct_id[5] == 7 and h.correct_id.sum() == 7
         assert h.incorrect_id[5] == 3
         assert h.ood[5] == 2
@@ -207,7 +219,7 @@ class TestHistograms:
     def test_matches_counting_loop(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 1, 300)
-        h = confidence_histograms(values, [], [], 15)
+        h = confidence_histograms(hist_preds(values, [], []), 15)
         edges = np.linspace(0, 1, 16)
         manual = np.zeros(15, dtype=int)
         for v in values:
@@ -220,8 +232,9 @@ class TestHistograms:
         assert np.array_equal(h.correct_id, manual)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            confidence_histograms([1.2], [], [], 10)
+        for bad in (1.2, -0.25, float("nan")):
+            with pytest.raises(ValueError):
+                confidence_histograms(hist_preds([bad], [], []), 10)
 
 
 def oracle_five_numbers(values):
@@ -349,22 +362,49 @@ class TestPca2:
 
 class TestPredictionsIo:
     def test_round_trip(self, tmp_path):
-        records = [
-            PredictionRecord(confidence=0.123456789012345, predicted_label=3, true_label=3),
-            PredictionRecord(confidence=1.0, predicted_label=0, true_label=9),
-            PredictionRecord(confidence=1e-17, predicted_label=2, true_label=None),
-        ]
+        records = Predictions(confidence=[0.123456789012345, 1.0, 1e-17],
+                              predicted_label=[3, 0, 2], true_label=[3, 9, -1],
+                              is_ood=[False, False, True])
         path = tmp_path / "predictions.csv"
         write_predictions(path, records)
         loaded = read_predictions(path)
         assert len(loaded) == 3
-        for a, b in zip(records, loaded):
-            assert a.confidence == b.confidence
-            assert a.predicted_label == b.predicted_label
-            assert a.true_label == b.true_label
+        for column in ("confidence", "predicted_label", "true_label", "is_ood"):
+            assert getattr(loaded, column).tolist() == getattr(records, column).tolist()
+        assert loaded.is_correct.tolist() == [True, False, False]
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope\n")
         with pytest.raises(ValueError):
             read_predictions(path)
+
+    ROW_ERRORS = [
+        ("0.5,1,2,0,7", "line 3: expected 4 columns"),
+        ("0.5,1,2", "line 3: expected 4 columns"),
+        ("0.5,1,2,2", "line 3: is_ood must be 0 or 1"),
+        ("0.5,1,,0", "line 3: true_label must be empty"),
+        ("0.5,1,4,1", "line 3: true_label must be empty"),
+        ("1.5,1,2,0", "line 3: confidence"),
+        ("nan,1,2,0", "line 3: confidence"),
+        ("-0.1,1,,1", "line 3: confidence"),
+        ("0.5,x,2,0", "line 3"),
+    ]
+
+    @pytest.mark.parametrize("row,message", ROW_ERRORS)
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"confidence,predicted_label,true_label,is_ood\n0.25,0,0,0\n{row}\n")
+        with pytest.raises(ValueError, match=message) as info:
+            read_predictions(path)
+        assert str(path) in str(info.value)
+
+
+class TestPredictions:
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            Predictions([0.5, 0.5], [0], [0, 0], [False, False])
+
+    def test_ood_rows_never_correct(self):
+        p = Predictions([0.5, 0.5], [3, -1], [3, -1], [False, True])
+        assert p.is_correct.tolist() == [True, False]
