@@ -141,7 +141,7 @@ class ExperimentConfig:
             raise ValueError("hidden widths must be positive")
         if self.model.distance_init not in ("zeros", "random"):
             raise ValueError(f"unknown distance_init {self.model.distance_init!r}")
-        if o.learning_rate <= 0 or not 0.0 <= o.momentum < 1.0:
+        if not (o.learning_rate > 0 and 0.0 <= o.momentum < 1.0):
             raise ValueError("invalid optimizer parameters")
         if o.batch_size < 1 or o.steps < 0:
             raise ValueError("batch_size must be >= 1 and steps >= 0")
@@ -163,6 +163,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Build and validate a config; a field of the wrong type raises
+        ValueError naming it as ``section.field``."""
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         raw = dict(raw)
         sections = {"data": DataConfig, "model": ModelConfig, "optim": OptimConfig,
                     "sweep": SweepConfig, "ood": OodConfig, "metrics": MetricConfig,
@@ -170,19 +174,41 @@ class ExperimentConfig:
         kwargs = {}
         for name, section_cls in sections.items():
             section = raw.pop(name, {})
+            if not isinstance(section, dict):
+                raise ValueError(f"config section {name!r} must be a JSON object")
             unknown = set(section) - set(section_cls.__dataclass_fields__)
             if unknown:
                 raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+            for key, value in section.items():
+                _check_type(f"{name}.{key}", value, section_cls.__dataclass_fields__[key].type)
             kwargs[name] = section_cls(**section)
         head = raw.pop("head", None)
         kwargs["head"] = None if head is None else HeadKind(head)
-        kwargs["seed"] = int(raw.pop("seed", 0))
+        kwargs["seed"] = raw.pop("seed", 0)
         kwargs["out_dir"] = raw.pop("out_dir", None)
+        _check_type("seed", kwargs["seed"], "int")
+        _check_type("out_dir", kwargs["out_dir"], "str | None")
         if raw:
             raise ValueError(f"unknown config keys: {sorted(raw)}")
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
+
+
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _check_type(where: str, value, annotation: str) -> None:
+    """Reject a config value that does not match its field's annotation."""
+    kind = annotation.removesuffix(" | None")
+    if kind.startswith("list[") and isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_type(f"{where}[{i}]", item, kind[5:-1])
+    elif not ((value is None and kind != annotation)
+              or (type(value) in _FIELD_TYPES.get(kind, ())
+                  and (kind != "float" or math.isfinite(value)))):
+        raise ValueError(f"{where} must be {annotation}"
+                         f"{' (finite)' if kind == 'float' else ''}, got {value!r}")
 
 
 @dataclass
@@ -314,9 +340,8 @@ def train(config: ExperimentConfig, head: HeadKind | None = None,
     if train_data.num_classes != config.data.num_classes:
         raise ValueError("dataset class count does not match the config")
 
-    head_init = "glorot"
-    if head.is_distance and config.model.distance_init == "zeros":
-        head_init = "zeros"
+    zeros = head.is_distance and config.model.distance_init == "zeros"
+    head_init = "zeros" if zeros else "glorot"
     params = init_params([x.shape[1], *config.model.hidden], config.data.num_classes,
                          head_biases=head.uses_biases, head_init=head_init,
                          seed=derive_seed(config.seed, f"init:{head.value}"))
@@ -625,10 +650,7 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
     train_d, test_d, ood_points = datasets
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
-    d = config.data
-    gen_params = {"num_classes": d.num_classes, "n_per_class": d.n_per_class,
-                  "radius": d.radius, "variance": d.variance,
-                  "angle_formula": d.angle_formula, "train_fraction": d.train_fraction}
+    gen_params = asdict(config.data)
     datamod.save_dataset(data_dir / "train.csv", train_d, "gen_ring", gen_params)
     datamod.save_dataset(data_dir / "test.csv", test_d, "gen_ring", gen_params)
     write_csv(data_dir / "ood.csv", ["x0", "x1"],

@@ -13,7 +13,6 @@ logits, never by exponentiating and re-logging probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -63,20 +62,10 @@ class HeadKind(str, Enum):
         return not self.is_distance
 
 
-@dataclass
-class _HeadGradients:
-    """Gradients of the mean loss w.r.t. head parameters and the embedding."""
-
-    weights: np.ndarray
-    biases: np.ndarray | None
-    embedding: np.ndarray
-
-
 def _check_head_params(head: HeadKind, params: ModelParams) -> None:
-    if head.uses_biases and params.head_biases is None:
-        raise ValueError(f"head '{head.value}' requires head_biases")
-    if not head.uses_biases and params.head_biases is not None:
-        raise ValueError(f"head '{head.value}' must not carry head_biases")
+    if head.uses_biases != (params.head_biases is not None):
+        need = "requires" if head.uses_biases else "must not carry"
+        raise ValueError(f"head '{head.value}' {need} head_biases")
 
 
 def _check_labels(labels, num_classes: int) -> np.ndarray:
@@ -190,7 +179,7 @@ def logit_gradient(head: HeadKind, logits_, labels) -> np.ndarray:
     y = _check_labels(labels, z.shape[1])
     batch = z.shape[0]
     rows = np.arange(batch)
-    own = np.zeros_like(z, dtype=bool)
+    own = np.zeros(z.shape, dtype=bool)
     own[rows, y] = True
     if head is HeadKind.OVA_DISTANCE:
         d = -z
@@ -200,42 +189,39 @@ def logit_gradient(head: HeadKind, logits_, labels) -> np.ndarray:
             grad_d = np.where(clamped, 0.0, -1.0 / np.sinh(safe_d))
         grad_d[own] = _sigmoid(d[own])
         return -grad_d / batch
-    p = probabilities(head, z)
-    onehot = own.astype(np.float64)
-    return (p - onehot) / batch
+    return (probabilities(head, z) - own) / batch
 
 
 def _head_grads(head: HeadKind, params: ModelParams, emb: np.ndarray,
-                z: np.ndarray, g: np.ndarray) -> _HeadGradients:
+                z: np.ndarray, g: np.ndarray, grads: ModelParams) -> np.ndarray:
+    """Write the head's gradients into ``grads``; return the embedding's."""
     if head.is_distance:
         d = -z
         diff = emb[:, None, :] - params.head_weights.T[None, :, :]
         # subgradient 0 for the norm at zero distance
         unit = np.where(d[:, :, None] > 0.0,
                         diff / np.where(d == 0.0, 1.0, d)[:, :, None], 0.0)
-        demb = -np.einsum("bk,bke->be", g, unit)
-        dw = np.einsum("bk,bke->ek", g, unit)
-        return _HeadGradients(weights=dw, biases=None, embedding=demb)
-    dw = emb.T @ g
-    db = g.sum(axis=0)
-    demb = g @ params.head_weights.T
-    return _HeadGradients(weights=dw, biases=db, embedding=demb)
+        grads.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
+        return -np.einsum("bk,bke->be", g, unit)
+    np.matmul(emb.T, g, out=grads.head_weights)
+    g.sum(axis=0, out=grads.head_biases)
+    return g @ params.head_weights.T
 
 
 def loss_and_grads(head: HeadKind, params: ModelParams, inputs,
                    labels) -> tuple[float, ModelParams]:
     """Forward pass, loss, and full parameter gradients in one call.
 
-    Returns ``(loss, grads)`` with grads shaped like ``params``; convenient
-    for the training loop and for finite-difference checks.
+    Returns ``(loss, grads)``, grads one vector in the layout of ``params``;
+    convenient for the training loop and for finite-difference checks.
     """
     trace = forward(params, inputs)
     z = logits(head, params, trace.embedding)
     value = loss(head, z, labels)
     g = logit_gradient(head, z, labels)
-    hg = _head_grads(head, params, trace.embedding, z, g)
-    body = backward(params, trace, hg.embedding)
-    return value, ModelParams(layers=body, head_weights=hg.weights, head_biases=hg.biases)
+    grads = ModelParams.zeros(params.layout)
+    backward(params, trace, _head_grads(head, params, trace.embedding, z, g, grads), grads)
+    return value, grads
 
 
 def predict(probs) -> tuple[np.ndarray, np.ndarray]:

@@ -4,23 +4,27 @@ The body is a stack of fully connected layers with ReLU between them; the raw
 output of the last layer is the embedding consumed by the probability heads
 (no trailing nonlinearity).  All arithmetic is float64, training is SGD with
 momentum, and every operation is deterministic given its inputs.
+
+Parameters, gradients and optimizer velocity are each one contiguous float64
+vector; the named tensors are views into it.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "DenseLayer",
     "ForwardTrace",
+    "Layout",
     "ModelParams",
     "OptimizerState",
     "backward",
-    "copy_params",
     "forward",
     "gradient_check",
     "init_params",
@@ -28,8 +32,6 @@ __all__ = [
     "make_optimizer",
     "save_checkpoint",
     "sgd_step",
-    "tensor_items",
-    "zeros_like",
 ]
 
 CHECKPOINT_FORMAT = "ovabench-checkpoint-v1"
@@ -42,57 +44,78 @@ def _as_matrix(x, name: str = "inputs") -> np.ndarray:
     return arr
 
 
-@dataclass
-class DenseLayer:
-    """Weights [fan_in x fan_out] and biases [fan_out] of one dense layer."""
+class Layout:
+    """Names, shapes and offsets of a model's tensors in its flat vector, in
+    checkpoint order: ``layers.{i}.weights``, ``layers.{i}.biases`` per body
+    layer, ``head_weights``, then ``head_biases`` for affine heads.  Built
+    once per model and shared by its parameters, gradients and velocity."""
 
-    weights: np.ndarray
-    biases: np.ndarray
+    def __init__(self, layer_dims, num_classes: int, head_biases: bool):
+        self.num_layers = len(layer_dims) - 1
+        entries = []
+        for i, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+            entries += [(f"layers.{i}.weights", (fan_in, fan_out)),
+                        (f"layers.{i}.biases", (fan_out,))]
+        entries.append(("head_weights", (layer_dims[-1], num_classes)))
+        if head_biases:
+            entries.append(("head_biases", (num_classes,)))
+        self.names, self.shapes = zip(*entries)
+        self.offsets = (0, *np.cumsum([math.prod(s) for s in self.shapes]).tolist())
+        self.size = self.offsets[-1]
+
+    def locate(self, index: int) -> tuple[str, int]:
+        """The tensor holding flat entry ``index``, and the entry's index in it."""
+        t = bisect.bisect_right(self.offsets, index) - 1
+        return self.names[t], index - self.offsets[t]
 
 
-@dataclass
 class ModelParams:
-    """All learnable parameters: body layers plus the classification head.
+    """Parameters (or gradients, or velocity) as one flat float64 vector.
 
-    ``head_weights`` is [embed_dim x K] with column j belonging to class j.
-    ``head_biases`` is a length-K vector for affine heads and None for
-    distance heads, whose weight columns act as class centers instead.
+    ``weights[i]`` [fan_in x fan_out] and ``biases[i]`` [fan_out] are body
+    layer i.  ``head_weights`` is [embed_dim x K] with column j belonging to
+    class j.  ``head_biases`` is a length-K vector for affine heads and None
+    for distance heads, whose weight columns act as class centers instead.
+    All of them, and ``tensors`` in layout order, are views into ``flat``.
     """
 
-    layers: list[DenseLayer]
-    head_weights: np.ndarray
-    head_biases: np.ndarray | None = None
+    def __init__(self, flat: np.ndarray, layout: Layout):
+        self.flat, self.layout = flat, layout
+        self.tensors = [flat[a:b].reshape(shape) for a, b, shape
+                        in zip(layout.offsets, layout.offsets[1:], layout.shapes)]
+        n = 2 * layout.num_layers
+        self.weights, self.biases = self.tensors[0:n:2], self.tensors[1:n:2]
+        self.head_weights, self.head_biases = (self.tensors[n:] + [None])[:2]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.layers[-1].weights.shape[1]
+    @classmethod
+    def zeros(cls, layout: Layout) -> "ModelParams":
+        return cls(np.zeros(layout.size), layout)
 
-    @property
-    def num_classes(self) -> int:
-        return self.head_weights.shape[1]
+    @classmethod
+    def from_arrays(cls, weights, biases, head_weights, head_biases=None) -> "ModelParams":
+        """Copy separate tensors into one vector, checking that their shapes chain."""
+        shapes = [np.shape(t) for t in (*weights, head_weights)]
+        if not weights or any(len(shape) != 2 for shape in shapes):
+            raise ValueError(f"need at least one layer, and weight matrices; got shapes {shapes}")
+        for i in range(1, len(weights)):
+            if shapes[i][0] != shapes[i - 1][1]:
+                raise ValueError(f"layers.{i}.weights: layer {i} fan_in {shapes[i][0]} does not "
+                                 f"chain with layer {i - 1} fan_out {shapes[i - 1][1]}")
+        dims = [shapes[0][0], *(shape[1] for shape in shapes[:-1])]
+        params = cls.zeros(Layout(dims, shapes[-1][1], head_biases is not None))
+        given = [t for pair in zip(weights, biases, strict=True) for t in pair]
+        given += [head_weights, head_biases]
+        for name, view, t in zip(params.layout.names, params.tensors, given):
+            if np.shape(t) != view.shape:
+                raise ValueError(f"{name} has shape {np.shape(t)}, expected {view.shape}")
+            view[...] = t
+        return params
 
-    def validate(self) -> None:
-        """Check dimension chaining and that every entry is finite."""
-        if not self.layers:
-            raise ValueError("model needs at least one dense layer")
-        for i, layer in enumerate(self.layers):
-            if layer.weights.ndim != 2:
-                raise ValueError(f"layer {i}: weights must be a matrix")
-            if layer.biases.shape != (layer.weights.shape[1],):
-                raise ValueError(f"layer {i}: bias shape {layer.biases.shape} "
-                                 f"does not match fan_out {layer.weights.shape[1]}")
-            if i > 0 and layer.weights.shape[0] != self.layers[i - 1].weights.shape[1]:
-                raise ValueError(f"layer {i}: fan_in {layer.weights.shape[0]} does not "
-                                 f"chain with layer {i - 1} fan_out "
-                                 f"{self.layers[i - 1].weights.shape[1]}")
-        if self.head_weights.shape[0] != self.embed_dim:
-            raise ValueError(f"head_weights rows {self.head_weights.shape[0]} "
-                             f"do not match embed_dim {self.embed_dim}")
-        if self.head_biases is not None and self.head_biases.shape != (self.num_classes,):
-            raise ValueError("head_biases shape does not match number of classes")
-        for name, tensor in tensor_items(self):
-            if not np.isfinite(tensor).all():
-                raise ValueError(f"non-finite values in {name}")
+    def validate(self, message: str = "non-finite values in {}") -> None:
+        """Check that every entry is finite; ``message`` names the first tensor that is not."""
+        finite = np.isfinite(self.flat)
+        if not finite.all():
+            raise ValueError(message.format(self.layout.locate(int(np.argmin(finite)))[0]))
 
 
 @dataclass
@@ -107,39 +130,11 @@ class ForwardTrace:
 
 @dataclass
 class OptimizerState:
-    """SGD-with-momentum state; velocity mirrors the parameter shapes."""
+    """SGD-with-momentum state; velocity shares the parameters' layout."""
 
     velocity: ModelParams
     learning_rate: float
     momentum: float
-
-
-def tensor_items(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """All parameter tensors with stable dotted names, in a fixed order."""
-    items = []
-    for i, layer in enumerate(params.layers):
-        items.append((f"layers.{i}.weights", layer.weights))
-        items.append((f"layers.{i}.biases", layer.biases))
-    items.append(("head_weights", params.head_weights))
-    if params.head_biases is not None:
-        items.append(("head_biases", params.head_biases))
-    return items
-
-
-def _map_tensors(fn, params: ModelParams) -> ModelParams:
-    return ModelParams(
-        layers=[DenseLayer(fn(l.weights), fn(l.biases)) for l in params.layers],
-        head_weights=fn(params.head_weights),
-        head_biases=None if params.head_biases is None else fn(params.head_biases),
-    )
-
-
-def zeros_like(params: ModelParams) -> ModelParams:
-    return _map_tensors(np.zeros_like, params)
-
-
-def copy_params(params: ModelParams) -> ModelParams:
-    return _map_tensors(lambda t: np.array(t, dtype=np.float64, copy=True), params)
 
 
 def init_params(layer_dims: list[int], num_classes: int, *, head_biases: bool,
@@ -160,16 +155,11 @@ def init_params(layer_dims: list[int], num_classes: int, *, head_biases: bool,
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-    layers = [DenseLayer(glorot(a, b), np.zeros(b))
-              for a, b in zip(layer_dims[:-1], layer_dims[1:])]
-    embed_dim = layer_dims[-1]
-    if head_init == "zeros":
-        head_w = np.zeros((embed_dim, num_classes))
-    else:
-        head_w = glorot(embed_dim, num_classes)
-    head_b = np.zeros(num_classes) if head_biases else None
-    params = ModelParams(layers=layers, head_weights=head_w, head_biases=head_b)
-    params.validate()
+    params = ModelParams.zeros(Layout(layer_dims, num_classes, head_biases))
+    for w in params.weights:
+        w[...] = glorot(*w.shape)
+    if head_init == "glorot":
+        params.head_weights[...] = glorot(*params.head_weights.shape)
     return params
 
 
@@ -183,13 +173,13 @@ def forward(params: ModelParams, inputs) -> ForwardTrace:
     if x.shape[0] < 1:
         raise ValueError("batch must contain at least one row")
     pre, post = [], []
+    if x.shape[1] != params.weights[0].shape[0]:  # later layers chain by construction
+        raise ValueError(f"layer 0: input width {x.shape[1]} does not match "
+                         f"fan_in {params.weights[0].shape[0]}")
     a = x
-    last = len(params.layers) - 1
-    for i, layer in enumerate(params.layers):
-        if a.shape[1] != layer.weights.shape[0]:
-            raise ValueError(f"layer {i}: input width {a.shape[1]} does not match "
-                             f"fan_in {layer.weights.shape[0]}")
-        z = a @ layer.weights + layer.biases
+    last = params.layout.num_layers - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w + b
         a = np.maximum(z, 0.0) if i < last else z
         pre.append(z)
         post.append(a)
@@ -197,55 +187,56 @@ def forward(params: ModelParams, inputs) -> ForwardTrace:
                         embedding=post[-1])
 
 
-def backward(params: ModelParams, trace: ForwardTrace,
-             embedding_grad) -> list[DenseLayer]:
+def backward(params: ModelParams, trace: ForwardTrace, embedding_grad,
+             grads: ModelParams | None = None) -> ModelParams:
     """Backpropagate an embedding gradient through the body.
 
-    Returns per-layer gradients shaped like ``params.layers``.  The caller's
-    ``embedding_grad`` must already carry the loss reduction (e.g. 1/batch for
-    a mean), so no extra averaging happens here.  The ReLU subgradient at
-    exactly zero is zero.
+    Writes the body layers' gradients into ``grads`` (zeros of the model's
+    layout when None) and returns it; head entries are left as they are.
+    The caller's ``embedding_grad`` must already carry the loss reduction
+    (e.g. 1/batch for a mean), so no extra averaging happens here.  The ReLU
+    subgradient at exactly zero is zero.
     """
     g = _as_matrix(embedding_grad, "embedding_grad")
     if g.shape != trace.embedding.shape:
         raise ValueError(f"embedding_grad shape {g.shape} does not match "
                          f"embedding shape {trace.embedding.shape}")
-    grads: list[DenseLayer | None] = [None] * len(params.layers)
-    for i in range(len(params.layers) - 1, -1, -1):
+    if grads is None:
+        grads = ModelParams.zeros(params.layout)
+    for i in range(params.layout.num_layers - 1, -1, -1):
         a_in = trace.post_activations[i - 1] if i > 0 else trace.inputs
-        grads[i] = DenseLayer(weights=a_in.T @ g, biases=g.sum(axis=0))
+        np.matmul(a_in.T, g, out=grads.weights[i])
+        g.sum(axis=0, out=grads.biases[i])
         if i > 0:
-            g = (g @ params.layers[i].weights.T) * (trace.pre_activations[i - 1] > 0.0)
-    return grads  # type: ignore[return-value]
+            g = (g @ params.weights[i].T) * (trace.pre_activations[i - 1] > 0.0)
+    return grads
 
 
 def gradient_check(loss_fn, params: ModelParams, step: float = 1e-5) -> float:
     """Compare analytic gradients against central finite differences.
 
-    ``loss_fn`` maps a ModelParams to ``(loss, grads)`` where ``grads`` is
-    ModelParams-shaped; only the loss is used for the numeric side.  Returns
+    ``loss_fn`` maps a ModelParams to ``(loss, grads)`` where ``grads`` has
+    the same layout; only the loss is used for the numeric side.  Returns
     the worst relative error over all entries, with denominator
     max(|analytic|, |numeric|, 1e-8).
     """
-    _, analytic = loss_fn(params)
-    work = copy_params(params)
+    analytic = loss_fn(params)[1].flat
+    work = ModelParams(params.flat.copy(), params.layout)
+    flat = work.flat
     worst = 0.0
-    for (name, p_t), (_, a_t) in zip(tensor_items(work), tensor_items(analytic)):
-        flat_p = p_t.reshape(-1)
-        flat_a = a_t.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + step
-            loss_plus = loss_fn(work)[0]
-            flat_p[i] = orig - step
-            loss_minus = loss_fn(work)[0]
-            flat_p[i] = orig
-            if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
-                raise ValueError(f"non-finite loss while perturbing {name}[{i}]")
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
-            a = flat_a[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        loss_plus = loss_fn(work)[0]
+        flat[i] = orig - step
+        loss_minus = loss_fn(work)[0]
+        flat[i] = orig
+        if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
+            name, j = params.layout.locate(i)
+            raise ValueError(f"non-finite loss while perturbing {name}[{j}]")
+        numeric = (loss_plus - loss_minus) / (2.0 * step)
+        rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
+        worst = max(worst, rel)
     return worst
 
 
@@ -255,45 +246,23 @@ def make_optimizer(params: ModelParams, learning_rate: float,
         raise ValueError("learning_rate must be positive")
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must lie in [0, 1)")
-    return OptimizerState(velocity=zeros_like(params), learning_rate=learning_rate,
-                          momentum=momentum)
+    return OptimizerState(velocity=ModelParams.zeros(params.layout),
+                          learning_rate=learning_rate, momentum=momentum)
 
 
 def sgd_step(params: ModelParams, grads: ModelParams,
              state: OptimizerState) -> tuple[ModelParams, OptimizerState]:
-    """One momentum-SGD update: v <- m*v - lr*g, p <- p + v.
+    """One momentum-SGD update of the whole vector: v <- m*v - lr*g, p <- p + v.
 
     Refuses non-finite gradients and checks the updated parameters are
     finite, naming the offending tensor in either case.
     """
-    for name, g in tensor_items(grads):
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient for {name}; update refused")
+    grads.validate("non-finite gradient for {}; update refused")
     m, lr = state.momentum, state.learning_rate
-
-    def update(p, g, v):
-        v_new = m * v - lr * g
-        return p + v_new, v_new
-
-    new_layers, new_vel = [], []
-    for layer, glayer, vlayer in zip(params.layers, grads.layers, state.velocity.layers):
-        w, vw = update(layer.weights, glayer.weights, vlayer.weights)
-        b, vb = update(layer.biases, glayer.biases, vlayer.biases)
-        new_layers.append(DenseLayer(w, b))
-        new_vel.append(DenseLayer(vw, vb))
-    hw, vhw = update(params.head_weights, grads.head_weights, state.velocity.head_weights)
-    if params.head_biases is not None:
-        hb, vhb = update(params.head_biases, grads.head_biases, state.velocity.head_biases)
-    else:
-        hb, vhb = None, None
-    new_params = ModelParams(layers=new_layers, head_weights=hw, head_biases=hb)
-    for name, t in tensor_items(new_params):
-        if not np.isfinite(t).all():
-            raise ValueError(f"non-finite parameter {name} after update")
-    new_state = OptimizerState(
-        velocity=ModelParams(layers=new_vel, head_weights=vhw, head_biases=vhb),
-        learning_rate=lr, momentum=m)
-    return new_params, new_state
+    velocity = m * state.velocity.flat - lr * grads.flat
+    new_params = ModelParams(params.flat + velocity, params.layout)
+    new_params.validate("non-finite parameter {} after update")
+    return new_params, OptimizerState(ModelParams(velocity, params.layout), lr, m)
 
 
 def save_checkpoint(path, params: ModelParams, head: str, seed: int) -> None:
@@ -308,26 +277,48 @@ def save_checkpoint(path, params: ModelParams, head: str, seed: int) -> None:
         "head": head,
         "seed": int(seed),
         "tensors": [
-            {"name": name, "shape": list(t.shape), "data": t.ravel(order="C").tolist()}
-            for name, t in tensor_items(params)
+            {"name": name, "shape": list(t.shape), "data": t.ravel().tolist()}
+            for name, t in zip(params.layout.names, params.tensors)
         ],
     }
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+def _tensor(entry) -> tuple[str, np.ndarray]:
+    name = entry.get("name") if isinstance(entry, dict) else None
+    shape, data = (entry.get("shape"), entry.get("data")) if name else (None, None)
+    if not (isinstance(name, str) and isinstance(shape, list) and isinstance(data, list)
+            and all(type(s) is int and s >= 0 for s in shape)
+            and all(type(v) in (int, float) for v in data)):
+        raise ValueError(f"entry {entry!r:.60} needs a name, shape (sizes) and data (numbers)")
+    if len(data) != math.prod(shape):
+        raise ValueError(f"entry {name!r}: {len(data)} values do not fill shape {shape}")
+    return name, np.array(data, dtype=np.float64).reshape(shape)
+
+
 def load_checkpoint(path) -> tuple[ModelParams, str, int]:
-    """Read a checkpoint back into (params, head string, seed)."""
+    """Read a checkpoint back into (params, head string, seed).
+
+    A malformed file raises ValueError naming the file and the entry at fault.
+    """
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {path}")
-    tensors = {
-        entry["name"]: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for entry in doc["tensors"]
-    }
-    layers = []
-    for i in range(sum(1 for n in tensors if n.endswith(".weights") and n.startswith("layers."))):
-        layers.append(DenseLayer(tensors[f"layers.{i}.weights"], tensors[f"layers.{i}.biases"]))
-    params = ModelParams(layers=layers, head_weights=tensors["head_weights"],
-                         head_biases=tensors.get("head_biases"))
-    params.validate()
-    return params, doc["head"], int(doc["seed"])
+    try:
+        if not (isinstance(doc.get("tensors"), list) and isinstance(doc.get("head"), str)
+                and type(doc.get("seed")) is int):
+            raise ValueError("needs a 'tensors' list, a string 'head' and an integer 'seed'")
+        tensors = dict(map(_tensor, doc["tensors"]))
+        n = sum(name.startswith("layers.") and name.endswith(".weights") for name in tensors)
+        names = [f"layers.{i}.{kind}" for i in range(n) for kind in ("weights", "biases")]
+        names += ["head_weights", "head_biases"][:1 + ("head_biases" in tensors)]
+        missing = [name for name in names if name not in tensors]
+        if missing or len(names) != len(doc["tensors"]):
+            raise ValueError(f"entry {missing[0]!r} is missing" if missing
+                             else "duplicate or unexpected entries")
+        arrays = [tensors[name] for name in names]
+        params = ModelParams.from_arrays(arrays[:2 * n:2], arrays[1:2 * n:2], *arrays[2 * n:])
+        params.validate()
+    except ValueError as exc:
+        raise ValueError(f"malformed checkpoint {path}: {exc}") from None
+    return params, doc["head"], doc["seed"]

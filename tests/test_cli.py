@@ -112,3 +112,32 @@ def test_landscape_does_not_generate_datasets(tmp_path, config_file, monkeypatch
     assert calls == []
     assert main(["centers", *base]) == 0
     assert len(calls) == 1  # the counter does see stages that need data
+
+
+@pytest.mark.parametrize("bad, field", [
+    ('{"optim": {"steps": "10"}}', "optim.steps"),
+    ('{"model": {"hidden": 16}}', "model.hidden"),
+    ('{"data": {"n_per_class": 1.5}}', "data.n_per_class"),
+    ('{"optim": {"learning_rate": NaN}}', "optim.learning_rate"),
+], ids=["str-int", "scalar-list", "float-int", "nan-float"])
+def test_mistyped_config_field_is_named(tmp_path, capsys, bad, field):
+    path = tmp_path / "bad.json"
+    path.write_text(bad)
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--head", "softmax"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field in err
+    assert "Traceback" not in err
+
+
+def test_malformed_checkpoint_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps({"format": "ovabench-checkpoint-v1", "head": "ova",
+                                "seed": 0}))
+    code = main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err and "tensors" in err

@@ -5,12 +5,12 @@ import pytest
 
 from ovabench.data import Dataset, gen_ring
 from ovabench.harness import (ExperimentConfig, TrainingDiverged, centers_report,
-                              evaluate, landscape, make_datasets, run_all, shift_sweep,
-                              train, write_centers_csv, write_landscape_csv,
+                              derive_seed, evaluate, landscape, make_datasets, run_all,
+                              shift_sweep, train, write_centers_csv, write_landscape_csv,
                               write_landscape_pgm)
-from ovabench.heads import HeadKind, predict, probabilities, logits
+from ovabench.heads import HeadKind, logits, loss_and_grads, predict, probabilities
 from ovabench.metrics import auroc_auprc, ece, read_predictions
-from ovabench.nncore import DenseLayer, ModelParams, forward
+from ovabench.nncore import ModelParams, forward, init_params
 
 ALL_HEADS = list(HeadKind)
 
@@ -28,9 +28,9 @@ def tiny_config(seed=0, **optim):
 
 
 def identity_body_model(head_weights, head_biases=None):
-    return ModelParams(layers=[DenseLayer(np.eye(2), np.zeros(2))],
-                       head_weights=np.asarray(head_weights, dtype=np.float64),
-                       head_biases=head_biases)
+    return ModelParams.from_arrays([np.eye(2)], [np.zeros(2)],
+                                   head_weights=np.asarray(head_weights, dtype=np.float64),
+                                   head_biases=head_biases)
 
 
 class TestConfig:
@@ -102,6 +102,29 @@ class TestTrain:
         cfg.model.distance_init = "zeros"
         zero_init = train(cfg, head=HeadKind.OVA_DISTANCE)
         assert not zero_init.params.head_weights.any()
+
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    def test_update_matches_per_tensor_reference_bitwise(self, head):
+        cfg = tiny_config(steps=300)
+        result = train(cfg, head=head)
+        train_d = make_datasets(cfg)[0]
+        x, y = train_d.features, train_d.labels
+        params = init_params([x.shape[1], *cfg.model.hidden], cfg.data.num_classes,
+                             head_biases=head.uses_biases,
+                             head_init="zeros" if head.is_distance else "glorot",
+                             seed=derive_seed(cfg.seed, f"init:{head.value}"))
+        velocity = [np.zeros(t.shape) for t in params.tensors]
+        rng = np.random.default_rng(derive_seed(cfg.seed, f"train:{head.value}"))
+        m, lr = cfg.optim.momentum, cfg.optim.learning_rate
+        for _ in range(cfg.optim.steps):
+            idx = rng.integers(0, len(x), size=cfg.optim.batch_size)
+            _, grads = loss_and_grads(head, params, x[idx], y[idx])
+            for p, g, v in zip(params.tensors, grads.tensors, velocity, strict=True):
+                v[...] = m * v - lr * g
+                p[...] = p + v
+        for name, got, want in zip(params.layout.names, result.params.tensors,
+                                   params.tensors, strict=True):
+            assert np.array_equal(got, want), name
 
 
 class TestEvaluate:

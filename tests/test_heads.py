@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from ovabench.heads import (HeadKind, logit_gradient, logits, loss, loss_and_grads,
                             predict, probabilities)
-from ovabench.nncore import (DenseLayer, ModelParams, backward, forward,
-                             gradient_check, init_params)
+from ovabench.nncore import ModelParams, backward, forward, gradient_check, init_params
 
 ALL_HEADS = list(HeadKind)
 DISTANCE_HEADS = [HeadKind.SOFTMAX_DISTANCE, HeadKind.OVA_DISTANCE]
@@ -17,9 +16,9 @@ DISTANCE_HEADS = [HeadKind.SOFTMAX_DISTANCE, HeadKind.OVA_DISTANCE]
 def head_only_params(weights, biases=None):
     """Identity body so the embedding equals the input."""
     dim = weights.shape[0]
-    return ModelParams(layers=[DenseLayer(np.eye(dim), np.zeros(dim))],
-                       head_weights=np.asarray(weights, dtype=np.float64),
-                       head_biases=None if biases is None else np.asarray(biases, float))
+    return ModelParams.from_arrays(
+        [np.eye(dim)], [np.zeros(dim)], head_weights=np.asarray(weights, dtype=np.float64),
+        head_biases=None if biases is None else np.asarray(biases, float))
 
 
 def random_params(head, seed, dims=(2, 16, 16), k=10):
@@ -45,8 +44,7 @@ class TestLogits:
         rng = np.random.default_rng(42)
         emb = rng.standard_normal((6, 16))
         w = rng.standard_normal((16, 10))
-        params = ModelParams(layers=[DenseLayer(np.eye(16), np.zeros(16))],
-                             head_weights=w)
+        params = ModelParams.from_arrays([np.eye(16)], [np.zeros(16)], head_weights=w)
         z = logits(HeadKind.OVA_DISTANCE, params, emb)
         for b in range(6):
             for j in range(10):
@@ -123,8 +121,8 @@ class TestProbabilities:
         rng = np.random.default_rng(7)
         w = rng.standard_normal((16, 10))
         params = head_only_params(w)  # zero-bias equivalent below
-        params = ModelParams(layers=[DenseLayer(np.eye(16), np.zeros(16))],
-                             head_weights=w, head_biases=np.zeros(10))
+        params = ModelParams.from_arrays([np.eye(16)], [np.zeros(16)],
+                                         head_weights=w, head_biases=np.zeros(10))
         f = rng.standard_normal((1, 16))
         base = logits(HeadKind.SOFTMAX_AFFINE, params, f)
         assert np.sum(base[0] == base[0].max()) == 1  # strict dominance
@@ -249,7 +247,7 @@ class TestGradients:
         _, grads = loss_and_grads(HeadKind.OVA_DISTANCE, params, x, [0])
         # identity body and batch 1: the body bias gradient is the embedding gradient
         assert np.isfinite(grads.head_weights).all()
-        assert np.isfinite(grads.layers[0].biases).all()
+        assert np.isfinite(grads.biases[0]).all()
 
     def test_loss_gradient_affine_matches_chain(self):
         rng = np.random.default_rng(11)
@@ -265,9 +263,10 @@ class TestGradients:
         # every body layer's gradient is backward() of the per-row embedding
         # gradient, so a wrong row would show in some layer's weights
         chain = backward(params, trace, g @ params.head_weights.T)
-        for got, want in zip(grads.layers, chain, strict=True):
-            assert np.allclose(got.weights, want.weights, atol=1e-15)
-            assert np.allclose(got.biases, want.biases, atol=1e-15)
+        for got_w, got_b, want_w, want_b in zip(grads.weights, grads.biases, chain.weights,
+                                                chain.biases, strict=True):
+            assert np.allclose(got_w, want_w, atol=1e-15)
+            assert np.allclose(got_b, want_b, atol=1e-15)
 
 
 class TestPredict:

@@ -1,10 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from ovabench.nncore import (DenseLayer, ModelParams, backward, copy_params, forward,
-                             gradient_check, init_params, load_checkpoint,
-                             make_optimizer, save_checkpoint, sgd_step, tensor_items,
-                             zeros_like)
+from ovabench.nncore import (ModelParams, backward, forward, gradient_check, init_params,
+                             load_checkpoint, make_optimizer, save_checkpoint, sgd_step)
 
 
 def small_params(seed=0, head_biases=True):
@@ -13,17 +13,17 @@ def small_params(seed=0, head_biases=True):
 
 def naive_forward(params, x):
     """Straight-line reimplementation: explicit loops, no shared code."""
-    out = np.zeros((x.shape[0], params.layers[-1].weights.shape[1]))
+    out = np.zeros((x.shape[0], params.weights[-1].shape[1]))
     for r in range(x.shape[0]):
         a = x[r]
-        for i, layer in enumerate(params.layers):
-            z = np.zeros(layer.weights.shape[1])
-            for j in range(layer.weights.shape[1]):
-                s = layer.biases[j]
-                for k in range(layer.weights.shape[0]):
-                    s += a[k] * layer.weights[k, j]
+        for i, (weights, biases) in enumerate(zip(params.weights, params.biases)):
+            z = np.zeros(weights.shape[1])
+            for j in range(weights.shape[1]):
+                s = biases[j]
+                for k in range(weights.shape[0]):
+                    s += a[k] * weights[k, j]
                 z[j] = s
-            if i < len(params.layers) - 1:
+            if i < len(params.weights) - 1:
                 z = np.array([v if v > 0 else 0.0 for v in z])
             a = z
         out[r] = a
@@ -32,17 +32,16 @@ def naive_forward(params, x):
 
 class TestForward:
     def test_zero_params_give_zero_embedding(self):
-        params = ModelParams(
-            layers=[DenseLayer(np.zeros((2, 4)), np.zeros(4)),
-                    DenseLayer(np.zeros((4, 3)), np.zeros(3))],
+        params = ModelParams.from_arrays(
+            [np.zeros((2, 4)), np.zeros((4, 3))], [np.zeros(4), np.zeros(3)],
             head_weights=np.zeros((3, 5)), head_biases=np.zeros(5))
         trace = forward(params, np.random.default_rng(0).standard_normal((6, 2)))
         assert np.array_equal(trace.embedding, np.zeros((6, 3)))
 
     def test_identity_single_layer(self):
         # a single layer has no nonlinearity (the last layer output is the embedding)
-        params = ModelParams(layers=[DenseLayer(np.eye(2), np.zeros(2))],
-                             head_weights=np.zeros((2, 3)), head_biases=np.zeros(3))
+        params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)],
+                                         head_weights=np.zeros((2, 3)), head_biases=np.zeros(3))
         trace = forward(params, [[1.0, 2.0]])
         assert np.array_equal(trace.embedding, [[1.0, 2.0]])
 
@@ -72,8 +71,8 @@ class TestForward:
         assert np.abs(full - rows).max() < 1e-12
 
     def test_embedding_has_no_trailing_relu(self):
-        params = ModelParams(layers=[DenseLayer(-np.eye(2), np.zeros(2))],
-                             head_weights=np.zeros((2, 3)), head_biases=np.zeros(3))
+        params = ModelParams.from_arrays([-np.eye(2)], [np.zeros(2)],
+                                         head_weights=np.zeros((2, 3)), head_biases=np.zeros(3))
         trace = forward(params, [[1.0, 2.0]])
         assert np.array_equal(trace.embedding, [[-1.0, -2.0]])
 
@@ -84,18 +83,18 @@ class TestBackward:
         x = np.random.default_rng(8).standard_normal((4, 2))
         trace = forward(params, x)
         grads = backward(params, trace, np.zeros_like(trace.embedding))
-        for g in grads:
-            assert not g.weights.any()
-            assert not g.biases.any()
+        for weights, biases in zip(grads.weights, grads.biases):
+            assert not weights.any()
+            assert not biases.any()
 
     def test_single_linear_layer_analytic(self):
-        params = ModelParams(layers=[DenseLayer(np.eye(2), np.zeros(2))],
-                             head_weights=np.zeros((2, 2)), head_biases=np.zeros(2))
+        params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)],
+                                         head_weights=np.zeros((2, 2)), head_biases=np.zeros(2))
         x = np.array([[3.0, -1.0]])
         g = np.array([[0.5, 2.0]])
         grads = backward(params, forward(params, x), g)
-        assert np.allclose(grads[0].weights, x.T @ g)
-        assert np.allclose(grads[0].biases, g.sum(axis=0))
+        assert np.allclose(grads.weights[0], x.T @ g)
+        assert np.allclose(grads.biases[0], g.sum(axis=0))
 
     def test_matches_finite_differences(self):
         # scalar objective on the embedding alone, independent of any head
@@ -104,9 +103,7 @@ class TestBackward:
         def loss_fn(p):
             trace = forward(p, x)
             value = 0.5 * float((trace.embedding ** 2).sum()) / len(x)
-            body = backward(p, trace, trace.embedding / len(x))
-            grads = ModelParams(layers=body, head_weights=np.zeros_like(p.head_weights),
-                                head_biases=np.zeros_like(p.head_biases))
+            grads = backward(p, trace, trace.embedding / len(x))  # head entries stay zero
             return value, grads
 
         assert gradient_check(loss_fn, small_params(seed=20), step=1e-5) < 1e-4
@@ -121,43 +118,43 @@ class TestBackward:
 class TestGradientCheck:
     def test_quadratic_loss(self):
         def quadratic(p):
-            value = sum(0.5 * float((t ** 2).sum()) for _, t in tensor_items(p))
-            return value, copy_params(p)
+            value = sum(0.5 * float((t ** 2).sum()) for t in p.tensors)
+            return value, ModelParams(p.flat.copy(), p.layout)
 
         assert gradient_check(quadratic, small_params(seed=1), step=1e-5) < 1e-7
 
     def test_detects_corrupted_gradient(self):
         def corrupted(p):
-            value = sum(0.5 * float((t ** 2).sum()) for _, t in tensor_items(p))
-            grads = copy_params(p)
-            grads.layers[0].weights[0, 0] *= 2.0  # wrong on purpose
+            value = sum(0.5 * float((t ** 2).sum()) for t in p.tensors)
+            grads = ModelParams(p.flat.copy(), p.layout)
+            grads.weights[0][0, 0] *= 2.0  # wrong on purpose
             return value, grads
 
         params = small_params(seed=2)
-        params.layers[0].weights[0, 0] = 1.0  # make the corrupted entry visible
+        params.weights[0][0, 0] = 1.0  # make the corrupted entry visible
         assert gradient_check(corrupted, params, step=1e-5) > 0.1
 
     def test_nonfinite_loss_raises(self):
         def bad(p):
-            return float("nan"), zeros_like(p)
+            return float("nan"), ModelParams.zeros(p.layout)
 
         with pytest.raises(ValueError, match="non-finite"):
             gradient_check(bad, small_params(), step=1e-5)
 
 
 def scalar_param(value=0.0):
-    return ModelParams(layers=[DenseLayer(np.array([[value]]), np.zeros(1))],
-                       head_weights=np.zeros((1, 1)), head_biases=None)
+    return ModelParams.from_arrays([np.array([[value]])], [np.zeros(1)],
+                                   head_weights=np.zeros((1, 1)), head_biases=None)
 
 
 class TestSgd:
     def test_plain_step(self):
         params = scalar_param(0.0)
         grads = scalar_param(1.0)
-        grads.head_weights = np.zeros((1, 1))
+        grads.head_weights[...] = np.zeros((1, 1))
         state = make_optimizer(params, learning_rate=0.1, momentum=0.0)
         new, _ = sgd_step(params, grads, state)
-        assert new.layers[0].weights[0, 0] == pytest.approx(-0.1, abs=0)
+        assert new.weights[0][0, 0] == pytest.approx(-0.1, abs=0)
 
     def test_momentum_two_step_unroll(self):
         # v1 = -0.1 -> p1 = -0.1 ; v2 = 0.9*(-0.1) - 0.1 = -0.19 -> p2 = -0.29
@@ -165,24 +162,24 @@ class TestSgd:
         state = make_optimizer(params, learning_rate=0.1, momentum=0.9)
         grads = scalar_param(1.0)
         params, state = sgd_step(params, grads, state)
-        assert params.layers[0].weights[0, 0] == pytest.approx(-0.1, abs=1e-15)
+        assert params.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-15)
         params, state = sgd_step(params, grads, state)
-        assert params.layers[0].weights[0, 0] == pytest.approx(-0.29, abs=1e-15)
+        assert params.weights[0][0, 0] == pytest.approx(-0.29, abs=1e-15)
 
     def test_zero_grads_decay_velocity(self):
         params = small_params(seed=9)
         state = make_optimizer(params, learning_rate=0.1, momentum=0.8)
-        state.velocity.layers[0].weights[:] = 1.0
-        new_params, new_state = sgd_step(params, zeros_like(params), state)
+        state.velocity.weights[0][:] = 1.0
+        new_params, new_state = sgd_step(params, ModelParams.zeros(params.layout), state)
         # params move by the decayed velocity; velocity itself decays by the factor
-        assert np.allclose(new_state.velocity.layers[0].weights, 0.8)
-        assert np.allclose(new_params.layers[0].weights,
-                           params.layers[0].weights + 0.8)
+        assert np.allclose(new_state.velocity.weights[0], 0.8)
+        assert np.allclose(new_params.weights[0],
+                           params.weights[0] + 0.8)
 
     def test_refuses_nonfinite_grads(self):
         params = small_params(seed=10)
-        grads = zeros_like(params)
-        grads.layers[1].weights[0, 0] = np.nan
+        grads = ModelParams.zeros(params.layout)
+        grads.weights[1][0, 0] = np.nan
         state = make_optimizer(params, 0.1, 0.9)
         with pytest.raises(ValueError, match="layers.1.weights"):
             sgd_step(params, grads, state)
@@ -192,12 +189,9 @@ class TestSgd:
         params = small_params(seed=13)
         state = make_optimizer(params, 0.05, 0.9)
         for _ in range(50):
-            grads = ModelParams(
-                layers=[DenseLayer(rng.standard_normal(l.weights.shape),
-                                   rng.standard_normal(l.biases.shape))
-                        for l in params.layers],
-                head_weights=rng.standard_normal(params.head_weights.shape),
-                head_biases=rng.standard_normal(params.head_biases.shape))
+            grads = ModelParams.zeros(params.layout)
+            for t in grads.tensors:  # same draws, in the same order, as before
+                t[...] = rng.standard_normal(t.shape)
             params, state = sgd_step(params, grads, state)
         params.validate()
 
@@ -206,8 +200,8 @@ class TestInit:
     def test_glorot_bounds_and_zero_biases(self):
         params = init_params([2, 16, 16], 10, head_biases=True, seed=0)
         limit0 = np.sqrt(6.0 / (2 + 16))
-        assert np.abs(params.layers[0].weights).max() <= limit0
-        assert not params.layers[0].biases.any()
+        assert np.abs(params.weights[0]).max() <= limit0
+        assert not params.biases[0].any()
         assert params.head_biases.shape == (10,)
 
     def test_zero_head_init(self):
@@ -216,11 +210,10 @@ class TestInit:
         assert params.head_biases is None
 
     def test_validate_catches_bad_chaining(self):
-        params = ModelParams(layers=[DenseLayer(np.zeros((2, 4)), np.zeros(4)),
-                                     DenseLayer(np.zeros((5, 3)), np.zeros(3))],
-                             head_weights=np.zeros((3, 2)), head_biases=None)
         with pytest.raises(ValueError, match="layer 1"):
-            params.validate()
+            ModelParams.from_arrays([np.zeros((2, 4)), np.zeros((5, 3))],
+                                    [np.zeros(4), np.zeros(3)],
+                                    head_weights=np.zeros((3, 2)), head_biases=None)
 
 
 class TestCheckpoint:
@@ -231,7 +224,8 @@ class TestCheckpoint:
         loaded, head, seed = load_checkpoint(path)
         assert head == "softmax"
         assert seed == 17
-        for (name_a, a), (name_b, b) in zip(tensor_items(params), tensor_items(loaded)):
+        for name_a, a, name_b, b in zip(params.layout.names, params.tensors,
+                                        loaded.layout.names, loaded.tensors):
             assert name_a == name_b
             assert np.array_equal(a, b)
 
@@ -242,3 +236,48 @@ class TestCheckpoint:
         loaded, head, seed = load_checkpoint(p1)
         save_checkpoint(p2, loaded, head=head, seed=seed)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _drop_tensors(doc):
+    del doc["tensors"]
+
+
+def _drop_head_weights(doc):
+    doc["tensors"] = [t for t in doc["tensors"] if t["name"] != "head_weights"]
+
+
+def _entry(doc, name):
+    return next(t for t in doc["tensors"] if t["name"] == name)
+
+
+def _short_data(doc):
+    _entry(doc, "layers.0.biases")["data"].pop()
+
+
+def _unchained(doc):
+    entry = _entry(doc, "layers.1.weights")
+    entry["shape"] = [3, 4]
+    entry["data"] = entry["data"][:12]
+
+
+def _nonfinite(doc):
+    _entry(doc, "head_weights")["data"][0] = float("nan")
+
+
+@pytest.mark.parametrize("corrupt, entry", [
+    (_drop_tensors, "tensors"),
+    (_drop_head_weights, "head_weights"),
+    (_short_data, "layers.0.biases"),
+    (_unchained, "layers.1.weights"),
+    (_nonfinite, "head_weights"),
+], ids=["no-tensors", "no-head-weights", "short-data", "unchained", "non-finite"])
+def test_malformed_checkpoint_names_file_and_entry(tmp_path, corrupt, entry):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, init_params([2, 4, 4], 3, head_biases=True, seed=0), "ova", 0)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    assert entry in str(info.value)
