@@ -16,7 +16,10 @@ from .nncore import load_checkpoint
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        raw = json.loads(Path(args.config).read_text())
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc}") from None
         cfg = ExperimentConfig.from_dict(raw)
     else:
         cfg = ExperimentConfig()
@@ -40,10 +43,13 @@ def _require_head(cfg: ExperimentConfig) -> HeadKind:
 
 def _load_model(args, cfg: ExperimentConfig):
     ckpt = args.checkpoint or Path(cfg.out_dir) / _require_head(cfg).value / "checkpoint.json"
-    params, head_str, _ = load_checkpoint(ckpt)
+    params, head_str, seed = load_checkpoint(ckpt)
     head = HeadKind(head_str)
     if cfg.head is not None and head is not cfg.head:
         raise ValueError(f"checkpoint holds head '{head.value}', expected '{cfg.head.value}'")
+    if seed != cfg.seed:
+        raise ValueError(f"checkpoint {ckpt} was trained with seed {seed}, "
+                         f"expected seed {cfg.seed}")
     return params, head
 
 

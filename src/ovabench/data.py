@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import fmt_float, write_csv
+from .ioutil import write_csv, write_json
 
 __all__ = [
     "CorruptionSpec",
@@ -188,9 +188,8 @@ def save_dataset(path, data: Dataset, generator: str, params: dict) -> None:
     path = Path(path)
     if data.features.shape[1] != 2:
         raise ValueError("dataset CSV format is fixed to 2 feature columns")
-    rows = ((fmt_float(x0), fmt_float(x1), str(label))
-            for (x0, x1), label in zip(data.features, data.labels))
-    write_csv(path, ["x0", "x1", "label"], rows)
+    write_csv(path, {"x0": data.features[:, 0], "x1": data.features[:, 1],
+                     "label": data.labels})
     meta = {
         "generator": generator,
         "params": params,
@@ -198,7 +197,7 @@ def save_dataset(path, data: Dataset, generator: str, params: dict) -> None:
         "num_classes": int(data.num_classes),
         "prng": PRNG_NOTE,
     }
-    path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(path.with_suffix(".meta.json"), meta)
 
 
 def load_dataset(path) -> Dataset:

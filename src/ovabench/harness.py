@@ -21,7 +21,7 @@ from . import heads as headsmod
 from . import metrics as metricsmod
 from .data import CorruptionSpec, Dataset
 from .heads import HeadKind
-from .ioutil import fmt_float, write_csv, write_json
+from .ioutil import write_csv, write_json
 from .metrics import Predictions, boxplot_stats
 from .nncore import (ModelParams, forward, init_params, make_optimizer,
                      save_checkpoint, sgd_step)
@@ -130,31 +130,12 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
-        d, o = self.data, self.optim
-        if d.num_classes < 2 or d.n_per_class < 1 or d.radius <= 0 or d.variance <= 0:
-            raise ValueError("invalid dataset parameters")
-        if d.angle_formula not in ("ring", "literal"):
-            raise ValueError(f"unknown angle_formula {d.angle_formula!r}")
-        if not 0.0 < d.train_fraction <= 1.0:
-            raise ValueError("train_fraction must lie in (0, 1]")
-        if not self.model.hidden or any(h < 1 for h in self.model.hidden):
-            raise ValueError("hidden widths must be positive")
-        if self.model.distance_init not in ("zeros", "random"):
-            raise ValueError(f"unknown distance_init {self.model.distance_init!r}")
-        if not (o.learning_rate > 0 and 0.0 <= o.momentum < 1.0):
-            raise ValueError("invalid optimizer parameters")
-        if o.batch_size < 1 or o.steps < 0:
-            raise ValueError("batch_size must be >= 1 and steps >= 0")
-        for kind in self.sweep.kinds:
-            if kind not in datamod.CORRUPTION_KINDS:
-                raise ValueError(f"unknown corruption kind {kind!r}")
-        for i in self.sweep.intensities:
-            if not 1 <= i <= 5:
-                raise ValueError(f"corruption intensity {i} outside [1, 5]")
-        if self.metrics.num_bins < 1 or self.metrics.num_thresholds < 2:
-            raise ValueError("invalid metric settings")
-        if self.landscape.resolution < 2 or self.landscape.half_extent <= 0:
-            raise ValueError("invalid landscape settings")
+        """Range-check every field; an error names ``section.field`` and its value."""
+        for where, (ok, rule) in _RANGES.items():
+            section, name = where.split(".")
+            value = getattr(getattr(self, section), name)
+            if not ok(value):
+                raise ValueError(f"{where} must be {rule}, got {value!r}")
 
     def to_dict(self) -> dict:
         raw = asdict(self)
@@ -183,6 +164,9 @@ class ExperimentConfig:
                 _check_type(f"{name}.{key}", value, section_cls.__dataclass_fields__[key].type)
             kwargs[name] = section_cls(**section)
         head = raw.pop("head", None)
+        choices = [h.value for h in HeadKind]
+        if head is not None and head not in choices:
+            raise ValueError(f"head must be one of {choices} or null, got {head!r}")
         kwargs["head"] = None if head is None else HeadKind(head)
         kwargs["seed"] = raw.pop("seed", 0)
         kwargs["out_dir"] = raw.pop("out_dir", None)
@@ -194,6 +178,34 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
+
+# section.field -> (predicate, the rule as the error states it); every
+# predicate is False on NaN.
+_RANGES = {
+    "data.num_classes": (lambda v: v >= 2, ">= 2"),
+    "data.n_per_class": (lambda v: v >= 1, ">= 1"),
+    "data.radius": (lambda v: v > 0, "> 0"),
+    "data.variance": (lambda v: v > 0, "> 0"),
+    "data.angle_formula": (lambda v: v in ("ring", "literal"), "'ring' or 'literal'"),
+    "data.train_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "model.hidden": (lambda v: bool(v) and all(h >= 1 for h in v),
+                     "a non-empty list of widths >= 1"),
+    "model.distance_init": (lambda v: v in ("zeros", "random"), "'zeros' or 'random'"),
+    "optim.learning_rate": (lambda v: v > 0, "> 0"),
+    "optim.momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "optim.batch_size": (lambda v: v >= 1, ">= 1"),
+    "optim.steps": (lambda v: v >= 0, ">= 0"),
+    "sweep.kinds": (lambda v: all(k in datamod.CORRUPTION_KINDS for k in v),
+                    f"a list drawn from {list(datamod.CORRUPTION_KINDS)}"),
+    "sweep.intensities": (lambda v: all(1 <= i <= 5 for i in v), "a list of integers in [1, 5]"),
+    "ood.n": (lambda v: v is None or v >= 1, ">= 1 or null"),
+    "ood.box_halfwidth": (lambda v: v > 0, "> 0"),
+    "ood.exclusion_radius": (lambda v: v >= 0, ">= 0"),
+    "metrics.num_bins": (lambda v: v >= 1, ">= 1"),
+    "metrics.num_thresholds": (lambda v: v >= 2, ">= 2"),
+    "landscape.resolution": (lambda v: v >= 2, ">= 2"),
+    "landscape.half_extent": (lambda v: v > 0, "> 0"),
+}
 
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
@@ -373,8 +385,9 @@ def train(config: ExperimentConfig, head: HeadKind | None = None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(out / "checkpoint.json", params, head.value, config.seed)
-        write_csv(out / "train_log.csv", ["step", "loss", "accuracy"],
-                  ((str(e.step), fmt_float(e.loss), fmt_float(e.accuracy)) for e in log))
+        write_csv(out / "train_log.csv", {"step": [e.step for e in log],
+                                          "loss": [e.loss for e in log],
+                                          "accuracy": [e.accuracy for e in log]})
     return TrainResult(params=params, head=head, log=log, final_accuracy=final_accuracy)
 
 
@@ -414,43 +427,19 @@ def evaluate(params: ModelParams, head: HeadKind, test_data: Dataset,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         metricsmod.write_predictions(out / "predictions.csv", preds)
-        _write_calibration_csv(out / "calibration.csv", table)
-        _write_curve_csv(out / "curve.csv", curve)
-        _write_histograms_csv(out / "histograms.csv", hists)
+        write_csv(out / "calibration.csv", {
+            "bin_lo": table.bin_edges[:-1], "bin_hi": table.bin_edges[1:],
+            "count": table.counts, "mean_confidence": table.mean_confidence,
+            "accuracy": table.accuracy})
+        write_csv(out / "curve.csv", {"threshold": curve.thresholds,
+                                      "retained": curve.retained, "accuracy": curve.accuracy})
+        write_csv(out / "histograms.csv", {
+            "bin_lo": hists.bin_edges[:-1], "bin_hi": hists.bin_edges[1:],
+            "correct_id": hists.correct_id, "incorrect_id": hists.incorrect_id,
+            "ood": hists.ood})
         write_json(out / "metrics.json", summary)
     return EvalResult(predictions=preds, summary=summary, calibration=table,
                       curve=curve, histograms=hists, ranking=ranking)
-
-
-def _write_calibration_csv(path, table: metricsmod.CalibrationTable) -> None:
-    rows = []
-    for b in range(table.num_bins):
-        empty = table.counts[b] == 0
-        rows.append((fmt_float(table.bin_edges[b]), fmt_float(table.bin_edges[b + 1]),
-                     str(int(table.counts[b])),
-                     "" if empty else fmt_float(table.mean_confidence[b]),
-                     "" if empty else fmt_float(table.accuracy[b])))
-    write_csv(path, ["bin_lo", "bin_hi", "count", "mean_confidence", "accuracy"], rows)
-
-
-def _write_curve_csv(path, curve: metricsmod.ThresholdCurve) -> None:
-    rows = ((fmt_float(t), str(int(r)), "" if math.isnan(a) else fmt_float(a))
-            for t, r, a in zip(curve.thresholds, curve.retained, curve.accuracy))
-    write_csv(path, ["threshold", "retained", "accuracy"], rows)
-
-
-def _write_histograms_csv(path, hists: metricsmod.ConfidenceHistograms) -> None:
-    rows = ((fmt_float(hists.bin_edges[b]), fmt_float(hists.bin_edges[b + 1]),
-             str(int(hists.correct_id[b])), str(int(hists.incorrect_id[b])),
-             str(int(hists.ood[b])))
-            for b in range(len(hists.correct_id)))
-    write_csv(path, ["bin_lo", "bin_hi", "correct_id", "incorrect_id", "ood"], rows)
-
-
-def _acc_ece(params, head, dataset: Dataset, num_bins: int):
-    preds = _score(params, head, dataset.features, dataset.labels)
-    value, _ = metricsmod.ece(preds, num_bins)
-    return float(np.mean(preds.is_correct)), value, preds
 
 
 def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
@@ -469,22 +458,18 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
         (out / "shift").mkdir(parents=True, exist_ok=True)
 
     rows = []
-    acc, ece_value, preds = _acc_ece(params, head, base_test, config.metrics.num_bins)
-    rows.append(SweepRow(kind="none", intensity=0, accuracy=acc, ece=ece_value))
-    if out is not None:
-        metricsmod.write_predictions(out / "shift" / "predictions_none_0.csv", preds)
-    for kind in config.sweep.kinds:
-        for intensity in config.sweep.intensities:
-            spec = CorruptionSpec(kind=kind, intensity=intensity)
-            seed = derive_seed(config.seed, f"corrupt:{kind}:{intensity}")
-            corrupted = datamod.corrupt(base_test, spec, seed)
-            acc, ece_value, preds = _acc_ece(params, head, corrupted,
-                                             config.metrics.num_bins)
-            rows.append(SweepRow(kind=kind, intensity=intensity,
-                                 accuracy=acc, ece=ece_value))
-            if out is not None:
-                metricsmod.write_predictions(
-                    out / "shift" / f"predictions_{kind}_{intensity}.csv", preds)
+    cases = [(k, i) for k in config.sweep.kinds for i in config.sweep.intensities]
+    for kind, intensity in [("none", 0), *cases]:
+        dataset = base_test if kind == "none" else datamod.corrupt(
+            base_test, CorruptionSpec(kind=kind, intensity=intensity),
+            derive_seed(config.seed, f"corrupt:{kind}:{intensity}"))
+        preds = _score(params, head, dataset.features, dataset.labels)
+        ece_value, _ = metricsmod.ece(preds, config.metrics.num_bins)
+        rows.append(SweepRow(kind=kind, intensity=intensity,
+                             accuracy=float(np.mean(preds.is_correct)), ece=ece_value))
+        if out is not None:
+            metricsmod.write_predictions(
+                out / "shift" / f"predictions_{kind}_{intensity}.csv", preds)
 
     stats: dict[int, dict[str, metricsmod.BoxplotStats]] = {}
     for intensity in config.sweep.intensities:
@@ -493,18 +478,15 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
                             "ece": boxplot_stats([r.ece for r in at])}
 
     if out is not None:
-        write_csv(out / "sweep.csv", ["kind", "intensity", "accuracy", "ece"],
-                  ((r.kind, str(r.intensity), fmt_float(r.accuracy), fmt_float(r.ece))
-                   for r in rows))
-        stat_rows = []
-        for intensity in config.sweep.intensities:
-            for metric in ("accuracy", "ece"):
-                s = stats[intensity][metric]
-                stat_rows.append((str(intensity), metric, fmt_float(s.minimum),
-                                  fmt_float(s.q1), fmt_float(s.median),
-                                  fmt_float(s.q3), fmt_float(s.maximum)))
-        write_csv(out / "sweep_stats.csv",
-                  ["intensity", "metric", "min", "q1", "median", "q3", "max"], stat_rows)
+        write_csv(out / "sweep.csv", {name: [getattr(r, name) for r in rows]
+                                      for name in ("kind", "intensity", "accuracy", "ece")})
+        keys = [(i, m) for i in config.sweep.intensities for m in ("accuracy", "ece")]
+        boxes = [stats[i][m] for i, m in keys]
+        write_csv(out / "sweep_stats.csv", {
+            "intensity": [i for i, _ in keys], "metric": [m for _, m in keys],
+            "min": [b.minimum for b in boxes], "q1": [b.q1 for b in boxes],
+            "median": [b.median for b in boxes], "q3": [b.q3 for b in boxes],
+            "max": [b.maximum for b in boxes]})
     return SweepResult(rows=rows, stats=stats)
 
 
@@ -524,12 +506,9 @@ def landscape(params: ModelParams, head: HeadKind,
 
 
 def write_landscape_csv(path, grid: LandscapeGrid) -> None:
-    rows = []
-    for i, yv in enumerate(grid.y_coords):
-        for j, xv in enumerate(grid.x_coords):
-            rows.append((fmt_float(xv), fmt_float(yv),
-                         fmt_float(grid.confidence[i, j]), str(int(grid.labels[i, j]))))
-    write_csv(path, ["x", "y", "confidence", "label"], rows)
+    write_csv(path, {"x": np.tile(grid.x_coords, len(grid.y_coords)),
+                     "y": np.repeat(grid.y_coords, len(grid.x_coords)),
+                     "confidence": grid.confidence.ravel(), "label": grid.labels.ravel()})
 
 
 def write_landscape_pgm(path, grid: LandscapeGrid) -> None:
@@ -568,13 +547,14 @@ def centers_report(params: ModelParams, head: HeadKind,
 
 
 def write_centers_csv(path, report: CenterReport) -> None:
-    rows = []
-    for (p0, p1), label in zip(report.projected_points, report.point_labels):
-        rows.append(("point", str(int(label)), fmt_float(p0), fmt_float(p1), ""))
-    for c, (p0, p1) in enumerate(report.projected_centers):
-        rows.append(("center", str(c), fmt_float(p0), fmt_float(p1),
-                     fmt_float(report.alignment_errors[c])))
-    write_csv(path, ["kind", "label", "p0", "p1", "alignment_error"], rows)
+    """Point rows then center rows; points have no alignment error."""
+    n, k = len(report.projected_points), len(report.projected_centers)
+    projected = np.concatenate((report.projected_points, report.projected_centers))
+    write_csv(path, {"kind": np.repeat(["point", "center"], [n, k]),
+                     "label": np.concatenate((report.point_labels, np.arange(k))),
+                     "p0": projected[:, 0], "p1": projected[:, 1],
+                     "alignment_error": np.concatenate((np.full(n, np.nan),
+                                                        report.alignment_errors))})
 
 
 # Stages: each takes the config, the head, the trained params (None for
@@ -653,11 +633,10 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
     gen_params = asdict(config.data)
     datamod.save_dataset(data_dir / "train.csv", train_d, "gen_ring", gen_params)
     datamod.save_dataset(data_dir / "test.csv", test_d, "gen_ring", gen_params)
-    write_csv(data_dir / "ood.csv", ["x0", "x1"],
-              ((fmt_float(a), fmt_float(b)) for a, b in ood_points))
+    write_csv(data_dir / "ood.csv", {"x0": ood_points[:, 0], "x1": ood_points[:, 1]})
 
     manifest: dict = {"config": config.to_dict(), "stages": {}}
-    comparison_rows = []
+    compared = []
     ok = True
     for head in ALL_HEADS:
         head_dir = out / head.value
@@ -681,19 +660,12 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
                 failed = True
                 ok = False
         if "evaluate" in results:
-            summary = results["evaluate"].summary
-            comparison_rows.append((
-                head.value,
-                fmt_float(results["train"].final_accuracy),
-                fmt_float(summary["accuracy"]),
-                fmt_float(summary["ece"]),
-                fmt_float(summary["auroc"]) if "auroc" in summary else "",
-                fmt_float(summary["auprc"]) if "auprc" in summary else "",
-            ))
+            compared.append({**results["evaluate"].summary,
+                             "train_accuracy": results["train"].final_accuracy})
 
-    write_csv(out / "comparison.csv",
-              ["head", "train_accuracy", "accuracy", "ece", "auroc", "auprc"],
-              comparison_rows)
+    write_csv(out / "comparison.csv",  # without OOD points there is no AUROC/AUPRC
+              {name: [c.get(name, math.nan) for c in compared]
+               for name in ("head", "train_accuracy", "accuracy", "ece", "auroc", "auprc")})
     manifest["completed"] = ok
     write_json(out / "MANIFEST.json", manifest)
     return RunOutcome(ok=ok, manifest=manifest, out_dir=out)

@@ -5,19 +5,32 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-__all__ = ["fmt_float", "write_csv", "write_json"]
+import numpy as np
+
+__all__ = ["write_csv", "write_json"]
 
 
-def fmt_float(x: float) -> str:
-    """Format a float with 17 significant digits (exact double round-trip)."""
-    return f"{float(x):.17g}"
+def write_csv(path, columns) -> None:
+    """Write ``columns``, a mapping of header name -> column in file order.
 
-
-def write_csv(path, header: list[str], rows) -> None:
-    """Write pre-formatted rows under a header; values must be plain strings."""
-    lines = [",".join(header)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
+    This is the cell rule of every CSV the package writes: a float gets 17
+    significant digits (an exact double round-trip) and NaN an empty cell;
+    an integer or boolean is a decimal integer; a string is written as it
+    is.  Columns of unequal length raise ValueError.
+    """
+    cells = [_cells(np.asarray(column)) for column in columns.values()]
+    if len(set(map(len, cells))) > 1:
+        raise ValueError(f"CSV columns differ in length: {dict(zip(columns, map(len, cells)))}")
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    if column.dtype.kind == "f":
+        return ["" if v != v else f"{v:.17g}" for v in column.tolist()]
+    if column.dtype.kind == "U":
+        return column.tolist()
+    return list(map(str, column.astype(np.int64).tolist()))
 
 
 def write_json(path, obj) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import fmt_float, write_csv
+from .ioutil import write_csv
 
 __all__ = [
     "BoxplotStats",
@@ -317,11 +317,11 @@ def pca2(points, extra_points=None) -> Pca2Result:
 
 
 def write_predictions(path, preds: Predictions) -> None:
-    """Dump predictions as CSV: confidence,predicted_label,true_label,is_ood."""
-    rows = ((fmt_float(c), str(p), "" if o else str(t), "1" if o else "0")
-            for c, p, t, o in zip(preds.confidence.tolist(), preds.predicted_label.tolist(),
-                                  preds.true_label.tolist(), preds.is_ood.tolist()))
-    write_csv(path, _PREDICTIONS_HEADER, rows)
+    """Dump predictions as CSV: confidence,predicted_label,true_label,is_ood;
+    ``true_label`` is an empty cell on OOD rows."""
+    true_label = np.where(preds.is_ood, "", preds.true_label.astype(str))
+    write_csv(path, dict(zip(_PREDICTIONS_HEADER, (preds.confidence, preds.predicted_label,
+                                                   true_label, preds.is_ood))))
 
 
 def _parse_prediction(line: str) -> tuple[float, int, int, bool]:

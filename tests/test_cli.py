@@ -119,7 +119,9 @@ def test_landscape_does_not_generate_datasets(tmp_path, config_file, monkeypatch
     ('{"model": {"hidden": 16}}', "model.hidden"),
     ('{"data": {"n_per_class": 1.5}}', "data.n_per_class"),
     ('{"optim": {"learning_rate": NaN}}', "optim.learning_rate"),
-], ids=["str-int", "scalar-list", "float-int", "nan-float"])
+    ('{"head": "bogus"}', "head must be one of ['softmax', 'dm', 'ova', 'ova_dm']"),
+    ('{"ood": {"n": 0}}', "ood.n must be >= 1 or null, got 0"),
+], ids=["str-int", "scalar-list", "float-int", "nan-float", "bad-head", "ood-n-zero"])
 def test_mistyped_config_field_is_named(tmp_path, capsys, bad, field):
     path = tmp_path / "bad.json"
     path.write_text(bad)
@@ -141,3 +143,31 @@ def test_malformed_checkpoint_fails_cleanly(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(path) in err and "tensors" in err
+
+
+def test_checkpoint_from_another_seed_is_refused(tmp_path, config_file, capsys):
+    base = ["--config", str(config_file), "--out", str(tmp_path), "--head", "softmax"]
+    assert main(["train", *base, "--seed", "1"]) == 0
+    capsys.readouterr()
+    code = main(["evaluate", *base])  # the config's seed is 5
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "seed 1" in err and "seed 5" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "softmax" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["invalid-json", "directory"])
+def test_unreadable_config_names_the_path(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text('{"optim": {"steps": 10},}')
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--head", "softmax"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err

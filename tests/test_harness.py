@@ -56,6 +56,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    @pytest.mark.parametrize("where, value", [
+        ("data.num_classes", 1), ("data.n_per_class", 0), ("data.radius", 0.0),
+        ("data.variance", -2.0), ("data.angle_formula", "spiral"),
+        ("data.train_fraction", 0.0), ("model.hidden", [16, 0]),
+        ("model.distance_init", "ones"), ("optim.learning_rate", 0.0),
+        ("optim.momentum", 1.0), ("optim.batch_size", 0), ("optim.steps", -1),
+        ("sweep.kinds", ["blur"]), ("sweep.intensities", [6]), ("ood.n", 0),
+        ("ood.box_halfwidth", 0.0), ("ood.exclusion_radius", -1.0),
+        ("metrics.num_bins", 0), ("metrics.num_thresholds", 1),
+        ("landscape.resolution", 1), ("landscape.half_extent", -5.0),
+    ])
+    def test_range_error_names_field_and_value(self, where, value):
+        section, name = where.split(".")
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_dict({section: {name: value}})
+        assert str(info.value).startswith(f"{where} must be ")
+        assert str(info.value).endswith(f", got {value!r}")
+
 
 class TestTrain:
     def test_zero_steps_distance_head_is_chance(self):

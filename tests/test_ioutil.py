@@ -1,0 +1,50 @@
+import numpy as np
+import pytest
+
+from ovabench.ioutil import write_csv
+
+
+def lines(path):
+    return path.read_text().split("\n")
+
+
+def test_floats_round_trip_with_17_significant_digits(tmp_path):
+    values = np.array([0.1, 1e-17, -0.0])
+    path = tmp_path / "f.csv"
+    write_csv(path, {"x": values})
+    assert lines(path) == ["x", "0.10000000000000001", "1.0000000000000001e-17", "-0", ""]
+    back = np.array([float(cell) for cell in lines(path)[1:-1]])
+    assert back.tobytes() == values.tobytes()  # bit for bit, the sign of -0.0 included
+
+
+def test_nan_is_an_empty_cell(tmp_path):
+    path = tmp_path / "nan.csv"
+    write_csv(path, {"a": [1.5, float("nan"), 2.0], "b": np.array([np.nan, 0.25, np.nan])})
+    assert lines(path) == ["a,b", "1.5,", ",0.25", "2,", ""]
+
+
+def test_integer_and_boolean_columns_are_decimal_integers(tmp_path):
+    path = tmp_path / "ints.csv"
+    write_csv(path, {"i": np.array([0, -7, 2 ** 40], dtype=np.int64),
+                     "b": np.array([True, False, True]), "n": [3, 4, 5]})
+    assert lines(path) == ["i,b,n", "0,1,3", "-7,0,4", "1099511627776,1,5", ""]
+
+
+def test_string_columns_are_written_as_they_are(tmp_path):
+    path = tmp_path / "str.csv"
+    write_csv(path, {"kind": ["point", "center"],
+                     "label": np.where([False, True], "", np.array([3, 4]).astype(str))})
+    assert lines(path) == ["kind,label", "point,3", "center,", ""]
+
+
+def test_zero_rows_give_a_header_only_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(path, {"a": np.array([]), "b": np.array([], dtype=np.int64), "c": []})
+    assert path.read_text() == "a,b,c\n"
+
+
+def test_ragged_columns_raise(tmp_path):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(path, {"a": [1.0, 2.0], "b": [1]})
+    assert not path.exists()
