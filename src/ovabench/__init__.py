@@ -10,8 +10,7 @@ from .metrics import (BoxplotStats, CalibrationTable, Predictions, RankingResult
                       accuracy_vs_confidence, auroc_auprc, boxplot_stats,
                       confidence_histograms, ece, pca2, read_predictions,
                       write_predictions)
-from .nncore import (ForwardTrace, ModelParams, OptimizerState, backward,
-                     forward, gradient_check, init_params, load_checkpoint,
-                     make_optimizer, save_checkpoint, sgd_step)
+from .nncore import (ForwardTrace, ModelParams, backward, forward, gradient_check,
+                     init_params, load_checkpoint, save_checkpoint, sgd_step)
 
 __version__ = "0.1.0"

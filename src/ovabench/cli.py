@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import harness
 from .harness import ExperimentConfig
-from .heads import HeadKind
+from .heads import HeadKind, _check_head_params
 from .nncore import load_checkpoint
 
 
@@ -44,7 +44,14 @@ def _require_head(cfg: ExperimentConfig) -> HeadKind:
 def _load_model(args, cfg: ExperimentConfig):
     ckpt = args.checkpoint or Path(cfg.out_dir) / _require_head(cfg).value / "checkpoint.json"
     params, head_str, seed = load_checkpoint(ckpt)
-    head = HeadKind(head_str)
+    choices = [h.value for h in HeadKind]
+    try:
+        if head_str not in choices:
+            raise ValueError(f"head must be one of {choices}, got {head_str!r}")
+        head = HeadKind(head_str)
+        _check_head_params(head, params)
+    except ValueError as exc:
+        raise ValueError(f"malformed checkpoint {ckpt}: {exc}") from None
     if cfg.head is not None and head is not cfg.head:
         raise ValueError(f"checkpoint holds head '{head.value}', expected '{cfg.head.value}'")
     if seed != cfg.seed:

@@ -23,8 +23,7 @@ from .data import CorruptionSpec, Dataset
 from .heads import HeadKind
 from .ioutil import write_csv, write_json
 from .metrics import Predictions, boxplot_stats
-from .nncore import (ModelParams, forward, init_params, make_optimizer,
-                     save_checkpoint, sgd_step)
+from .nncore import ModelParams, forward, init_params, save_checkpoint, sgd_step
 
 __all__ = [
     "CenterReport",
@@ -179,6 +178,10 @@ class ExperimentConfig:
         return cfg
 
 
+def _nonempty_distinct(values) -> bool:
+    return bool(values) and len(set(values)) == len(values)
+
+
 # section.field -> (predicate, the rule as the error states it); every
 # predicate is False on NaN.
 _RANGES = {
@@ -195,19 +198,28 @@ _RANGES = {
     "optim.momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "optim.batch_size": (lambda v: v >= 1, ">= 1"),
     "optim.steps": (lambda v: v >= 0, ">= 0"),
-    "sweep.kinds": (lambda v: all(k in datamod.CORRUPTION_KINDS for k in v),
-                    f"a list drawn from {list(datamod.CORRUPTION_KINDS)}"),
-    "sweep.intensities": (lambda v: all(1 <= i <= 5 for i in v), "a list of integers in [1, 5]"),
+    "sweep.kinds": (lambda v: _nonempty_distinct(v)
+                    and all(k in datamod.CORRUPTION_KINDS for k in v),
+                    f"a non-empty list of distinct names from {list(datamod.CORRUPTION_KINDS)}"),
+    "sweep.intensities": (lambda v: _nonempty_distinct(v) and all(1 <= i <= 5 for i in v),
+                          "a non-empty list of distinct integers in [1, 5]"),
     "ood.n": (lambda v: v is None or v >= 1, ">= 1 or null"),
     "ood.box_halfwidth": (lambda v: v > 0, "> 0"),
     "ood.exclusion_radius": (lambda v: v >= 0, ">= 0"),
     "metrics.num_bins": (lambda v: v >= 1, ">= 1"),
     "metrics.num_thresholds": (lambda v: v >= 2, ">= 2"),
-    "landscape.resolution": (lambda v: v >= 2, ">= 2"),
+    "landscape.resolution": (lambda v: 2 <= v <= 1000, "in [2, 1000]"),
     "landscape.half_extent": (lambda v: v > 0, "> 0"),
 }
 
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _check_type(where: str, value, annotation: str) -> None:
@@ -218,23 +230,16 @@ def _check_type(where: str, value, annotation: str) -> None:
             _check_type(f"{where}[{i}]", item, kind[5:-1])
     elif not ((value is None and kind != annotation)
               or (type(value) in _FIELD_TYPES.get(kind, ())
-                  and (kind != "float" or math.isfinite(value)))):
+                  and (kind != "float" or _is_finite(value)))):
         raise ValueError(f"{where} must be {annotation}"
                          f"{' (finite)' if kind == 'float' else ''}, got {value!r}")
-
-
-@dataclass
-class TrainLogEntry:
-    step: int
-    loss: float
-    accuracy: float
 
 
 @dataclass
 class TrainResult:
     params: ModelParams
     head: HeadKind
-    log: list[TrainLogEntry]
+    log: dict[str, list]  # the train_log.csv columns: step, loss, accuracy
     final_accuracy: float
 
 
@@ -357,7 +362,7 @@ def train(config: ExperimentConfig, head: HeadKind | None = None,
     params = init_params([x.shape[1], *config.model.hidden], config.data.num_classes,
                          head_biases=head.uses_biases, head_init=head_init,
                          seed=derive_seed(config.seed, f"init:{head.value}"))
-    state = make_optimizer(params, config.optim.learning_rate, config.optim.momentum)
+    velocity = ModelParams.zeros(params.layout)
     rng = np.random.default_rng(derive_seed(config.seed, f"train:{head.value}"))
 
     def full_eval():
@@ -365,29 +370,27 @@ def train(config: ExperimentConfig, head: HeadKind | None = None,
         pred, _ = headsmod.predict(headsmod.probabilities(head, z))
         return headsmod.loss(head, z, y), float((pred == y).mean())
 
-    log: list[TrainLogEntry] = []
+    log: dict[str, list] = {"step": [], "loss": [], "accuracy": []}
     for step in range(1, config.optim.steps + 1):
         idx = rng.integers(0, len(x), size=config.optim.batch_size)
         try:
             batch_loss, grads = headsmod.loss_and_grads(head, params, x[idx], y[idx])
             if not np.isfinite(batch_loss):
                 raise ValueError("non-finite loss")
-            params, state = sgd_step(params, grads, state)
+            sgd_step(params, grads, velocity, config.optim.learning_rate, config.optim.momentum)
         except ValueError as exc:
             raise TrainingDiverged(
                 f"training diverged at step {step} for head '{head.value}': {exc}") from exc
         if step % LOG_EVERY == 0 or step == config.optim.steps:
-            loss_val, acc = full_eval()
-            log.append(TrainLogEntry(step=step, loss=loss_val, accuracy=acc))
-    final_accuracy = log[-1].accuracy if log else full_eval()[1]
+            for column, value in zip(log.values(), (step, *full_eval())):
+                column.append(value)
+    final_accuracy = log["accuracy"][-1] if log["step"] else full_eval()[1]
 
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(out / "checkpoint.json", params, head.value, config.seed)
-        write_csv(out / "train_log.csv", {"step": [e.step for e in log],
-                                          "loss": [e.loss for e in log],
-                                          "accuracy": [e.accuracy for e in log]})
+        write_csv(out / "train_log.csv", log)
     return TrainResult(params=params, head=head, log=log, final_accuracy=final_accuracy)
 
 
@@ -450,8 +453,7 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
     prediction set is dumped alongside sweep.csv so each row can be
     recomputed from files alone.
     """
-    if not config.sweep.kinds or not config.sweep.intensities:
-        raise ValueError("sweep needs at least one kind and one intensity")
+    config.validate()
     out = None
     if out_dir is not None:
         out = Path(out_dir)

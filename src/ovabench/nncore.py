@@ -3,7 +3,8 @@
 The body is a stack of fully connected layers with ReLU between them; the raw
 output of the last layer is the embedding consumed by the probability heads
 (no trailing nonlinearity).  All arithmetic is float64, training is SGD with
-momentum, and every operation is deterministic given its inputs.
+momentum updated in place, and every operation is deterministic given its
+inputs.
 
 Parameters, gradients and optimizer velocity are each one contiguous float64
 vector; the named tensors are views into it.
@@ -23,13 +24,11 @@ __all__ = [
     "ForwardTrace",
     "Layout",
     "ModelParams",
-    "OptimizerState",
     "backward",
     "forward",
     "gradient_check",
     "init_params",
     "load_checkpoint",
-    "make_optimizer",
     "save_checkpoint",
     "sgd_step",
 ]
@@ -120,21 +119,14 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer activations cached by :func:`forward` for backpropagation."""
+    """Activations cached by :func:`forward` for backpropagation: the input
+    of each body layer, then the embedding."""
 
-    inputs: np.ndarray
-    pre_activations: list[np.ndarray]
-    post_activations: list[np.ndarray]
-    embedding: np.ndarray
+    activations: list[np.ndarray]
 
-
-@dataclass
-class OptimizerState:
-    """SGD-with-momentum state; velocity shares the parameters' layout."""
-
-    velocity: ModelParams
-    learning_rate: float
-    momentum: float
+    @property
+    def embedding(self) -> np.ndarray:
+        return self.activations[-1]
 
 
 def init_params(layer_dims: list[int], num_classes: int, *, head_biases: bool,
@@ -172,19 +164,15 @@ def forward(params: ModelParams, inputs) -> ForwardTrace:
     x = _as_matrix(inputs)
     if x.shape[0] < 1:
         raise ValueError("batch must contain at least one row")
-    pre, post = [], []
     if x.shape[1] != params.weights[0].shape[0]:  # later layers chain by construction
         raise ValueError(f"layer 0: input width {x.shape[1]} does not match "
                          f"fan_in {params.weights[0].shape[0]}")
-    a = x
+    activations = [x]
     last = params.layout.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        a = np.maximum(z, 0.0) if i < last else z
-        pre.append(z)
-        post.append(a)
-    return ForwardTrace(inputs=x, pre_activations=pre, post_activations=post,
-                        embedding=post[-1])
+        z = activations[-1] @ w + b
+        activations.append(np.maximum(z, 0.0) if i < last else z)
+    return ForwardTrace(activations)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, embedding_grad,
@@ -204,11 +192,11 @@ def backward(params: ModelParams, trace: ForwardTrace, embedding_grad,
     if grads is None:
         grads = ModelParams.zeros(params.layout)
     for i in range(params.layout.num_layers - 1, -1, -1):
-        a_in = trace.post_activations[i - 1] if i > 0 else trace.inputs
+        a_in = trace.activations[i]
         np.matmul(a_in.T, g, out=grads.weights[i])
         g.sum(axis=0, out=grads.biases[i])
-        if i > 0:
-            g = (g @ params.weights[i].T) * (trace.pre_activations[i - 1] > 0.0)
+        if i > 0:  # a_in = max(z, 0) is positive exactly where z is
+            g = (g @ params.weights[i].T) * (a_in > 0.0)
     return grads
 
 
@@ -240,29 +228,19 @@ def gradient_check(loss_fn, params: ModelParams, step: float = 1e-5) -> float:
     return worst
 
 
-def make_optimizer(params: ModelParams, learning_rate: float,
-                   momentum: float = 0.0) -> OptimizerState:
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError("momentum must lie in [0, 1)")
-    return OptimizerState(velocity=ModelParams.zeros(params.layout),
-                          learning_rate=learning_rate, momentum=momentum)
+def sgd_step(params: ModelParams, grads: ModelParams, velocity: ModelParams,
+             learning_rate: float, momentum: float) -> None:
+    """One momentum-SGD update of the whole vector, in place:
+    v <- m*v - lr*g, p <- p + v.
 
-
-def sgd_step(params: ModelParams, grads: ModelParams,
-             state: OptimizerState) -> tuple[ModelParams, OptimizerState]:
-    """One momentum-SGD update of the whole vector: v <- m*v - lr*g, p <- p + v.
-
-    Refuses non-finite gradients and checks the updated parameters are
-    finite, naming the offending tensor in either case.
+    Refuses non-finite gradients before changing anything, and checks the
+    updated parameters are finite, naming the offending tensor in either case.
     """
     grads.validate("non-finite gradient for {}; update refused")
-    m, lr = state.momentum, state.learning_rate
-    velocity = m * state.velocity.flat - lr * grads.flat
-    new_params = ModelParams(params.flat + velocity, params.layout)
-    new_params.validate("non-finite parameter {} after update")
-    return new_params, OptimizerState(ModelParams(velocity, params.layout), lr, m)
+    velocity.flat *= momentum
+    velocity.flat -= learning_rate * grads.flat
+    params.flat += velocity.flat
+    params.validate("non-finite parameter {} after update")
 
 
 def save_checkpoint(path, params: ModelParams, head: str, seed: int) -> None:

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from ovabench.cli import main
+from ovabench.nncore import ModelParams, save_checkpoint
 
 
 @pytest.fixture()
@@ -121,7 +123,9 @@ def test_landscape_does_not_generate_datasets(tmp_path, config_file, monkeypatch
     ('{"optim": {"learning_rate": NaN}}', "optim.learning_rate"),
     ('{"head": "bogus"}', "head must be one of ['softmax', 'dm', 'ova', 'ova_dm']"),
     ('{"ood": {"n": 0}}', "ood.n must be >= 1 or null, got 0"),
-], ids=["str-int", "scalar-list", "float-int", "nan-float", "bad-head", "ood-n-zero"])
+    ('{"optim": {"learning_rate": 1%s}}' % ("0" * 400), "optim.learning_rate"),
+], ids=["str-int", "scalar-list", "float-int", "nan-float", "bad-head", "ood-n-zero",
+        "huge-int-float"])
 def test_mistyped_config_field_is_named(tmp_path, capsys, bad, field):
     path = tmp_path / "bad.json"
     path.write_text(bad)
@@ -143,6 +147,24 @@ def test_malformed_checkpoint_fails_cleanly(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(path) in err and "tensors" in err
+
+
+@pytest.mark.parametrize("head, biases, message", [
+    ("bogus", True, "head must be one of ['softmax', 'dm', 'ova', 'ova_dm'], got 'bogus'"),
+    ("dm", True, "head 'dm' must not carry head_biases"),
+    ("softmax", False, "head 'softmax' requires head_biases"),
+], ids=["unknown-head", "distance-with-biases", "affine-without-biases"])
+def test_checkpoint_head_mismatch_names_the_file(tmp_path, capsys, head, biases, message):
+    params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)], np.zeros((2, 10)),
+                                     np.zeros(10) if biases else None)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, params, head, seed=0)
+    code = main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"malformed checkpoint {path}: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_checkpoint_from_another_seed_is_refused(tmp_path, config_file, capsys):

@@ -1,9 +1,12 @@
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ovabench.data import Dataset, gen_ring
+from ovabench.data import CORRUPTION_KINDS, Dataset, gen_ring
 from ovabench.harness import (ExperimentConfig, TrainingDiverged, centers_report,
                               derive_seed, evaluate, landscape, make_datasets, run_all,
                               shift_sweep, train, write_centers_csv, write_landscape_csv,
@@ -25,6 +28,31 @@ def tiny_config(seed=0, **optim):
     cfg.metrics.num_thresholds = 11
     cfg.ood.n = 30
     return cfg
+
+
+_DEFAULT = ExperimentConfig()
+SECTION_FIELDS = {f.name: [g.name for g in fields(getattr(_DEFAULT, f.name))]
+                  for f in fields(ExperimentConfig) if is_dataclass(getattr(_DEFAULT, f.name))}
+
+# JSON-shaped values (NaN and infinities included, as json.loads accepts them),
+# with integers well beyond the float range.
+JSON_SCALARS = (st.none() | st.booleans() | st.floats() | st.integers(-3, 300)
+                | st.integers(-2 ** 1100, 2 ** 1100) | st.text(max_size=6)
+                | st.sampled_from(["softmax", "dm", "ova_dm", "literal", "random",
+                                   *CORRUPTION_KINDS]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=8)
+
+# Config dicts: one section with a field or two of its own (so the type and
+# range checks of every field are reached), or any JSON under up to two
+# top-level keys.
+CONFIG_DICTS = st.one_of([
+    st.fixed_dictionaries({name: st.dictionaries(
+        st.sampled_from(names), JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3), max_size=2)})
+    for name, names in SECTION_FIELDS.items()]) | st.dictionaries(
+    st.sampled_from([*SECTION_FIELDS, "head", "seed", "out_dir", "bogus"]), JSON_VALUES,
+    max_size=2)
 
 
 def identity_body_model(head_weights, head_biases=None):
@@ -66,6 +94,9 @@ class TestConfig:
         ("ood.box_halfwidth", 0.0), ("ood.exclusion_radius", -1.0),
         ("metrics.num_bins", 0), ("metrics.num_thresholds", 1),
         ("landscape.resolution", 1), ("landscape.half_extent", -5.0),
+        ("sweep.kinds", []), ("sweep.kinds", ["rotation", "rotation"]),
+        ("sweep.intensities", []), ("sweep.intensities", [3, 3]),
+        ("landscape.resolution", 1001),
     ])
     def test_range_error_names_field_and_value(self, where, value):
         section, name = where.split(".")
@@ -73,6 +104,15 @@ class TestConfig:
             ExperimentConfig.from_dict({section: {name: value}})
         assert str(info.value).startswith(f"{where} must be ")
         assert str(info.value).endswith(f", got {value!r}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(CONFIG_DICTS)
+    def test_any_json_config_builds_or_raises_value_error(self, raw):
+        try:
+            cfg = ExperimentConfig.from_dict(raw)
+        except ValueError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
 
 
 class TestTrain:
@@ -93,7 +133,7 @@ class TestTrain:
         assert (tmp_path / "checkpoint.json").exists()
         log_lines = (tmp_path / "train_log.csv").read_text().splitlines()
         assert log_lines[0] == "step,loss,accuracy"
-        assert len(log_lines) == 1 + len(result.log)
+        assert len(log_lines) == 1 + len(result.log["step"])
 
     def test_deterministic_checkpoints(self, tmp_path):
         cfg = tiny_config(seed=21)
@@ -292,6 +332,15 @@ class TestShiftSweep:
         sweep = shift_sweep(model, HeadKind.OVA_DISTANCE, test_d, cfg)
         accs = {row.accuracy for row in sweep.rows}
         assert len(accs) == 1  # rotation preserves both labels and the prediction
+
+    @pytest.mark.parametrize("where, value", [("sweep.kinds", []),
+                                              ("sweep.intensities", [2, 2])])
+    def test_empty_or_repeated_sweep_list_refused(self, where, value):
+        cfg = tiny_config()
+        setattr(cfg.sweep, where.split(".")[1], value)
+        model = identity_body_model(np.zeros((2, 10)))
+        with pytest.raises(ValueError, match=rf"^{where} must be "):
+            shift_sweep(model, HeadKind.OVA_DISTANCE, make_datasets(tiny_config())[1], cfg)
 
     def test_stats_cover_each_intensity(self, tmp_path):
         cfg = tiny_config()

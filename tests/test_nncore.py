@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ovabench.nncore import (ModelParams, backward, forward, gradient_check, init_params,
-                             load_checkpoint, make_optimizer, save_checkpoint, sgd_step)
+                             load_checkpoint, save_checkpoint, sgd_step)
 
 
 def small_params(seed=0, head_biases=True):
@@ -149,30 +149,30 @@ def scalar_param(value=0.0):
 
 class TestSgd:
     def test_plain_step(self):
-        params = scalar_param(0.0)
+        new = scalar_param(0.0)  # updated in place
         grads = scalar_param(1.0)
         grads.head_weights[...] = np.zeros((1, 1))
-        state = make_optimizer(params, learning_rate=0.1, momentum=0.0)
-        new, _ = sgd_step(params, grads, state)
+        sgd_step(new, grads, ModelParams.zeros(new.layout), learning_rate=0.1, momentum=0.0)
         assert new.weights[0][0, 0] == pytest.approx(-0.1, abs=0)
 
     def test_momentum_two_step_unroll(self):
         # v1 = -0.1 -> p1 = -0.1 ; v2 = 0.9*(-0.1) - 0.1 = -0.19 -> p2 = -0.29
         params = scalar_param(0.0)
-        state = make_optimizer(params, learning_rate=0.1, momentum=0.9)
+        velocity = ModelParams.zeros(params.layout)
         grads = scalar_param(1.0)
-        params, state = sgd_step(params, grads, state)
+        sgd_step(params, grads, velocity, learning_rate=0.1, momentum=0.9)
         assert params.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-15)
-        params, state = sgd_step(params, grads, state)
+        sgd_step(params, grads, velocity, learning_rate=0.1, momentum=0.9)
         assert params.weights[0][0, 0] == pytest.approx(-0.29, abs=1e-15)
 
     def test_zero_grads_decay_velocity(self):
         params = small_params(seed=9)
-        state = make_optimizer(params, learning_rate=0.1, momentum=0.8)
-        state.velocity.weights[0][:] = 1.0
-        new_params, new_state = sgd_step(params, ModelParams.zeros(params.layout), state)
+        velocity = ModelParams.zeros(params.layout)
+        velocity.weights[0][:] = 1.0
+        new_params = ModelParams(params.flat.copy(), params.layout)  # updated in place
+        sgd_step(new_params, ModelParams.zeros(params.layout), velocity, 0.1, 0.8)
         # params move by the decayed velocity; velocity itself decays by the factor
-        assert np.allclose(new_state.velocity.weights[0], 0.8)
+        assert np.allclose(velocity.weights[0], 0.8)
         assert np.allclose(new_params.weights[0],
                            params.weights[0] + 0.8)
 
@@ -180,19 +180,19 @@ class TestSgd:
         params = small_params(seed=10)
         grads = ModelParams.zeros(params.layout)
         grads.weights[1][0, 0] = np.nan
-        state = make_optimizer(params, 0.1, 0.9)
+        velocity = ModelParams.zeros(params.layout)
         with pytest.raises(ValueError, match="layers.1.weights"):
-            sgd_step(params, grads, state)
+            sgd_step(params, grads, velocity, 0.1, 0.9)
 
     def test_params_stay_finite_over_many_steps(self):
         rng = np.random.default_rng(13)
         params = small_params(seed=13)
-        state = make_optimizer(params, 0.05, 0.9)
+        velocity = ModelParams.zeros(params.layout)
         for _ in range(50):
             grads = ModelParams.zeros(params.layout)
             for t in grads.tensors:  # same draws, in the same order, as before
                 t[...] = rng.standard_normal(t.shape)
-            params, state = sgd_step(params, grads, state)
+            sgd_step(params, grads, velocity, 0.05, 0.9)
         params.validate()
 
 
