@@ -8,7 +8,6 @@ sidecar written next to each dataset CSV.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,19 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .ioutil import write_csv, write_json
-
-__all__ = [
-    "CorruptionSpec",
-    "Dataset",
-    "PRNG_NOTE",
-    "corrupt",
-    "gen_ood",
-    "gen_ring",
-    "load_dataset",
-    "ring_class_means",
-    "save_dataset",
-    "split",
-]
 
 PRNG_NOTE = "numpy default_rng (PCG64); normals via Generator.standard_normal (ziggurat)"
 
@@ -199,17 +185,3 @@ def save_dataset(path, data: Dataset, generator: str, params: dict) -> None:
     }
     write_json(path.with_suffix(".meta.json"), meta)
 
-
-def load_dataset(path) -> Dataset:
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != "x0,x1,label":
-        raise ValueError(f"{path} is not a dataset CSV")
-    meta = json.loads(path.with_suffix(".meta.json").read_text())
-    features, labels = [], []
-    for line in lines[1:]:
-        x0, x1, label = line.split(",")
-        features.append((float(x0), float(x1)))
-        labels.append(int(label))
-    return Dataset(features=np.array(features), labels=np.array(labels),
-                   num_classes=int(meta["num_classes"]), seed=int(meta["seed"]))

@@ -25,28 +25,6 @@ from .ioutil import write_csv, write_json
 from .metrics import Predictions, boxplot_stats
 from .nncore import ModelParams, forward, init_params, save_checkpoint, sgd_step
 
-__all__ = [
-    "CenterReport",
-    "EvalResult",
-    "ExperimentConfig",
-    "LandscapeGrid",
-    "RunOutcome",
-    "STAGES",
-    "SweepResult",
-    "TrainResult",
-    "TrainingDiverged",
-    "centers_report",
-    "derive_seed",
-    "evaluate",
-    "landscape",
-    "run_all",
-    "shift_sweep",
-    "train",
-    "write_centers_csv",
-    "write_landscape_csv",
-    "write_landscape_pgm",
-]
-
 ALL_HEADS = (HeadKind.SOFTMAX_AFFINE, HeadKind.SOFTMAX_DISTANCE,
              HeadKind.OVA_AFFINE, HeadKind.OVA_DISTANCE)
 
@@ -130,7 +108,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Range-check every field; an error names ``section.field`` and its value."""
-        for where, (ok, rule) in _RANGES.items():
+        for where, ok, rule in _RANGES:
             section, name = where.split(".")
             value = getattr(getattr(self, section), name)
             if not ok(value):
@@ -182,35 +160,44 @@ def _nonempty_distinct(values) -> bool:
     return bool(values) and len(set(values)) == len(values)
 
 
-# section.field -> (predicate, the rule as the error states it); every
-# predicate is False on NaN.
-_RANGES = {
-    "data.num_classes": (lambda v: v >= 2, ">= 2"),
-    "data.n_per_class": (lambda v: v >= 1, ">= 1"),
-    "data.radius": (lambda v: v > 0, "> 0"),
-    "data.variance": (lambda v: v > 0, "> 0"),
-    "data.angle_formula": (lambda v: v in ("ring", "literal"), "'ring' or 'literal'"),
-    "data.train_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "model.hidden": (lambda v: bool(v) and all(h >= 1 for h in v),
-                     "a non-empty list of widths >= 1"),
-    "model.distance_init": (lambda v: v in ("zeros", "random"), "'zeros' or 'random'"),
-    "optim.learning_rate": (lambda v: v > 0, "> 0"),
-    "optim.momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "optim.batch_size": (lambda v: v >= 1, ">= 1"),
-    "optim.steps": (lambda v: v >= 0, ">= 0"),
-    "sweep.kinds": (lambda v: _nonempty_distinct(v)
-                    and all(k in datamod.CORRUPTION_KINDS for k in v),
-                    f"a non-empty list of distinct names from {list(datamod.CORRUPTION_KINDS)}"),
-    "sweep.intensities": (lambda v: _nonempty_distinct(v) and all(1 <= i <= 5 for i in v),
-                          "a non-empty list of distinct integers in [1, 5]"),
-    "ood.n": (lambda v: v is None or v >= 1, ">= 1 or null"),
-    "ood.box_halfwidth": (lambda v: v > 0, "> 0"),
-    "ood.exclusion_radius": (lambda v: v >= 0, ">= 0"),
-    "metrics.num_bins": (lambda v: v >= 1, ">= 1"),
-    "metrics.num_thresholds": (lambda v: v >= 2, ">= 2"),
-    "landscape.resolution": (lambda v: 2 <= v <= 1000, "in [2, 1000]"),
-    "landscape.half_extent": (lambda v: v > 0, "> 0"),
-}
+# (section.field, predicate, the rule as the error states it); every
+# predicate is False on NaN.  The upper bounds on integer fields sit far above
+# any value in use and stop a huge size before numpy tries to allocate it.
+_RANGES = (
+    ("data.num_classes", lambda v: v >= 2, ">= 2"),
+    ("data.num_classes", lambda v: v <= 1000, "<= 1000"),
+    ("data.n_per_class", lambda v: v >= 1, ">= 1"),
+    ("data.n_per_class", lambda v: v <= 100000, "<= 100000"),
+    ("data.radius", lambda v: v > 0, "> 0"),
+    ("data.variance", lambda v: v > 0, "> 0"),
+    ("data.angle_formula", lambda v: v in ("ring", "literal"), "'ring' or 'literal'"),
+    ("data.train_fraction", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    ("model.hidden", lambda v: bool(v) and all(h >= 1 for h in v),
+     "a non-empty list of widths >= 1"),
+    ("model.hidden", lambda v: all(h <= 4096 for h in v), "a list of widths <= 4096"),
+    ("model.distance_init", lambda v: v in ("zeros", "random"), "'zeros' or 'random'"),
+    ("optim.learning_rate", lambda v: v > 0, "> 0"),
+    ("optim.momentum", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    ("optim.batch_size", lambda v: v >= 1, ">= 1"),
+    ("optim.batch_size", lambda v: v <= 100000, "<= 100000"),
+    ("optim.steps", lambda v: v >= 0, ">= 0"),
+    ("optim.steps", lambda v: v <= 10000000, "<= 10000000"),
+    ("sweep.kinds", lambda v: _nonempty_distinct(v)
+     and all(k in datamod.CORRUPTION_KINDS for k in v),
+     f"a non-empty list of distinct names from {list(datamod.CORRUPTION_KINDS)}"),
+    ("sweep.intensities", lambda v: _nonempty_distinct(v) and all(1 <= i <= 5 for i in v),
+     "a non-empty list of distinct integers in [1, 5]"),
+    ("ood.n", lambda v: v is None or v >= 1, ">= 1 or null"),
+    ("ood.n", lambda v: v is None or v <= 1000000, "<= 1000000 or null"),
+    ("ood.box_halfwidth", lambda v: v > 0, "> 0"),
+    ("ood.exclusion_radius", lambda v: v >= 0, ">= 0"),
+    ("metrics.num_bins", lambda v: v >= 1, ">= 1"),
+    ("metrics.num_bins", lambda v: v <= 10000, "<= 10000"),
+    ("metrics.num_thresholds", lambda v: v >= 2, ">= 2"),
+    ("metrics.num_thresholds", lambda v: v <= 100000, "<= 100000"),
+    ("landscape.resolution", lambda v: 2 <= v <= 1000, "in [2, 1000]"),
+    ("landscape.half_extent", lambda v: v > 0, "> 0"),
+)
 
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
@@ -238,7 +225,6 @@ def _check_type(where: str, value, annotation: str) -> None:
 @dataclass
 class TrainResult:
     params: ModelParams
-    head: HeadKind
     log: dict[str, list]  # the train_log.csv columns: step, loss, accuracy
     final_accuracy: float
 
@@ -254,16 +240,8 @@ class EvalResult:
 
 
 @dataclass
-class SweepRow:
-    kind: str
-    intensity: int
-    accuracy: float
-    ece: float
-
-
-@dataclass
 class SweepResult:
-    rows: list[SweepRow]
+    columns: dict[str, list]  # the sweep.csv columns: kind, intensity, accuracy, ece
     stats: dict[int, dict[str, metricsmod.BoxplotStats]]
 
 
@@ -391,7 +369,7 @@ def train(config: ExperimentConfig, head: HeadKind | None = None,
         out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(out / "checkpoint.json", params, head.value, config.seed)
         write_csv(out / "train_log.csv", log)
-    return TrainResult(params=params, head=head, log=log, final_accuracy=final_accuracy)
+    return TrainResult(params=params, log=log, final_accuracy=final_accuracy)
 
 
 def evaluate(params: ModelParams, head: HeadKind, test_data: Dataset,
@@ -459,7 +437,7 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
         out = Path(out_dir)
         (out / "shift").mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    columns: dict[str, list] = {"kind": [], "intensity": [], "accuracy": [], "ece": []}
     cases = [(k, i) for k in config.sweep.kinds for i in config.sweep.intensities]
     for kind, intensity in [("none", 0), *cases]:
         dataset = base_test if kind == "none" else datamod.corrupt(
@@ -467,21 +445,19 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
             derive_seed(config.seed, f"corrupt:{kind}:{intensity}"))
         preds = _score(params, head, dataset.features, dataset.labels)
         ece_value, _ = metricsmod.ece(preds, config.metrics.num_bins)
-        rows.append(SweepRow(kind=kind, intensity=intensity,
-                             accuracy=float(np.mean(preds.is_correct)), ece=ece_value))
+        accuracy = float(np.mean(preds.is_correct))
+        for column, value in zip(columns.values(), (kind, intensity, accuracy, ece_value)):
+            column.append(value)
         if out is not None:
             metricsmod.write_predictions(
                 out / "shift" / f"predictions_{kind}_{intensity}.csv", preds)
 
-    stats: dict[int, dict[str, metricsmod.BoxplotStats]] = {}
-    for intensity in config.sweep.intensities:
-        at = [r for r in rows if r.intensity == intensity]
-        stats[intensity] = {"accuracy": boxplot_stats([r.accuracy for r in at]),
-                            "ece": boxplot_stats([r.ece for r in at])}
+    intensities = np.asarray(columns["intensity"])
+    stats = {i: {m: boxplot_stats(np.asarray(columns[m])[intensities == i])
+                 for m in ("accuracy", "ece")} for i in config.sweep.intensities}
 
     if out is not None:
-        write_csv(out / "sweep.csv", {name: [getattr(r, name) for r in rows]
-                                      for name in ("kind", "intensity", "accuracy", "ece")})
+        write_csv(out / "sweep.csv", columns)
         keys = [(i, m) for i in config.sweep.intensities for m in ("accuracy", "ece")]
         boxes = [stats[i][m] for i, m in keys]
         write_csv(out / "sweep_stats.csv", {
@@ -489,7 +465,7 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
             "min": [b.minimum for b in boxes], "q1": [b.q1 for b in boxes],
             "median": [b.median for b in boxes], "q3": [b.q3 for b in boxes],
             "max": [b.maximum for b in boxes]})
-    return SweepResult(rows=rows, stats=stats)
+    return SweepResult(columns=columns, stats=stats)
 
 
 def landscape(params: ModelParams, head: HeadKind,
@@ -583,9 +559,9 @@ def _evaluate_stage(config, head, params, datasets, head_dir):
 
 def _sweep_stage(config, head, params, datasets, head_dir):
     result = shift_sweep(params, head, datasets()[1], config, out_dir=head_dir)
-    return result, "\n".join(f"{row.kind:>14} intensity {row.intensity}: "
-                             f"accuracy {row.accuracy:.4f}, ece {row.ece:.4f}"
-                             for row in result.rows)
+    return result, "\n".join(f"{kind:>14} intensity {intensity}: "
+                             f"accuracy {accuracy:.4f}, ece {ece:.4f}"
+                             for kind, intensity, accuracy, ece in zip(*result.columns.values()))
 
 
 def _landscape_stage(config, head, params, datasets, head_dir):

@@ -19,17 +19,6 @@ import numpy as np
 
 from .nncore import ModelParams, _as_matrix, backward, forward
 
-__all__ = [
-    "HeadKind",
-    "PROB_CLAMP",
-    "logit_gradient",
-    "logits",
-    "loss",
-    "loss_and_grads",
-    "predict",
-    "probabilities",
-]
-
 # Probabilities entering the diverging one-vs-all log(1 - p) term are clamped
 # into [PROB_CLAMP, 1 - PROB_CLAMP]; the term is unbounded as distance -> 0.
 PROB_CLAMP = 1e-12
@@ -68,11 +57,15 @@ def _check_head_params(head: HeadKind, params: ModelParams) -> None:
         raise ValueError(f"head '{head.value}' {need} head_biases")
 
 
-def _check_labels(labels, num_classes: int) -> np.ndarray:
+def _check_labels(labels, z: np.ndarray) -> np.ndarray:
+    """Labels as int64: one per row of the logits ``z``, each in [0, K)."""
     y = np.asarray(labels)
     if y.ndim != 1:
         raise ValueError("labels must be a vector")
+    if y.shape[0] != z.shape[0]:
+        raise ValueError("labels length does not match batch size")
     y = y.astype(np.int64)
+    num_classes = z.shape[1]
     if y.size and (y.min() < 0 or y.max() >= num_classes):
         bad = int(np.argmax((y < 0) | (y >= num_classes)))
         raise ValueError(f"label {y[bad]} at index {bad} outside [0, {num_classes})")
@@ -141,9 +134,7 @@ def loss(head: HeadKind, logits_, labels) -> float:
     the batch index.
     """
     z = _as_matrix(logits_, "logits")
-    y = _check_labels(labels, z.shape[1])
-    if y.shape[0] != z.shape[0]:
-        raise ValueError("labels length does not match batch size")
+    y = _check_labels(labels, z)
     rows = np.arange(z.shape[0])
     if head.is_ova:
         if head is HeadKind.OVA_DISTANCE:
@@ -176,7 +167,7 @@ def logit_gradient(head: HeadKind, logits_, labels) -> np.ndarray:
     -1/sinh(d) for the rest, zeroed wherever the loss clamp is active.
     """
     z = _as_matrix(logits_, "logits")
-    y = _check_labels(labels, z.shape[1])
+    y = _check_labels(labels, z)
     batch = z.shape[0]
     rows = np.arange(batch)
     own = np.zeros(z.shape, dtype=bool)

@@ -7,9 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["write_csv", "write_json"]
-
-
 def write_csv(path, columns) -> None:
     """Write ``columns``, a mapping of header name -> column in file order.
 

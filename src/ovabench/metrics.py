@@ -15,25 +15,6 @@ import numpy as np
 
 from .ioutil import write_csv
 
-__all__ = [
-    "BoxplotStats",
-    "CalibrationTable",
-    "ConfidenceHistograms",
-    "Pca2Result",
-    "Predictions",
-    "RankingResult",
-    "ThresholdCurve",
-    "accuracy_vs_confidence",
-    "auroc_auprc",
-    "boxplot_stats",
-    "confidence_histograms",
-    "ece",
-    "pca2",
-    "read_predictions",
-    "write_predictions",
-]
-
-
 _PREDICTIONS_HEADER = ["confidence", "predicted_label", "true_label", "is_ood"]
 
 
@@ -115,12 +96,10 @@ class ThresholdCurve:
 
 @dataclass
 class RankingResult:
-    """AUROC/AUPRC with the underlying ROC and precision-recall curves."""
+    """Areas under the ROC and the precision-recall curve."""
 
     auroc: float
     auprc: float
-    roc_points: list[tuple[float, float]]
-    pr_points: list[tuple[float, float]]
 
 
 @dataclass
@@ -240,9 +219,7 @@ def auroc_auprc(scores, is_positive) -> RankingResult:
     precision = tp / (tp + fp)
     recall_prev = np.concatenate(([0.0], tpr[:-1]))
     auprc = float(((tpr - recall_prev) * precision).sum())
-    return RankingResult(auroc=auroc, auprc=auprc,
-                         roc_points=list(zip(roc_x.tolist(), roc_y.tolist())),
-                         pr_points=list(zip(tpr.tolist(), precision.tolist())))
+    return RankingResult(auroc=auroc, auprc=auprc)
 
 
 def confidence_histograms(preds: Predictions, num_bins: int = 15) -> ConfidenceHistograms:

@@ -18,7 +18,9 @@ from ovabench.harness import (ExperimentConfig, centers_report, derive_seed,
 from ovabench.heads import HeadKind, loss_and_grads, predict, probabilities, logits
 from ovabench.metrics import (Predictions, auroc_auprc, boxplot_stats, ece,
                               read_predictions)
-from ovabench.nncore import forward, gradient_check, init_params
+from ovabench.nncore import forward, init_params
+
+from gradcheck import gradient_check
 
 SEEDS = (0, 1, 2)
 ALL_HEADS = (HeadKind.SOFTMAX_AFFINE, HeadKind.SOFTMAX_DISTANCE,

@@ -124,8 +124,10 @@ def test_landscape_does_not_generate_datasets(tmp_path, config_file, monkeypatch
     ('{"head": "bogus"}', "head must be one of ['softmax', 'dm', 'ova', 'ova_dm']"),
     ('{"ood": {"n": 0}}', "ood.n must be >= 1 or null, got 0"),
     ('{"optim": {"learning_rate": 1%s}}' % ("0" * 400), "optim.learning_rate"),
+    ('{"data": {"n_per_class": 1%s}}' % ("0" * 30), "data.n_per_class"),
+    ('{"optim": {"batch_size": 1000000000000}}', "optim.batch_size"),
 ], ids=["str-int", "scalar-list", "float-int", "nan-float", "bad-head", "ood-n-zero",
-        "huge-int-float"])
+        "huge-int-float", "huge-n-per-class", "huge-batch-size"])
 def test_mistyped_config_field_is_named(tmp_path, capsys, bad, field):
     path = tmp_path / "bad.json"
     path.write_text(bad)
@@ -192,4 +194,28 @@ def test_unreadable_config_names_the_path(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["checkpoint-is-a-directory", "run-all-out-is-a-file",
+                                  "train-out-is-a-file", "out-of-memory"])
+def test_os_and_memory_errors_fail_cleanly(tmp_path, config_file, capsys, monkeypatch, case):
+    from ovabench import harness
+
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    base = ["--config", str(config_file), "--head", "softmax"]
+    argv = {"checkpoint-is-a-directory": ["evaluate", *base, "--checkpoint", str(tmp_path)],
+            "run-all-out-is-a-file": ["run-all", "--config", str(config_file),
+                                      "--out", str(a_file)],
+            "train-out-is-a-file": ["train", *base, "--out", str(a_file)],
+            "out-of-memory": ["train", *base, "--out", str(tmp_path / "out")]}[case]
+    if case == "out-of-memory":
+        def exhausted(cfg):
+            raise MemoryError()
+        monkeypatch.setattr(harness, "make_datasets", exhausted)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err

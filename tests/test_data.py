@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from ovabench.data import (CorruptionSpec, Dataset, corrupt, gen_ood, gen_ring,
-                           load_dataset, ring_class_means, save_dataset, split)
+                           ring_class_means, save_dataset, split)
 
 
 class TestGenRing:
@@ -180,11 +181,15 @@ class TestDatasetIo:
         data = gen_ring(num_classes=3, n_per_class=8, seed=17)
         path = tmp_path / "ring.csv"
         save_dataset(path, data, "gen_ring", {"num_classes": 3, "n_per_class": 8})
-        loaded = load_dataset(path)
-        assert np.array_equal(loaded.features, data.features)
-        assert np.array_equal(loaded.labels, data.labels)
-        assert loaded.num_classes == 3
-        assert (tmp_path / "ring.meta.json").exists()
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x0,x1,label"
+        rows = [line.split(",") for line in lines[1:]]
+        features = np.array([(float(x0), float(x1)) for x0, x1, _ in rows])
+        labels = np.array([int(label) for _, _, label in rows])
+        meta = json.loads((tmp_path / "ring.meta.json").read_text())
+        assert np.array_equal(features, data.features)
+        assert np.array_equal(labels, data.labels)
+        assert meta["num_classes"] == 3
 
     def test_sidecar_records_prng(self, tmp_path):
         import json

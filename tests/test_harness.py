@@ -97,6 +97,9 @@ class TestConfig:
         ("sweep.kinds", []), ("sweep.kinds", ["rotation", "rotation"]),
         ("sweep.intensities", []), ("sweep.intensities", [3, 3]),
         ("landscape.resolution", 1001),
+        ("data.num_classes", 1001), ("data.n_per_class", 100001), ("model.hidden", [16, 4097]),
+        ("optim.batch_size", 100001), ("optim.steps", 10000001), ("ood.n", 1000001),
+        ("metrics.num_bins", 10001), ("metrics.num_thresholds", 100001),
     ])
     def test_range_error_names_field_and_value(self, where, value):
         section, name = where.split(".")
@@ -319,10 +322,10 @@ class TestShiftSweep:
         _, test_d, _ = make_datasets(cfg)
         sweep = shift_sweep(result.params, HeadKind.SOFTMAX_AFFINE, test_d, cfg)
         ev = evaluate(result.params, HeadKind.SOFTMAX_AFFINE, test_d, None, cfg)
-        clean = sweep.rows[0]
-        assert clean.kind == "none" and clean.intensity == 0
-        assert clean.accuracy == pytest.approx(ev.summary["accuracy"], abs=1e-12)
-        assert clean.ece == pytest.approx(ev.summary["ece"], abs=1e-12)
+        cols = sweep.columns
+        assert cols["kind"][0] == "none" and cols["intensity"][0] == 0
+        assert cols["accuracy"][0] == pytest.approx(ev.summary["accuracy"], abs=1e-12)
+        assert cols["ece"][0] == pytest.approx(ev.summary["ece"], abs=1e-12)
 
     def test_constant_predictor_invariant_to_rotation(self):
         cfg = tiny_config()
@@ -330,7 +333,7 @@ class TestShiftSweep:
         model = identity_body_model(np.zeros((2, 10)))  # all logits tie -> always class 0
         _, test_d, _ = make_datasets(cfg)
         sweep = shift_sweep(model, HeadKind.OVA_DISTANCE, test_d, cfg)
-        accs = {row.accuracy for row in sweep.rows}
+        accs = set(sweep.columns["accuracy"])
         assert len(accs) == 1  # rotation preserves both labels and the prediction
 
     @pytest.mark.parametrize("where, value", [("sweep.kinds", []),
@@ -360,13 +363,13 @@ class TestShiftSweep:
         _, test_d, _ = make_datasets(cfg)
         sweep = shift_sweep(result.params, HeadKind.SOFTMAX_DISTANCE, test_d, cfg,
                             out_dir=tmp_path)
-        for row in sweep.rows:
-            dump = tmp_path / "shift" / f"predictions_{row.kind}_{row.intensity}.csv"
+        for kind, intensity, accuracy, ece_value in zip(*sweep.columns.values()):
+            dump = tmp_path / "shift" / f"predictions_{kind}_{intensity}.csv"
             records = read_predictions(dump)
             acc = float(np.mean(records.is_correct))
             value, _ = ece(records, cfg.metrics.num_bins)
-            assert abs(acc - row.accuracy) < 1e-12
-            assert abs(value - row.ece) < 1e-12
+            assert abs(acc - accuracy) < 1e-12
+            assert abs(value - ece_value) < 1e-12
 
 
 EXPECTED_EVAL_FILES = ("metrics.json", "predictions.csv", "calibration.csv",

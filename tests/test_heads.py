@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from ovabench.heads import (HeadKind, logit_gradient, logits, loss, loss_and_grads,
                             predict, probabilities)
-from ovabench.nncore import ModelParams, backward, forward, gradient_check, init_params
+from ovabench.nncore import ModelParams, backward, forward, init_params
+
+from gradcheck import gradient_check
 
 ALL_HEADS = list(HeadKind)
 DISTANCE_HEADS = [HeadKind.SOFTMAX_DISTANCE, HeadKind.OVA_DISTANCE]
@@ -267,6 +269,14 @@ class TestGradients:
                                                 chain.biases, strict=True):
             assert np.allclose(got_w, want_w, atol=1e-15)
             assert np.allclose(got_b, want_b, atol=1e-15)
+
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 0]], ids=["short", "long"])
+    def test_label_count_must_match_batch(self, head, labels):
+        z = -np.ones((3, 4))  # valid logits for every head, distance heads included
+        for fn in (loss, logit_gradient):
+            with pytest.raises(ValueError, match="labels length does not match batch size"):
+                fn(head, z, labels)
 
 
 class TestPredict:

@@ -171,18 +171,6 @@ class TestRanking:
         with pytest.raises(ValueError):
             auroc_auprc([0.1, 0.2], [True, True])
 
-    def test_curve_endpoints_and_monotonicity(self):
-        rng = np.random.default_rng(2)
-        scores = rng.uniform(0, 1, 50).round(2)  # force some ties
-        labels = rng.integers(0, 2, 50).astype(bool)
-        labels[0], labels[1] = True, False
-        r = auroc_auprc(scores, labels)
-        assert r.roc_points[0] == (0.0, 0.0)
-        assert r.roc_points[-1] == (1.0, 1.0)
-        xs = [p[0] for p in r.roc_points]
-        ys = [p[1] for p in r.roc_points]
-        assert (np.diff(xs) >= 0).all() and (np.diff(ys) >= 0).all()
-
     @settings(max_examples=60)
     @given(st.lists(st.tuples(st.sampled_from([round(v * 0.05, 2) for v in range(21)]),
                               st.booleans()), min_size=2, max_size=60))
