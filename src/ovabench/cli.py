@@ -11,7 +11,7 @@ from pathlib import Path
 from . import harness
 from .harness import ExperimentConfig
 from .heads import HeadKind, _check_head_params
-from .nncore import load_checkpoint
+from .nncore import Layout, load_checkpoint
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -57,6 +57,15 @@ def _load_model(args, cfg: ExperimentConfig):
     if seed != cfg.seed:
         raise ValueError(f"checkpoint {ckpt} was trained with seed {seed}, "
                          f"expected seed {cfg.seed}")
+    # the ring data has 2 features
+    expected = Layout([2, *cfg.model.hidden], cfg.data.num_classes, head.uses_biases)
+    have = dict(zip(params.layout.names, params.layout.shapes))
+    want = dict(zip(expected.names, expected.shapes))
+    for name in dict.fromkeys([*want, *have]):
+        if have.get(name) != want.get(name):
+            raise ValueError(f"checkpoint {ckpt} does not fit the config: {name} has shape "
+                             f"{have.get(name, '(none)')}, the config needs "
+                             f"{want.get(name, '(none)')}")
     return params, head
 
 

@@ -230,22 +230,6 @@ class TrainResult:
 
 
 @dataclass
-class EvalResult:
-    predictions: Predictions
-    summary: dict
-    calibration: metricsmod.CalibrationTable
-    curve: metricsmod.ThresholdCurve
-    histograms: metricsmod.ConfidenceHistograms
-    ranking: metricsmod.RankingResult | None
-
-
-@dataclass
-class SweepResult:
-    columns: dict[str, list]  # the sweep.csv columns: kind, intensity, accuracy, ece
-    stats: dict[int, dict[str, metricsmod.BoxplotStats]]
-
-
-@dataclass
 class LandscapeGrid:
     """Confidence and predicted label on a dense grid; row 0 is the top (ymax)."""
 
@@ -334,6 +318,9 @@ def train(config: ExperimentConfig, head: HeadKind | None = None,
     x, y = train_data.features, train_data.labels
     if train_data.num_classes != config.data.num_classes:
         raise ValueError("dataset class count does not match the config")
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:  # a bad path fails before the first step, not after the last
+        out.mkdir(parents=True, exist_ok=True)
 
     zeros = head.is_distance and config.model.distance_init == "zeros"
     head_init = "zeros" if zeros else "glorot"
@@ -364,17 +351,16 @@ def train(config: ExperimentConfig, head: HeadKind | None = None,
                 column.append(value)
     final_accuracy = log["accuracy"][-1] if log["step"] else full_eval()[1]
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         save_checkpoint(out / "checkpoint.json", params, head.value, config.seed)
         write_csv(out / "train_log.csv", log)
     return TrainResult(params=params, log=log, final_accuracy=final_accuracy)
 
 
 def evaluate(params: ModelParams, head: HeadKind, test_data: Dataset,
-             ood_points, config: ExperimentConfig, out_dir=None) -> EvalResult:
-    """Score the test set (plus optional OOD points) and compute all metrics.
+             ood_points, config: ExperimentConfig, out_dir=None) -> dict:
+    """Score the test set (plus optional OOD points); returns the metrics.json
+    summary.
 
     Writes predictions.csv, calibration.csv, curve.csv, histograms.csv and
     metrics.json when ``out_dir`` is given.  AUROC/AUPRC are omitted when no
@@ -387,11 +373,7 @@ def evaluate(params: ModelParams, head: HeadKind, test_data: Dataset,
 
     id_preds = preds[~preds.is_ood]
     accuracy = float(np.mean(id_preds.is_correct))
-    ece_value, table = metricsmod.ece(id_preds, config.metrics.num_bins)
-    thresholds = np.linspace(0.0, 1.0, config.metrics.num_thresholds)
-    curve = metricsmod.accuracy_vs_confidence(preds, thresholds)
-    hists = metricsmod.confidence_histograms(preds, config.metrics.num_bins)
-    ranking = None
+    ece_value, calibration = metricsmod.ece(id_preds, config.metrics.num_bins)
     summary = {
         "head": head.value,
         "accuracy": accuracy,
@@ -400,34 +382,29 @@ def evaluate(params: ModelParams, head: HeadKind, test_data: Dataset,
         "counts": {"id": len(id_preds), "ood": len(preds) - len(id_preds)},
     }
     if have_ood:
-        ranking = metricsmod.auroc_auprc(preds.confidence, ~preds.is_ood)
-        summary["auroc"] = ranking.auroc
-        summary["auprc"] = ranking.auprc
+        summary["auroc"], summary["auprc"] = metricsmod.auroc_auprc(preds.confidence,
+                                                                    ~preds.is_ood)
 
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         metricsmod.write_predictions(out / "predictions.csv", preds)
-        write_csv(out / "calibration.csv", {
-            "bin_lo": table.bin_edges[:-1], "bin_hi": table.bin_edges[1:],
-            "count": table.counts, "mean_confidence": table.mean_confidence,
-            "accuracy": table.accuracy})
-        write_csv(out / "curve.csv", {"threshold": curve.thresholds,
-                                      "retained": curve.retained, "accuracy": curve.accuracy})
-        write_csv(out / "histograms.csv", {
-            "bin_lo": hists.bin_edges[:-1], "bin_hi": hists.bin_edges[1:],
-            "correct_id": hists.correct_id, "incorrect_id": hists.incorrect_id,
-            "ood": hists.ood})
+        write_csv(out / "calibration.csv", calibration)
+        thresholds = np.linspace(0.0, 1.0, config.metrics.num_thresholds)
+        write_csv(out / "curve.csv", metricsmod.accuracy_vs_confidence(preds, thresholds))
+        write_csv(out / "histograms.csv",
+                  metricsmod.confidence_histograms(preds, config.metrics.num_bins))
         write_json(out / "metrics.json", summary)
-    return EvalResult(predictions=preds, summary=summary, calibration=table,
-                      curve=curve, histograms=hists, ranking=ranking)
+    return summary
 
 
 def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
-                config: ExperimentConfig, out_dir=None) -> SweepResult:
-    """Accuracy and ECE per corruption, plus per-intensity box-plot stats.
+                config: ExperimentConfig, out_dir=None) -> dict[str, list]:
+    """Accuracy and ECE per corruption: the sweep.csv columns ``kind,
+    intensity, accuracy, ece``.
 
-    The intensity-0 row holds the clean test result.  Every corrupted
+    The intensity-0 row holds the clean test result.  With ``out_dir``, the
+    per-intensity box-plot stats go to sweep_stats.csv, and every corrupted
     prediction set is dumped alongside sweep.csv so each row can be
     recomputed from files alone.
     """
@@ -452,20 +429,14 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
             metricsmod.write_predictions(
                 out / "shift" / f"predictions_{kind}_{intensity}.csv", preds)
 
-    intensities = np.asarray(columns["intensity"])
-    stats = {i: {m: boxplot_stats(np.asarray(columns[m])[intensities == i])
-                 for m in ("accuracy", "ece")} for i in config.sweep.intensities}
-
     if out is not None:
         write_csv(out / "sweep.csv", columns)
-        keys = [(i, m) for i in config.sweep.intensities for m in ("accuracy", "ece")]
-        boxes = [stats[i][m] for i, m in keys]
-        write_csv(out / "sweep_stats.csv", {
-            "intensity": [i for i, _ in keys], "metric": [m for _, m in keys],
-            "min": [b.minimum for b in boxes], "q1": [b.q1 for b in boxes],
-            "median": [b.median for b in boxes], "q3": [b.q3 for b in boxes],
-            "max": [b.maximum for b in boxes]})
-    return SweepResult(columns=columns, stats=stats)
+        intensities = np.asarray(columns["intensity"])
+        rows = [{"intensity": i, "metric": m,
+                 **boxplot_stats(np.asarray(columns[m])[intensities == i])}
+                for i in config.sweep.intensities for m in ("accuracy", "ece")]
+        write_csv(out / "sweep_stats.csv", {key: [row[key] for row in rows] for key in rows[0]})
+    return columns
 
 
 def landscape(params: ModelParams, head: HeadKind,
@@ -549,19 +520,18 @@ def _train_stage(config, head, params, datasets, head_dir):
 
 def _evaluate_stage(config, head, params, datasets, head_dir):
     _, test_d, ood_points = datasets()
-    result = evaluate(params, head, test_d, ood_points, config, out_dir=head_dir)
-    summary = result.summary
+    summary = evaluate(params, head, test_d, ood_points, config, out_dir=head_dir)
     line = f"head '{head.value}': accuracy {summary['accuracy']:.4f}, ece {summary['ece']:.4f}"
     if "auroc" in summary:
         line += f", auroc {summary['auroc']:.4f}, auprc {summary['auprc']:.4f}"
-    return result, line
+    return summary, line
 
 
 def _sweep_stage(config, head, params, datasets, head_dir):
-    result = shift_sweep(params, head, datasets()[1], config, out_dir=head_dir)
-    return result, "\n".join(f"{kind:>14} intensity {intensity}: "
-                             f"accuracy {accuracy:.4f}, ece {ece:.4f}"
-                             for kind, intensity, accuracy, ece in zip(*result.columns.values()))
+    columns = shift_sweep(params, head, datasets()[1], config, out_dir=head_dir)
+    return columns, "\n".join(f"{kind:>14} intensity {intensity}: "
+                              f"accuracy {accuracy:.4f}, ece {ece:.4f}"
+                              for kind, intensity, accuracy, ece in zip(*columns.values()))
 
 
 def _landscape_stage(config, head, params, datasets, head_dir):
@@ -638,7 +608,7 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
                 failed = True
                 ok = False
         if "evaluate" in results:
-            compared.append({**results["evaluate"].summary,
+            compared.append({**results["evaluate"],
                              "train_accuracy": results["train"].final_accuracy})
 
     write_csv(out / "comparison.csv",  # without OOD points there is no AUROC/AUPRC

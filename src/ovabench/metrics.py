@@ -66,62 +66,6 @@ class Predictions:
 
 
 @dataclass
-class CalibrationTable:
-    """Per-bin occupancy, mean confidence, and accuracy (reliability data).
-
-    Empty bins hold NaN for mean confidence and accuracy.
-    """
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    mean_confidence: np.ndarray
-    accuracy: np.ndarray
-
-    @property
-    def num_bins(self) -> int:
-        return len(self.counts)
-
-
-@dataclass
-class ThresholdCurve:
-    """Accuracy over records retained at each confidence threshold.
-
-    ``accuracy`` is NaN where a threshold retains zero records.
-    """
-
-    thresholds: np.ndarray
-    retained: np.ndarray
-    accuracy: np.ndarray
-
-
-@dataclass
-class RankingResult:
-    """Areas under the ROC and the precision-recall curve."""
-
-    auroc: float
-    auprc: float
-
-
-@dataclass
-class ConfidenceHistograms:
-    """Counts over shared confidence bins for three sets of points."""
-
-    bin_edges: np.ndarray
-    correct_id: np.ndarray
-    incorrect_id: np.ndarray
-    ood: np.ndarray
-
-
-@dataclass
-class BoxplotStats:
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-
-
-@dataclass
 class Pca2Result:
     """Top-2 principal projection of a point cloud plus optional extras."""
 
@@ -139,12 +83,19 @@ def _bin_indices(confidences: np.ndarray, num_bins: int) -> np.ndarray:
     return np.clip(idx, 0, num_bins - 1)
 
 
-def ece(preds: Predictions, num_bins: int = 15) -> tuple[float, CalibrationTable]:
+def _bin_columns(num_bins: int) -> dict[str, np.ndarray]:
+    edges = np.linspace(0.0, 1.0, num_bins + 1)
+    return {"bin_lo": edges[:-1], "bin_hi": edges[1:]}
+
+
+def ece(preds: Predictions, num_bins: int = 15) -> tuple[float, dict[str, np.ndarray]]:
     """Expected calibration error plus the per-bin reliability table.
 
     ECE is the occupancy-weighted mean absolute gap between per-bin accuracy
     and per-bin mean confidence; empty bins contribute nothing.  Only
-    in-distribution rows are accepted.
+    in-distribution rows are accepted.  The table is the calibration.csv
+    columns ``bin_lo, bin_hi, count, mean_confidence, accuracy``; empty bins
+    hold NaN for mean confidence and accuracy.
     """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
@@ -166,13 +117,13 @@ def ece(preds: Predictions, num_bins: int = 15) -> tuple[float, CalibrationTable
     for b in range(num_bins):
         if counts[b] > 0:
             value += (counts[b] / total) * abs(acc[b] - mean_conf[b])
-    table = CalibrationTable(bin_edges=np.linspace(0.0, 1.0, num_bins + 1),
-                             counts=counts, mean_confidence=mean_conf, accuracy=acc)
-    return value, table
+    return value, {**_bin_columns(num_bins), "count": counts, "mean_confidence": mean_conf,
+                   "accuracy": acc}
 
 
-def accuracy_vs_confidence(preds: Predictions, thresholds) -> ThresholdCurve:
-    """Accuracy over the rows whose confidence is >= each threshold.
+def accuracy_vs_confidence(preds: Predictions, thresholds) -> dict[str, np.ndarray]:
+    """Accuracy over the rows whose confidence is >= each threshold, as the
+    curve.csv columns ``threshold, retained, accuracy``.
 
     OOD rows count as incorrect whenever retained; a threshold that retains
     nothing gets NaN accuracy rather than zero.
@@ -186,11 +137,12 @@ def accuracy_vs_confidence(preds: Predictions, thresholds) -> ThresholdCurve:
         mask = conf >= tau
         retained[i] = int(mask.sum())
         accuracy[i] = correct[mask].mean() if retained[i] else np.nan
-    return ThresholdCurve(thresholds=taus, retained=retained, accuracy=accuracy)
+    return {"threshold": taus, "retained": retained, "accuracy": accuracy}
 
 
-def auroc_auprc(scores, is_positive) -> RankingResult:
-    """Threshold-free ranking metrics for a binary score separation task.
+def auroc_auprc(scores, is_positive) -> tuple[float, float]:
+    """Threshold-free ranking metrics (AUROC, AUPRC) for a binary score
+    separation task.
 
     AUROC is integrated from the ROC curve with tied scores grouped at one
     threshold, which equals the Mann-Whitney statistic P(pos > neg) +
@@ -219,12 +171,13 @@ def auroc_auprc(scores, is_positive) -> RankingResult:
     precision = tp / (tp + fp)
     recall_prev = np.concatenate(([0.0], tpr[:-1]))
     auprc = float(((tpr - recall_prev) * precision).sum())
-    return RankingResult(auroc=auroc, auprc=auprc)
+    return auroc, auprc
 
 
-def confidence_histograms(preds: Predictions, num_bins: int = 15) -> ConfidenceHistograms:
+def confidence_histograms(preds: Predictions, num_bins: int = 15) -> dict[str, np.ndarray]:
     """Histogram the confidences of correct ID, incorrect ID and OOD rows
-    over shared [0, 1] bins."""
+    over shared [0, 1] bins, as the histograms.csv columns ``bin_lo, bin_hi,
+    correct_id, incorrect_id, ood``."""
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
 
@@ -233,14 +186,13 @@ def confidence_histograms(preds: Predictions, num_bins: int = 15) -> ConfidenceH
                            minlength=num_bins)
 
     correct = preds.is_correct
-    return ConfidenceHistograms(bin_edges=np.linspace(0.0, 1.0, num_bins + 1),
-                                correct_id=count(correct),
-                                incorrect_id=count(~correct & ~preds.is_ood),
-                                ood=count(preds.is_ood))
+    return {**_bin_columns(num_bins), "correct_id": count(correct),
+            "incorrect_id": count(~correct & ~preds.is_ood), "ood": count(preds.is_ood)}
 
 
-def boxplot_stats(values) -> BoxplotStats:
-    """Five-number summary with quartiles by inclusive linear interpolation."""
+def boxplot_stats(values) -> dict[str, float]:
+    """Five-number summary with quartiles by inclusive linear interpolation,
+    keyed by the sweep_stats.csv headers ``min, q1, median, q3, max``."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("boxplot_stats requires at least one value")
@@ -255,8 +207,8 @@ def boxplot_stats(values) -> BoxplotStats:
             return float(s[lo])
         return float(s[lo] + t * (s[lo + 1] - s[lo]))
 
-    return BoxplotStats(minimum=float(s[0]), q1=quantile(0.25), median=quantile(0.5),
-                        q3=quantile(0.75), maximum=float(s[-1]))
+    return {"min": float(s[0]), "q1": quantile(0.25), "median": quantile(0.5),
+            "q3": quantile(0.75), "max": float(s[-1])}
 
 
 def pca2(points, extra_points=None) -> Pca2Result:

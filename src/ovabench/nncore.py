@@ -236,9 +236,15 @@ def _tensor(entry) -> tuple[str, np.ndarray]:
 def load_checkpoint(path) -> tuple[ModelParams, str, int]:
     """Read a checkpoint back into (params, head string, seed).
 
-    A malformed file raises ValueError naming the file and the entry at fault.
+    An unreadable or malformed file raises ValueError naming the file and,
+    for a malformed one, the entry at fault.
     """
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read checkpoint {path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"malformed checkpoint {path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {path}")
     try:

@@ -204,12 +204,12 @@ class TestCriterion6MetricOracles:
             labels = rng.integers(0, 2, n).astype(bool)
             if labels.all() or not labels.any():
                 labels[0] = ~labels[0]
-            result = auroc_auprc(scores, labels)
+            auroc, _ = auroc_auprc(scores, labels)
             pos = scores[labels]
             neg = scores[~labels]
             pairwise = float(np.mean((pos[:, None] > neg[None, :]) * 1.0
                                      + (pos[:, None] == neg[None, :]) * 0.5))
-            worst_gap = max(worst_gap, abs(result.auroc - pairwise))
+            worst_gap = max(worst_gap, abs(auroc - pairwise))
         auroc_ok = worst_gap < 1e-12
 
         # box-plot stats vs sort-and-interpolate oracle, exact
@@ -225,7 +225,7 @@ class TestCriterion6MetricOracles:
                 t = h - lo
                 oracle.append(s[lo] if (t == 0.0 or lo + 1 >= n)
                               else s[lo] + t * (s[lo + 1] - s[lo]))
-            box_ok = box_ok and ((b.minimum, b.q1, b.median, b.q3, b.maximum)
+            box_ok = box_ok and ((b["min"], b["q1"], b["median"], b["q3"], b["max"])
                                  == tuple(oracle))
 
         ok = ece_ok and auroc_ok and box_ok
@@ -315,10 +315,10 @@ class TestCriterion9RoundTrip:
             id_records = records[~records.is_ood]
             acc = float(np.mean(id_records.is_correct))
             value, _ = ece(id_records, summary["num_bins"])
-            ranking = auroc_auprc(records.confidence, ~records.is_ood)
+            auroc, auprc = auroc_auprc(records.confidence, ~records.is_ood)
             for got, want in ((acc, summary["accuracy"]), (value, summary["ece"]),
-                              (ranking.auroc, summary["auroc"]),
-                              (ranking.auprc, summary["auprc"])):
+                              (auroc, summary["auroc"]),
+                              (auprc, summary["auprc"])):
                 worst = max(worst, abs(got - want))
         ok = worst < 1e-12
         report(9, ok, f"worst recomputation gap {worst:.2e} across all heads "

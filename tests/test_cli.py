@@ -219,3 +219,51 @@ def test_os_and_memory_errors_fail_cleanly(tmp_path, config_file, capsys, monkey
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, message", [("truncated", "malformed checkpoint"),
+                                           ("directory", "cannot read checkpoint")])
+def test_unreadable_checkpoint_names_the_path(tmp_path, capsys, kind, message):
+    path = tmp_path / "checkpoint.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)], np.zeros((2, 10)),
+                                         np.zeros(10))
+        save_checkpoint(path, params, "softmax", seed=0)
+        path.write_text(path.read_text()[:100])
+    code = main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {message} {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("change, tensor, have, want", [
+    ({"data": {"num_classes": 5}}, "head_weights", "(16, 10)", "(16, 5)"),
+    ({"model": {"hidden": [8]}}, "layers.0.weights", "(2, 16)", "(2, 8)"),
+    ({"model": {"hidden": [16, 16, 16]}}, "layers.2.weights", "(none)", "(16, 16)"),
+], ids=["fewer-classes", "narrower-body", "deeper-body"])
+def test_checkpoint_that_does_not_fit_the_config_is_refused(tmp_path, config_file, capsys,
+                                                             monkeypatch, change, tensor,
+                                                             have, want):
+    from ovabench import harness
+
+    base = ["--out", str(tmp_path), "--head", "softmax"]
+    assert main(["train", "--config", str(config_file), *base]) == 0
+    capsys.readouterr()
+    cfg = json.loads(config_file.read_text())
+    for section, fields in change.items():
+        cfg[section] = {**cfg.get(section, {}), **fields}
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(cfg))
+    calls = []
+    monkeypatch.setattr(harness, "make_datasets", lambda c: calls.append(c))
+    code = main(["evaluate", "--config", str(other), *base])
+    err = capsys.readouterr().err
+    ckpt = tmp_path / "softmax" / "checkpoint.json"
+    assert code == 1
+    assert err == (f"error: checkpoint {ckpt} does not fit the config: "
+                   f"{tensor} has shape {have}, the config needs {want}\n")
+    assert calls == []  # refused before any data is generated
+    assert not (tmp_path / "softmax" / "metrics.json").exists()

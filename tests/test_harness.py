@@ -138,6 +138,15 @@ class TestTrain:
         assert log_lines[0] == "step,loss,accuracy"
         assert len(log_lines) == 1 + len(result.log["step"])
 
+    def test_bad_out_dir_fails_before_the_first_step(self, tmp_path, monkeypatch):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        calls = []
+        monkeypatch.setattr("ovabench.heads.loss_and_grads", lambda *args: calls.append(args))
+        with pytest.raises(OSError):
+            train(tiny_config(), head=HeadKind.SOFTMAX_AFFINE, out_dir=a_file)
+        assert calls == []
+
     def test_deterministic_checkpoints(self, tmp_path):
         cfg = tiny_config(seed=21)
         train(cfg, head=HeadKind.OVA_AFFINE, out_dir=tmp_path / "a")
@@ -199,39 +208,39 @@ class TestEvaluate:
                    forward(result.params, test_d.features).embedding)))
         forced = Dataset(features=test_d.features, labels=pred,
                          num_classes=test_d.num_classes, seed=test_d.seed)
-        ev = evaluate(result.params, HeadKind.SOFTMAX_AFFINE, forced, None, cfg)
-        assert ev.summary["accuracy"] == 1.0
+        summary = evaluate(result.params, HeadKind.SOFTMAX_AFFINE, forced, None, cfg,
+                           out_dir=tmp_path)
+        assert summary["accuracy"] == 1.0
         # with accuracy forced to 1 per bin, ece reduces to the weighted gap to 1
-        table = ev.calibration
-        expected = sum((table.counts[b] / table.counts.sum())
-                       * abs(1.0 - table.mean_confidence[b])
-                       for b in range(table.num_bins) if table.counts[b])
-        assert ev.summary["ece"] == pytest.approx(expected, abs=1e-12)
+        table = np.genfromtxt(tmp_path / "calibration.csv", delimiter=",", names=True)
+        expected = sum((table["count"][b] / table["count"].sum())
+                       * abs(1.0 - table["mean_confidence"][b])
+                       for b in range(len(table)) if table["count"][b])
+        assert summary["ece"] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_ood_omits_ranking(self):
         cfg = tiny_config()
         result = train(cfg, head=HeadKind.OVA_DISTANCE)
         _, test_d, _ = make_datasets(cfg)
-        ev = evaluate(result.params, HeadKind.OVA_DISTANCE, test_d, None, cfg)
-        assert "auroc" not in ev.summary and "auprc" not in ev.summary
-        assert "ece" in ev.summary and "accuracy" in ev.summary
-        assert ev.ranking is None
+        summary = evaluate(result.params, HeadKind.OVA_DISTANCE, test_d, None, cfg)
+        assert "auroc" not in summary and "auprc" not in summary
+        assert "ece" in summary and "accuracy" in summary
 
     def test_summary_recomputable_from_csv(self, tmp_path):
         cfg = tiny_config()
         result = train(cfg, head=HeadKind.OVA_AFFINE)
         _, test_d, ood = make_datasets(cfg)
-        ev = evaluate(result.params, HeadKind.OVA_AFFINE, test_d, ood, cfg,
-                      out_dir=tmp_path)
+        summary = evaluate(result.params, HeadKind.OVA_AFFINE, test_d, ood, cfg,
+                           out_dir=tmp_path)
         records = read_predictions(tmp_path / "predictions.csv")
         id_records = records[~records.is_ood]
         acc = float(np.mean(id_records.is_correct))
         ece_value, _ = ece(id_records, cfg.metrics.num_bins)
-        ranking = auroc_auprc(records.confidence, ~records.is_ood)
-        assert abs(acc - ev.summary["accuracy"]) < 1e-12
-        assert abs(ece_value - ev.summary["ece"]) < 1e-12
-        assert abs(ranking.auroc - ev.summary["auroc"]) < 1e-12
-        assert abs(ranking.auprc - ev.summary["auprc"]) < 1e-12
+        auroc, auprc = auroc_auprc(records.confidence, ~records.is_ood)
+        assert abs(acc - summary["accuracy"]) < 1e-12
+        assert abs(ece_value - summary["ece"]) < 1e-12
+        assert abs(auroc - summary["auroc"]) < 1e-12
+        assert abs(auprc - summary["auprc"]) < 1e-12
 
     def test_artifact_files_written(self, tmp_path):
         cfg = tiny_config()
@@ -320,12 +329,11 @@ class TestShiftSweep:
         cfg = tiny_config()
         result = train(cfg, head=HeadKind.SOFTMAX_AFFINE)
         _, test_d, _ = make_datasets(cfg)
-        sweep = shift_sweep(result.params, HeadKind.SOFTMAX_AFFINE, test_d, cfg)
-        ev = evaluate(result.params, HeadKind.SOFTMAX_AFFINE, test_d, None, cfg)
-        cols = sweep.columns
+        cols = shift_sweep(result.params, HeadKind.SOFTMAX_AFFINE, test_d, cfg)
+        summary = evaluate(result.params, HeadKind.SOFTMAX_AFFINE, test_d, None, cfg)
         assert cols["kind"][0] == "none" and cols["intensity"][0] == 0
-        assert cols["accuracy"][0] == pytest.approx(ev.summary["accuracy"], abs=1e-12)
-        assert cols["ece"][0] == pytest.approx(ev.summary["ece"], abs=1e-12)
+        assert cols["accuracy"][0] == pytest.approx(summary["accuracy"], abs=1e-12)
+        assert cols["ece"][0] == pytest.approx(summary["ece"], abs=1e-12)
 
     def test_constant_predictor_invariant_to_rotation(self):
         cfg = tiny_config()
@@ -333,7 +341,7 @@ class TestShiftSweep:
         model = identity_body_model(np.zeros((2, 10)))  # all logits tie -> always class 0
         _, test_d, _ = make_datasets(cfg)
         sweep = shift_sweep(model, HeadKind.OVA_DISTANCE, test_d, cfg)
-        accs = set(sweep.columns["accuracy"])
+        accs = set(sweep["accuracy"])
         assert len(accs) == 1  # rotation preserves both labels and the prediction
 
     @pytest.mark.parametrize("where, value", [("sweep.kinds", []),
@@ -349,9 +357,9 @@ class TestShiftSweep:
         cfg = tiny_config()
         result = train(cfg, head=HeadKind.OVA_DISTANCE)
         _, test_d, _ = make_datasets(cfg)
-        sweep = shift_sweep(result.params, HeadKind.OVA_DISTANCE, test_d, cfg,
-                            out_dir=tmp_path)
-        assert set(sweep.stats) == {1, 2, 3, 4, 5}
+        shift_sweep(result.params, HeadKind.OVA_DISTANCE, test_d, cfg, out_dir=tmp_path)
+        stats = (tmp_path / "sweep_stats.csv").read_text().splitlines()[1:]
+        assert {int(line.split(",")[0]) for line in stats} == {1, 2, 3, 4, 5}
         assert (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep_stats.csv").exists()
         dumps = list((tmp_path / "shift").glob("predictions_*.csv"))
@@ -363,7 +371,7 @@ class TestShiftSweep:
         _, test_d, _ = make_datasets(cfg)
         sweep = shift_sweep(result.params, HeadKind.SOFTMAX_DISTANCE, test_d, cfg,
                             out_dir=tmp_path)
-        for kind, intensity, accuracy, ece_value in zip(*sweep.columns.values()):
+        for kind, intensity, accuracy, ece_value in zip(*sweep.values()):
             dump = tmp_path / "shift" / f"predictions_{kind}_{intensity}.csv"
             records = read_predictions(dump)
             acc = float(np.mean(records.is_correct))

@@ -42,19 +42,19 @@ class TestEce:
         acc = 3 / 4
         assert value == abs(acc - mean_conf)
         assert value == pytest.approx(0.15, abs=1e-12)
-        assert table.counts.sum() == 4
+        assert table["count"].sum() == 4
 
     def test_confidence_one_lands_in_top_bin(self):
         records = preds([rec(1.0, True) for _ in range(5)])
         value, table = ece(records, 15)
         assert value == 0.0
-        assert table.counts[14] == 5
-        assert table.counts[:14].sum() == 0
+        assert table["count"][14] == 5
+        assert table["count"][:14].sum() == 0
 
     def test_interior_edge_goes_to_higher_bin(self):
         edge = np.linspace(0.0, 1.0, 16)[3]
         _, table = ece(preds([rec(float(edge))]), 15)
-        assert table.counts[3] == 1
+        assert table["count"][3] == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -93,48 +93,48 @@ class TestEce:
         records = preds([rec(float(c), bool(rng.integers(2))) for c in rng.uniform(0, 1, 500)])
         _, table = ece(records, 15)
         for b in range(15):
-            if table.counts[b]:
-                assert table.bin_edges[b] - 1e-12 <= table.mean_confidence[b]
-                assert table.mean_confidence[b] <= table.bin_edges[b + 1] + 1e-12
+            if table["count"][b]:
+                assert table["bin_lo"][b] - 1e-12 <= table["mean_confidence"][b]
+                assert table["mean_confidence"][b] <= table["bin_hi"][b] + 1e-12
 
 
 class TestAccuracyVsConfidence:
     def test_all_correct_full_confidence(self):
         records = preds([rec(1.0, True) for _ in range(4)])
         curve = accuracy_vs_confidence(records, np.linspace(0, 1, 11))
-        assert (curve.accuracy == 1.0).all()
-        assert (curve.retained == 4).all()
+        assert (curve["accuracy"] == 1.0).all()
+        assert (curve["retained"] == 4).all()
 
     def test_ood_counted_incorrect(self):
         records = preds([rec(0.9, True), rec(0.9, True), rec(0.95, ood=True)])
         curve = accuracy_vs_confidence(records, [0.92])
-        assert curve.retained[0] == 1
-        assert curve.accuracy[0] == 0.0
+        assert curve["retained"][0] == 1
+        assert curve["accuracy"][0] == 0.0
 
     def test_zero_threshold_is_overall_accuracy(self):
         records = preds([rec(0.9, True), rec(0.9, True), rec(0.95, ood=True)])
         curve = accuracy_vs_confidence(records, [0.0])
-        assert curve.retained[0] == 3
-        assert curve.accuracy[0] == pytest.approx(2 / 3)
+        assert curve["retained"][0] == 3
+        assert curve["accuracy"][0] == pytest.approx(2 / 3)
 
     def test_empty_retention_is_nan_not_zero(self):
         records = preds([rec(0.2, True)])
         curve = accuracy_vs_confidence(records, [0.5])
-        assert curve.retained[0] == 0
-        assert math.isnan(curve.accuracy[0])
+        assert curve["retained"][0] == 0
+        assert math.isnan(curve["accuracy"][0])
 
     def test_retained_nonincreasing(self):
         rng = np.random.default_rng(1)
         records = preds([rec(float(c), True) for c in rng.uniform(0, 1, 100)])
         curve = accuracy_vs_confidence(records, np.linspace(0, 1, 101))
-        assert (np.diff(curve.retained) <= 0).all()
+        assert (np.diff(curve["retained"]) <= 0).all()
 
     def test_threshold_above_max_ood_confidence_excludes_ood(self):
         records = preds([rec(0.8, True), rec(0.99, True), rec(0.6, ood=True),
                          rec(0.7, ood=True)])
         curve = accuracy_vs_confidence(records, [0.7000000001])
-        assert curve.retained[0] == 2
-        assert curve.accuracy[0] == 1.0
+        assert curve["retained"][0] == 2
+        assert curve["accuracy"][0] == 1.0
 
 
 def brute_force_auroc(scores, is_positive):
@@ -152,19 +152,19 @@ def brute_force_auroc(scores, is_positive):
 
 class TestRanking:
     def test_perfect_separation(self):
-        r = auroc_auprc([0.9, 0.8, 0.2, 0.1], [True, True, False, False])
-        assert r.auroc == 1.0
-        assert r.auprc == 1.0
+        auroc, auprc = auroc_auprc([0.9, 0.8, 0.2, 0.1], [True, True, False, False])
+        assert auroc == 1.0
+        assert auprc == 1.0
 
     def test_all_ties_is_half(self):
-        r = auroc_auprc([0.5] * 6, [True, False, True, False, True, False])
-        assert r.auroc == 0.5
-        assert r.auprc == 0.5  # precision = prevalence at the single threshold
+        auroc, auprc = auroc_auprc([0.5] * 6, [True, False, True, False, True, False])
+        assert auroc == 0.5
+        assert auprc == 0.5  # precision = prevalence at the single threshold
 
     def test_hand_case_three_quarters(self):
-        r = auroc_auprc([0.9, 0.8, 0.7, 0.6], [True, False, True, False])
-        assert r.auroc == pytest.approx(0.75, abs=1e-15)
-        assert r.auroc == pytest.approx(
+        auroc, auprc = auroc_auprc([0.9, 0.8, 0.7, 0.6], [True, False, True, False])
+        assert auroc == pytest.approx(0.75, abs=1e-15)
+        assert auroc == pytest.approx(
             brute_force_auroc([0.9, 0.8, 0.7, 0.6], [True, False, True, False]), abs=1e-15)
 
     def test_single_class_rejected(self):
@@ -179,30 +179,30 @@ class TestRanking:
         labels = [l for _, l in pairs]
         if not (any(labels) and not all(labels)):
             return
-        r = auroc_auprc(scores, labels)
-        assert abs(r.auroc - brute_force_auroc(scores, labels)) < 1e-12
+        auroc, auprc = auroc_auprc(scores, labels)
+        assert abs(auroc - brute_force_auroc(scores, labels)) < 1e-12
 
     def test_auprc_hand_case(self):
         # descending: 0.9 pos, 0.8 neg, 0.7 pos, 0.6 neg
         # recall steps: 0.5 @ precision 1/1, then 1.0 @ precision 3/4... wait:
         # thresholds: 0.9 -> P=1/1 R=1/2 ; 0.8 -> P=1/2 R=1/2 ; 0.7 -> P=2/3 R=1 ; 0.6 -> P=2/4 R=1
         # AP = (0.5-0)*1 + (0.5-0.5)*0.5 + (1-0.5)*2/3 + 0 = 0.5 + 1/3
-        r = auroc_auprc([0.9, 0.8, 0.7, 0.6], [True, False, True, False])
-        assert r.auprc == pytest.approx(0.5 + 1.0 / 3.0, abs=1e-12)
+        auroc, auprc = auroc_auprc([0.9, 0.8, 0.7, 0.6], [True, False, True, False])
+        assert auprc == pytest.approx(0.5 + 1.0 / 3.0, abs=1e-12)
 
 
 class TestHistograms:
     def test_empty_ood_list(self):
         h = confidence_histograms(hist_preds([0.5, 0.9], [0.3], []), 10)
-        assert h.ood.sum() == 0
-        assert h.correct_id.sum() == 2
-        assert h.incorrect_id.sum() == 1
+        assert h["ood"].sum() == 0
+        assert h["correct_id"].sum() == 2
+        assert h["incorrect_id"].sum() == 1
 
     def test_all_half_one_bin(self):
         h = confidence_histograms(hist_preds([0.5] * 7, [0.5] * 3, [0.5] * 2), 10)
-        assert h.correct_id[5] == 7 and h.correct_id.sum() == 7
-        assert h.incorrect_id[5] == 3
-        assert h.ood[5] == 2
+        assert h["correct_id"][5] == 7 and h["correct_id"].sum() == 7
+        assert h["incorrect_id"][5] == 3
+        assert h["ood"][5] == 2
 
     def test_matches_counting_loop(self):
         rng = np.random.default_rng(3)
@@ -217,7 +217,7 @@ class TestHistograms:
                     b = i
                     break
             manual[b] += 1
-        assert np.array_equal(h.correct_id, manual)
+        assert np.array_equal(h["correct_id"], manual)
 
     def test_out_of_range_rejected(self):
         for bad in (1.2, -0.25, float("nan")):
@@ -244,18 +244,19 @@ def oracle_five_numbers(values):
 class TestBoxplot:
     def test_symmetric_odd_length(self):
         b = boxplot_stats([1, 2, 3, 4, 5])
-        assert (b.minimum, b.q1, b.median, b.q3, b.maximum) == (1, 2, 3, 4, 5)
+        assert (b["min"], b["q1"], b["median"], b["q3"], b["max"]) == (1, 2, 3, 4, 5)
 
     def test_single_value(self):
         b = boxplot_stats([7.5])
-        assert (b.minimum, b.q1, b.median, b.q3, b.maximum) == (7.5,) * 5
+        assert (b["min"], b["q1"], b["median"], b["q3"], b["max"]) == (7.5,) * 5
 
     def test_matches_oracle_exactly(self):
         rng = np.random.default_rng(4)
         for n in (2, 3, 4, 5, 8, 20, 37):
             values = rng.standard_normal(n) * 10
             b = boxplot_stats(values)
-            assert (b.minimum, b.q1, b.median, b.q3, b.maximum) == oracle_five_numbers(values)
+            assert ((b["min"], b["q1"], b["median"], b["q3"], b["max"])
+                    == oracle_five_numbers(values))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
