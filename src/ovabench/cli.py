@@ -18,7 +18,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         try:
             raw = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ValueError(f"cannot read config {args.config}: {exc}") from None
         cfg = ExperimentConfig.from_dict(raw)
     else:
@@ -53,7 +53,8 @@ def _load_model(args, cfg: ExperimentConfig):
     except ValueError as exc:
         raise ValueError(f"malformed checkpoint {ckpt}: {exc}") from None
     if cfg.head is not None and head is not cfg.head:
-        raise ValueError(f"checkpoint holds head '{head.value}', expected '{cfg.head.value}'")
+        raise ValueError(f"checkpoint {ckpt} holds head '{head.value}', "
+                         f"expected '{cfg.head.value}'")
     if seed != cfg.seed:
         raise ValueError(f"checkpoint {ckpt} was trained with seed {seed}, "
                          f"expected seed {cfg.seed}")
@@ -76,8 +77,10 @@ def _run_stage(name: str, args) -> int:
         params, head = None, _require_head(cfg)
     else:
         params, head = _load_model(args, cfg)
+    head_dir = Path(cfg.out_dir) / head.value
+    head_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the stage runs
     _, summary = harness.STAGES[name](cfg, head, params, lambda: harness.make_datasets(cfg),
-                                      Path(cfg.out_dir) / head.value)
+                                      head_dir)
     print(summary)
     return 0
 
@@ -102,14 +105,15 @@ def main(argv=None) -> int:
     common.add_argument("--seed", type=int, default=None, help="experiment seed")
     common.add_argument("--out", default=None,
                         help="output directory (default: config out_dir or ./out)")
-    common.add_argument("--head", choices=[h.value for h in HeadKind],
-                        help="which probability head to use")
-    common.add_argument("--checkpoint", help="explicit checkpoint path "
-                                             "(default: <out>/<head>/checkpoint.json)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in harness.STAGES:
-        sub.add_parser(name, parents=[common]).set_defaults(
-            fn=functools.partial(_run_stage, name))
+        stage = sub.add_parser(name, parents=[common])
+        stage.add_argument("--head", choices=[h.value for h in HeadKind],
+                           help="which probability head to use")
+        if name != "train":
+            stage.add_argument("--checkpoint", help="explicit checkpoint path "
+                                                    "(default: <out>/<head>/checkpoint.json)")
+        stage.set_defaults(fn=functools.partial(_run_stage, name))
     sub.add_parser("run-all", parents=[common]).set_defaults(fn=cmd_run_all)
     args = parser.parse_args(argv)
     try:

@@ -162,14 +162,17 @@ def _nonempty_distinct(values) -> bool:
 
 # (section.field, predicate, the rule as the error states it); every
 # predicate is False on NaN.  The upper bounds on integer fields sit far above
-# any value in use and stop a huge size before numpy tries to allocate it.
+# any value in use and stop a huge size before numpy tries to allocate it; those
+# on float fields stop coordinates whose squares or sums overflow.
 _RANGES = (
     ("data.num_classes", lambda v: v >= 2, ">= 2"),
     ("data.num_classes", lambda v: v <= 1000, "<= 1000"),
     ("data.n_per_class", lambda v: v >= 1, ">= 1"),
     ("data.n_per_class", lambda v: v <= 100000, "<= 100000"),
     ("data.radius", lambda v: v > 0, "> 0"),
+    ("data.radius", lambda v: v <= 1e6, "<= 1e6"),
     ("data.variance", lambda v: v > 0, "> 0"),
+    ("data.variance", lambda v: v <= 1e6, "<= 1e6"),
     ("data.angle_formula", lambda v: v in ("ring", "literal"), "'ring' or 'literal'"),
     ("data.train_fraction", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     ("model.hidden", lambda v: bool(v) and all(h >= 1 for h in v),
@@ -190,13 +193,16 @@ _RANGES = (
     ("ood.n", lambda v: v is None or v >= 1, ">= 1 or null"),
     ("ood.n", lambda v: v is None or v <= 1000000, "<= 1000000 or null"),
     ("ood.box_halfwidth", lambda v: v > 0, "> 0"),
+    ("ood.box_halfwidth", lambda v: v <= 1e6, "<= 1e6"),
     ("ood.exclusion_radius", lambda v: v >= 0, ">= 0"),
+    ("ood.exclusion_radius", lambda v: v <= 1e6, "<= 1e6"),
     ("metrics.num_bins", lambda v: v >= 1, ">= 1"),
     ("metrics.num_bins", lambda v: v <= 10000, "<= 10000"),
     ("metrics.num_thresholds", lambda v: v >= 2, ">= 2"),
     ("metrics.num_thresholds", lambda v: v <= 100000, "<= 100000"),
     ("landscape.resolution", lambda v: 2 <= v <= 1000, "in [2, 1000]"),
     ("landscape.half_extent", lambda v: v > 0, "> 0"),
+    ("landscape.half_extent", lambda v: v <= 1e6, "<= 1e6"),
 )
 
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
@@ -249,8 +255,7 @@ class CenterReport:
 
 def _predict_features(params: ModelParams, head: HeadKind,
                       features) -> tuple[np.ndarray, np.ndarray]:
-    trace = forward(params, features)
-    z = headsmod.logits(head, params, trace.embedding)
+    z = headsmod.logits(head, params, forward(params, features)[-1])
     probs = headsmod.probabilities(head, z)
     return headsmod.predict(probs)
 
@@ -300,27 +305,17 @@ def make_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, np.ndarra
     return train_d, test_d, ood_points
 
 
-def train(config: ExperimentConfig, head: HeadKind | None = None,
-          train_data: Dataset | None = None, out_dir=None) -> TrainResult:
-    """Mini-batch SGD for the configured number of steps.
+def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> TrainResult:
+    """Mini-batch SGD for the configured number of steps; writes no file.
 
     Batches are sampled with replacement from a seeded PRNG; loss and train
-    accuracy are logged every 100 steps.  Writes checkpoint.json and
-    train_log.csv when ``out_dir`` is given.  Aborts with step index and head
+    accuracy are logged every 100 steps.  Aborts with step index and head
     kind if the loss turns non-finite.
     """
     config.validate()
-    head = head or config.head
-    if head is None:
-        raise ValueError("no head specified (set config.head or pass one)")
-    if train_data is None:
-        train_data = make_datasets(config)[0]
     x, y = train_data.features, train_data.labels
     if train_data.num_classes != config.data.num_classes:
         raise ValueError("dataset class count does not match the config")
-    out = None if out_dir is None else Path(out_dir)
-    if out is not None:  # a bad path fails before the first step, not after the last
-        out.mkdir(parents=True, exist_ok=True)
 
     zeros = head.is_distance and config.model.distance_init == "zeros"
     head_init = "zeros" if zeros else "glorot"
@@ -331,7 +326,7 @@ def train(config: ExperimentConfig, head: HeadKind | None = None,
     rng = np.random.default_rng(derive_seed(config.seed, f"train:{head.value}"))
 
     def full_eval():
-        z = headsmod.logits(head, params, forward(params, x).embedding)
+        z = headsmod.logits(head, params, forward(params, x)[-1])
         pred, _ = headsmod.predict(headsmod.probabilities(head, z))
         return headsmod.loss(head, z, y), float((pred == y).mean())
 
@@ -350,69 +345,53 @@ def train(config: ExperimentConfig, head: HeadKind | None = None,
             for column, value in zip(log.values(), (step, *full_eval())):
                 column.append(value)
     final_accuracy = log["accuracy"][-1] if log["step"] else full_eval()[1]
-
-    if out is not None:
-        save_checkpoint(out / "checkpoint.json", params, head.value, config.seed)
-        write_csv(out / "train_log.csv", log)
     return TrainResult(params=params, log=log, final_accuracy=final_accuracy)
 
 
 def evaluate(params: ModelParams, head: HeadKind, test_data: Dataset,
-             ood_points, config: ExperimentConfig, out_dir=None) -> dict:
-    """Score the test set (plus optional OOD points); returns the metrics.json
-    summary.
+             ood_points, config: ExperimentConfig, out_dir) -> dict:
+    """Score the test set and the OOD points; returns the metrics.json summary.
 
     Writes predictions.csv, calibration.csv, curve.csv, histograms.csv and
-    metrics.json when ``out_dir`` is given.  AUROC/AUPRC are omitted when no
-    OOD points are supplied.
+    metrics.json into ``out_dir``.
     """
-    preds = _score(params, head, test_data.features, test_data.labels)
-    have_ood = ood_points is not None and len(ood_points) > 0
-    if have_ood:
-        preds = Predictions.concatenate([preds, _score(params, head, ood_points)])
-
-    id_preds = preds[~preds.is_ood]
-    accuracy = float(np.mean(id_preds.is_correct))
+    id_preds = _score(params, head, test_data.features, test_data.labels)
+    preds = Predictions.concatenate([id_preds, _score(params, head, ood_points)])
     ece_value, calibration = metricsmod.ece(id_preds, config.metrics.num_bins)
+    auroc, auprc = metricsmod.auroc_auprc(preds.confidence, ~preds.is_ood)
     summary = {
         "head": head.value,
-        "accuracy": accuracy,
+        "accuracy": float(np.mean(id_preds.is_correct)),
         "ece": ece_value,
         "num_bins": config.metrics.num_bins,
-        "counts": {"id": len(id_preds), "ood": len(preds) - len(id_preds)},
+        "counts": {"id": len(id_preds), "ood": len(ood_points)},
+        "auroc": auroc,
+        "auprc": auprc,
     }
-    if have_ood:
-        summary["auroc"], summary["auprc"] = metricsmod.auroc_auprc(preds.confidence,
-                                                                    ~preds.is_ood)
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        metricsmod.write_predictions(out / "predictions.csv", preds)
-        write_csv(out / "calibration.csv", calibration)
-        thresholds = np.linspace(0.0, 1.0, config.metrics.num_thresholds)
-        write_csv(out / "curve.csv", metricsmod.accuracy_vs_confidence(preds, thresholds))
-        write_csv(out / "histograms.csv",
-                  metricsmod.confidence_histograms(preds, config.metrics.num_bins))
-        write_json(out / "metrics.json", summary)
+    out = Path(out_dir)
+    metricsmod.write_predictions(out / "predictions.csv", preds)
+    write_csv(out / "calibration.csv", calibration)
+    thresholds = np.linspace(0.0, 1.0, config.metrics.num_thresholds)
+    write_csv(out / "curve.csv", metricsmod.accuracy_vs_confidence(preds, thresholds))
+    write_csv(out / "histograms.csv",
+              metricsmod.confidence_histograms(preds, config.metrics.num_bins))
+    write_json(out / "metrics.json", summary)
     return summary
 
 
 def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
-                config: ExperimentConfig, out_dir=None) -> dict[str, list]:
+                config: ExperimentConfig, out_dir) -> dict[str, list]:
     """Accuracy and ECE per corruption: the sweep.csv columns ``kind,
-    intensity, accuracy, ece``.
+    intensity, accuracy, ece``, written into ``out_dir`` and returned.
 
-    The intensity-0 row holds the clean test result.  With ``out_dir``, the
-    per-intensity box-plot stats go to sweep_stats.csv, and every corrupted
-    prediction set is dumped alongside sweep.csv so each row can be
-    recomputed from files alone.
+    The intensity-0 row holds the clean test result.  The per-intensity
+    box-plot stats go to sweep_stats.csv, and every corrupted prediction set
+    is dumped under shift/ so each row can be recomputed from files alone.
     """
     config.validate()
-    out = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        (out / "shift").mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)
+    (out / "shift").mkdir(exist_ok=True)
 
     columns: dict[str, list] = {"kind": [], "intensity": [], "accuracy": [], "ece": []}
     cases = [(k, i) for k in config.sweep.kinds for i in config.sweep.intensities]
@@ -425,17 +404,14 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
         accuracy = float(np.mean(preds.is_correct))
         for column, value in zip(columns.values(), (kind, intensity, accuracy, ece_value)):
             column.append(value)
-        if out is not None:
-            metricsmod.write_predictions(
-                out / "shift" / f"predictions_{kind}_{intensity}.csv", preds)
+        metricsmod.write_predictions(out / "shift" / f"predictions_{kind}_{intensity}.csv", preds)
 
-    if out is not None:
-        write_csv(out / "sweep.csv", columns)
-        intensities = np.asarray(columns["intensity"])
-        rows = [{"intensity": i, "metric": m,
-                 **boxplot_stats(np.asarray(columns[m])[intensities == i])}
-                for i in config.sweep.intensities for m in ("accuracy", "ece")]
-        write_csv(out / "sweep_stats.csv", {key: [row[key] for row in rows] for key in rows[0]})
+    write_csv(out / "sweep.csv", columns)
+    intensities = np.asarray(columns["intensity"])
+    rows = [{"intensity": i, "metric": m,
+             **boxplot_stats(np.asarray(columns[m])[intensities == i])}
+            for i in config.sweep.intensities for m in ("accuracy", "ece")]
+    write_csv(out / "sweep_stats.csv", {key: [row[key] for row in rows] for key in rows[0]})
     return columns
 
 
@@ -480,7 +456,7 @@ def centers_report(params: ModelParams, head: HeadKind,
     """
     if not head.is_distance:
         raise ValueError(f"head '{head.value}' has no class-center semantics")
-    emb = forward(params, train_data.features).embedding
+    emb = forward(params, train_data.features)[-1]
     k = train_data.num_classes
     means = np.empty((k, emb.shape[1]))
     for c in range(k):
@@ -509,26 +485,27 @@ def write_centers_csv(path, report: CenterReport) -> None:
 # Stages: each takes the config, the head, the trained params (None for
 # train), a zero-argument callable giving the (train, test, ood) datasets so
 # that only stages that need them generate them, and the head's output
-# directory.  It writes that stage's files and returns its result plus the
-# summary the CLI prints.
+# directory, which the caller has made.  It writes that stage's files and
+# returns its result plus the summary the CLI prints.
 
 def _train_stage(config, head, params, datasets, head_dir):
-    result = train(config, head=head, train_data=datasets()[0], out_dir=head_dir)
+    result = train(config, head, datasets()[0])
+    save_checkpoint(head_dir / "checkpoint.json", result.params, head.value, config.seed)
+    write_csv(head_dir / "train_log.csv", result.log)
     return result, (f"trained head '{head.value}' for {config.optim.steps} steps; "
                     f"final train accuracy {result.final_accuracy:.4f}")
 
 
 def _evaluate_stage(config, head, params, datasets, head_dir):
     _, test_d, ood_points = datasets()
-    summary = evaluate(params, head, test_d, ood_points, config, out_dir=head_dir)
-    line = f"head '{head.value}': accuracy {summary['accuracy']:.4f}, ece {summary['ece']:.4f}"
-    if "auroc" in summary:
-        line += f", auroc {summary['auroc']:.4f}, auprc {summary['auprc']:.4f}"
-    return summary, line
+    summary = evaluate(params, head, test_d, ood_points, config, head_dir)
+    return summary, (f"head '{head.value}': accuracy {summary['accuracy']:.4f}, "
+                     f"ece {summary['ece']:.4f}, auroc {summary['auroc']:.4f}, "
+                     f"auprc {summary['auprc']:.4f}")
 
 
 def _sweep_stage(config, head, params, datasets, head_dir):
-    columns = shift_sweep(params, head, datasets()[1], config, out_dir=head_dir)
+    columns = shift_sweep(params, head, datasets()[1], config, head_dir)
     return columns, "\n".join(f"{kind:>14} intensity {intensity}: "
                               f"accuracy {accuracy:.4f}, ece {ece:.4f}"
                               for kind, intensity, accuracy, ece in zip(*columns.values()))
@@ -536,7 +513,6 @@ def _sweep_stage(config, head, params, datasets, head_dir):
 
 def _landscape_stage(config, head, params, datasets, head_dir):
     grid = landscape(params, head, config)
-    head_dir.mkdir(parents=True, exist_ok=True)
     write_landscape_csv(head_dir / "landscape.csv", grid)
     if config.landscape.write_pgm:
         write_landscape_pgm(head_dir / "landscape.pgm", grid)
@@ -546,7 +522,6 @@ def _landscape_stage(config, head, params, datasets, head_dir):
 
 def _centers_stage(config, head, params, datasets, head_dir):
     report = centers_report(params, head, datasets()[0])
-    head_dir.mkdir(parents=True, exist_ok=True)
     write_centers_csv(head_dir / "centers.csv", report)
     return report, (f"centers report written for head '{head.value}'; "
                     f"mean alignment error {float(report.alignment_errors.mean()):.4f}")
@@ -611,8 +586,8 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
             compared.append({**results["evaluate"],
                              "train_accuracy": results["train"].final_accuracy})
 
-    write_csv(out / "comparison.csv",  # without OOD points there is no AUROC/AUPRC
-              {name: [c.get(name, math.nan) for c in compared]
+    write_csv(out / "comparison.csv",
+              {name: [c[name] for c in compared]
                for name in ("head", "train_accuracy", "accuracy", "ece", "auroc", "auprc")})
     manifest["completed"] = ok
     write_json(out / "MANIFEST.json", manifest)

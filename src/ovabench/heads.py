@@ -206,12 +206,13 @@ def loss_and_grads(head: HeadKind, params: ModelParams, inputs,
     Returns ``(loss, grads)``, grads one vector in the layout of ``params``;
     convenient for the training loop and for finite-difference checks.
     """
-    trace = forward(params, inputs)
-    z = logits(head, params, trace.embedding)
+    activations = forward(params, inputs)
+    emb = activations[-1]
+    z = logits(head, params, emb)
     value = loss(head, z, labels)
     g = logit_gradient(head, z, labels)
     grads = ModelParams.zeros(params.layout)
-    backward(params, trace, _head_grads(head, params, trace.embedding, z, g, grads), grads)
+    backward(params, activations, _head_grads(head, params, emb, z, g, grads), grads)
     return value, grads
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,18 +103,6 @@ class ModelParams:
             raise ValueError(message.format(self.layout.locate(int(np.argmin(finite)))[0]))
 
 
-@dataclass
-class ForwardTrace:
-    """Activations cached by :func:`forward` for backpropagation: the input
-    of each body layer, then the embedding."""
-
-    activations: list[np.ndarray]
-
-    @property
-    def embedding(self) -> np.ndarray:
-        return self.activations[-1]
-
-
 def init_params(layer_dims: list[int], num_classes: int, *, head_biases: bool,
                 head_init: str = "glorot", seed: int = 0) -> ModelParams:
     """Build a fresh parameter set from a seeded PRNG.
@@ -142,8 +129,9 @@ def init_params(layer_dims: list[int], num_classes: int, *, head_biases: bool,
     return params
 
 
-def forward(params: ModelParams, inputs) -> ForwardTrace:
-    """Run the body on a batch and cache activations.
+def forward(params: ModelParams, inputs) -> list[np.ndarray]:
+    """Run the body on a batch; return the input of each body layer, then the
+    embedding, as backpropagation needs them.
 
     ReLU is applied between layers; the last layer's raw output is the
     embedding.
@@ -159,27 +147,26 @@ def forward(params: ModelParams, inputs) -> ForwardTrace:
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = activations[-1] @ w + b
         activations.append(np.maximum(z, 0.0) if i < last else z)
-    return ForwardTrace(activations)
+    return activations
 
 
-def backward(params: ModelParams, trace: ForwardTrace, embedding_grad,
-             grads: ModelParams | None = None) -> ModelParams:
-    """Backpropagate an embedding gradient through the body.
+def backward(params: ModelParams, activations: list[np.ndarray], embedding_grad,
+             grads: ModelParams) -> ModelParams:
+    """Backpropagate an embedding gradient through the body, given the
+    activations :func:`forward` returned.
 
-    Writes the body layers' gradients into ``grads`` (zeros of the model's
-    layout when None) and returns it; head entries are left as they are.
+    Writes the body layers' gradients into ``grads`` and returns it; head
+    entries are left as they are.
     The caller's ``embedding_grad`` must already carry the loss reduction
     (e.g. 1/batch for a mean), so no extra averaging happens here.  The ReLU
     subgradient at exactly zero is zero.
     """
     g = _as_matrix(embedding_grad, "embedding_grad")
-    if g.shape != trace.embedding.shape:
+    if g.shape != activations[-1].shape:
         raise ValueError(f"embedding_grad shape {g.shape} does not match "
-                         f"embedding shape {trace.embedding.shape}")
-    if grads is None:
-        grads = ModelParams.zeros(params.layout)
+                         f"embedding shape {activations[-1].shape}")
     for i in range(params.layout.num_layers - 1, -1, -1):
-        a_in = trace.activations[i]
+        a_in = activations[i]
         np.matmul(a_in.T, g, out=grads.weights[i])
         g.sum(axis=0, out=grads.biases[i])
         if i > 0:  # a_in = max(z, 0) is positive exactly where z is
@@ -230,7 +217,11 @@ def _tensor(entry) -> tuple[str, np.ndarray]:
         raise ValueError(f"entry {entry!r:.60} needs a name, shape (sizes) and data (numbers)")
     if len(data) != math.prod(shape):
         raise ValueError(f"entry {name!r}: {len(data)} values do not fill shape {shape}")
-    return name, np.array(data, dtype=np.float64).reshape(shape)
+    try:
+        values = np.array(data, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"entry {name!r}: a value is beyond the float range") from None
+    return name, values.reshape(shape)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, str, int]:
@@ -243,7 +234,7 @@ def load_checkpoint(path) -> tuple[ModelParams, str, int]:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValueError(f"cannot read checkpoint {path}: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {path}")

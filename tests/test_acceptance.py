@@ -56,13 +56,13 @@ def full_models():
     for head in ALL_HEADS:
         cfg = protocol_config(SEEDS[0])
         t0 = time.monotonic()
-        result = train(cfg, head=head)
+        result = train(cfg, head, make_datasets(cfg)[0])
         models[(head, SEEDS[0])] = (result, time.monotonic() - t0, cfg)
     for seed in SEEDS[1:]:
         for head in (HeadKind.SOFTMAX_DISTANCE, HeadKind.OVA_DISTANCE):
             cfg = protocol_config(seed)
             t0 = time.monotonic()
-            result = train(cfg, head=head)
+            result = train(cfg, head, make_datasets(cfg)[0])
             models[(head, seed)] = (result, time.monotonic() - t0, cfg)
     return models
 
@@ -117,7 +117,7 @@ class TestCriterion2LandscapeDichotomy:
         boundary = (np.abs(pts2) >= half).any(axis=1)
         max_boundary = float(conf2[boundary].max())
         train_d, _, _ = make_datasets(cfg2)
-        emb = forward(result2.params, train_d.features).embedding
+        emb = forward(result2.params, train_d.features)[-1]
         _, train_conf = predict(probabilities(
             HeadKind.OVA_DISTANCE, logits(HeadKind.OVA_DISTANCE, result2.params, emb)))
         on_manifold = float(train_conf.max())
@@ -134,7 +134,7 @@ class TestCriterion3AnalyticConfidence:
     def test_landscape_matches_closed_form(self, full_models):
         result, _, cfg = full_models[(HeadKind.OVA_DISTANCE, SEEDS[0])]
         grid, pts, _, conf = far_mask_and_confidence(result, HeadKind.OVA_DISTANCE, cfg)
-        emb = forward(result.params, pts).embedding
+        emb = forward(result.params, pts)[-1]
         centers = result.params.head_weights
         dmin = np.full(len(pts), np.inf)
         for j in range(centers.shape[1]):
@@ -246,7 +246,7 @@ class TestCriterion7ShiftDegradation:
             for head in ALL_HEADS:
                 result = shift_models[(head, seed)]
                 for i in (1, 5):
-                    emb = forward(result.params, noisy[i].features).embedding
+                    emb = forward(result.params, noisy[i].features)[-1]
                     pred, conf = predict(probabilities(head, logits(head, result.params, emb)))
                     records = Predictions.from_scores(conf, pred, noisy[i].labels)
                     acc[(head, i)] = float(np.mean(records.is_correct))

@@ -169,6 +169,33 @@ def test_checkpoint_head_mismatch_names_the_file(tmp_path, capsys, head, biases,
     assert "Traceback" not in err
 
 
+def test_checkpoint_of_another_head_names_the_file(tmp_path, capsys):
+    params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)], np.zeros((2, 10)),
+                                     np.zeros(10))
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, params, "softmax", seed=0)
+    code = main(["evaluate", "--head", "dm", "--checkpoint", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: checkpoint {path} holds head 'softmax', "
+                                       "expected 'dm'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-all", "--head", "dm"],
+    ["train", "--head", "softmax", "--checkpoint", "/nonexistent.json"],
+    ["run-all", "--checkpoint", "/nonexistent.json"],
+], ids=["run-all-head", "train-checkpoint", "run-all-checkpoint"])
+def test_subcommand_refuses_flags_it_does_not_read(tmp_path, config_file, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--config", str(config_file), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert err.startswith("usage: ") and "unrecognized arguments: " in err
+    assert not out.exists()
+
+
 def test_checkpoint_from_another_seed_is_refused(tmp_path, config_file, capsys):
     base = ["--config", str(config_file), "--out", str(tmp_path), "--head", "softmax"]
     assert main(["train", *base, "--seed", "1"]) == 0
@@ -182,11 +209,13 @@ def test_checkpoint_from_another_seed_is_refused(tmp_path, config_file, capsys):
     assert not (tmp_path / "softmax" / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("kind", ["invalid-json", "directory"])
+@pytest.mark.parametrize("kind", ["invalid-json", "directory", "nested"])
 def test_unreadable_config_names_the_path(tmp_path, capsys, kind):
     path = tmp_path / "config.json"
     if kind == "directory":
         path.mkdir()
+    elif kind == "nested":
+        path.write_text("[" * 100000)
     else:
         path.write_text('{"optim": {"steps": 10},}')
     code = main(["train", "--config", str(path), "--out", str(tmp_path / "out"),
@@ -222,11 +251,14 @@ def test_os_and_memory_errors_fail_cleanly(tmp_path, config_file, capsys, monkey
 
 
 @pytest.mark.parametrize("kind, message", [("truncated", "malformed checkpoint"),
-                                           ("directory", "cannot read checkpoint")])
+                                           ("directory", "cannot read checkpoint"),
+                                           ("nested", "malformed checkpoint")])
 def test_unreadable_checkpoint_names_the_path(tmp_path, capsys, kind, message):
     path = tmp_path / "checkpoint.json"
     if kind == "directory":
         path.mkdir()
+    elif kind == "nested":
+        path.write_text("[" * 100000)
     else:
         params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)], np.zeros((2, 10)),
                                          np.zeros(10))

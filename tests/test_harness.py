@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ovabench import cli
 from ovabench.data import CORRUPTION_KINDS, Dataset, gen_ring
-from ovabench.harness import (ExperimentConfig, TrainingDiverged, centers_report,
+from ovabench.harness import (STAGES, ExperimentConfig, TrainingDiverged, centers_report,
                               derive_seed, evaluate, landscape, make_datasets, run_all,
                               shift_sweep, train, write_centers_csv, write_landscape_csv,
                               write_landscape_pgm)
@@ -100,6 +101,8 @@ class TestConfig:
         ("data.num_classes", 1001), ("data.n_per_class", 100001), ("model.hidden", [16, 4097]),
         ("optim.batch_size", 100001), ("optim.steps", 10000001), ("ood.n", 1000001),
         ("metrics.num_bins", 10001), ("metrics.num_thresholds", 100001),
+        ("data.radius", 1e308), ("data.variance", 1e300), ("ood.box_halfwidth", 1e308),
+        ("ood.exclusion_radius", 1e200), ("landscape.half_extent", 1e308),
     ])
     def test_range_error_names_field_and_value(self, where, value):
         section, name = where.split(".")
@@ -121,18 +124,19 @@ class TestConfig:
 class TestTrain:
     def test_zero_steps_distance_head_is_chance(self):
         cfg = tiny_config(steps=0)
-        result = train(cfg, head=HeadKind.OVA_DISTANCE)
+        result = train(cfg, HeadKind.OVA_DISTANCE, make_datasets(cfg)[0])
         # zero centers -> all logits tie -> argmax picks class 0 -> exactly 1/K
         assert result.final_accuracy == pytest.approx(0.1, abs=1e-12)
 
     def test_zero_steps_affine_head_near_chance(self):
         cfg = tiny_config(steps=0)
-        result = train(cfg, head=HeadKind.SOFTMAX_AFFINE)
+        result = train(cfg, HeadKind.SOFTMAX_AFFINE, make_datasets(cfg)[0])
         assert result.final_accuracy < 0.35
 
     def test_checkpoint_and_log_written(self, tmp_path):
         cfg = tiny_config()
-        result = train(cfg, head=HeadKind.SOFTMAX_AFFINE, out_dir=tmp_path)
+        result, _ = STAGES["train"](cfg, HeadKind.SOFTMAX_AFFINE, None,
+                                    lambda: make_datasets(cfg), tmp_path)
         assert (tmp_path / "checkpoint.json").exists()
         log_lines = (tmp_path / "train_log.csv").read_text().splitlines()
         assert log_lines[0] == "step,loss,accuracy"
@@ -143,14 +147,18 @@ class TestTrain:
         a_file.write_text("")
         calls = []
         monkeypatch.setattr("ovabench.heads.loss_and_grads", lambda *args: calls.append(args))
-        with pytest.raises(OSError):
-            train(tiny_config(), head=HeadKind.SOFTMAX_AFFINE, out_dir=a_file)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(tiny_config().to_dict()))
+        assert cli.main(["train", "--head", "softmax", "--config", str(config),
+                         "--out", str(a_file)]) == 1
         assert calls == []
 
     def test_deterministic_checkpoints(self, tmp_path):
         cfg = tiny_config(seed=21)
-        train(cfg, head=HeadKind.OVA_AFFINE, out_dir=tmp_path / "a")
-        train(cfg, head=HeadKind.OVA_AFFINE, out_dir=tmp_path / "b")
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            STAGES["train"](cfg, HeadKind.OVA_AFFINE, None, lambda: make_datasets(cfg),
+                            tmp_path / name)
         assert (tmp_path / "a/checkpoint.json").read_bytes() \
             == (tmp_path / "b/checkpoint.json").read_bytes()
 
@@ -158,25 +166,21 @@ class TestTrain:
     def test_divergence_reports_step_and_head(self):
         cfg = tiny_config(learning_rate=50.0, steps=400)
         with pytest.raises(TrainingDiverged, match=r"step \d+ for head 'softmax'"):
-            train(cfg, head=HeadKind.SOFTMAX_AFFINE)
-
-    def test_requires_head(self):
-        with pytest.raises(ValueError, match="head"):
-            train(tiny_config())
+            train(cfg, HeadKind.SOFTMAX_AFFINE, make_datasets(cfg)[0])
 
     def test_random_distance_init_option(self):
         cfg = tiny_config(steps=0)
         cfg.model.distance_init = "random"
-        random_init = train(cfg, head=HeadKind.OVA_DISTANCE)
+        random_init = train(cfg, HeadKind.OVA_DISTANCE, make_datasets(cfg)[0])
         assert random_init.params.head_weights.any()
         cfg.model.distance_init = "zeros"
-        zero_init = train(cfg, head=HeadKind.OVA_DISTANCE)
+        zero_init = train(cfg, HeadKind.OVA_DISTANCE, make_datasets(cfg)[0])
         assert not zero_init.params.head_weights.any()
 
     @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
     def test_update_matches_per_tensor_reference_bitwise(self, head):
         cfg = tiny_config(steps=300)
-        result = train(cfg, head=head)
+        result = train(cfg, head, make_datasets(cfg)[0])
         train_d = make_datasets(cfg)[0]
         x, y = train_d.features, train_d.labels
         params = init_params([x.shape[1], *cfg.model.hidden], cfg.data.num_classes,
@@ -200,15 +204,15 @@ class TestTrain:
 class TestEvaluate:
     def test_forced_correct_labels(self, tmp_path):
         cfg = tiny_config()
-        result = train(cfg, head=HeadKind.SOFTMAX_AFFINE)
-        _, test_d, _ = make_datasets(cfg)
+        result = train(cfg, HeadKind.SOFTMAX_AFFINE, make_datasets(cfg)[0])
+        _, test_d, ood = make_datasets(cfg)
         pred, _ = predict(probabilities(
             HeadKind.SOFTMAX_AFFINE,
             logits(HeadKind.SOFTMAX_AFFINE, result.params,
-                   forward(result.params, test_d.features).embedding)))
+                   forward(result.params, test_d.features)[-1])))
         forced = Dataset(features=test_d.features, labels=pred,
                          num_classes=test_d.num_classes, seed=test_d.seed)
-        summary = evaluate(result.params, HeadKind.SOFTMAX_AFFINE, forced, None, cfg,
+        summary = evaluate(result.params, HeadKind.SOFTMAX_AFFINE, forced, ood, cfg,
                            out_dir=tmp_path)
         assert summary["accuracy"] == 1.0
         # with accuracy forced to 1 per bin, ece reduces to the weighted gap to 1
@@ -218,17 +222,9 @@ class TestEvaluate:
                        for b in range(len(table)) if table["count"][b])
         assert summary["ece"] == pytest.approx(expected, abs=1e-12)
 
-    def test_empty_ood_omits_ranking(self):
-        cfg = tiny_config()
-        result = train(cfg, head=HeadKind.OVA_DISTANCE)
-        _, test_d, _ = make_datasets(cfg)
-        summary = evaluate(result.params, HeadKind.OVA_DISTANCE, test_d, None, cfg)
-        assert "auroc" not in summary and "auprc" not in summary
-        assert "ece" in summary and "accuracy" in summary
-
     def test_summary_recomputable_from_csv(self, tmp_path):
         cfg = tiny_config()
-        result = train(cfg, head=HeadKind.OVA_AFFINE)
+        result = train(cfg, HeadKind.OVA_AFFINE, make_datasets(cfg)[0])
         _, test_d, ood = make_datasets(cfg)
         summary = evaluate(result.params, HeadKind.OVA_AFFINE, test_d, ood, cfg,
                            out_dir=tmp_path)
@@ -244,7 +240,7 @@ class TestEvaluate:
 
     def test_artifact_files_written(self, tmp_path):
         cfg = tiny_config()
-        result = train(cfg, head=HeadKind.SOFTMAX_DISTANCE)
+        result = train(cfg, HeadKind.SOFTMAX_DISTANCE, make_datasets(cfg)[0])
         _, test_d, ood = make_datasets(cfg)
         evaluate(result.params, HeadKind.SOFTMAX_DISTANCE, test_d, ood, cfg,
                  out_dir=tmp_path)
@@ -266,10 +262,10 @@ class TestLandscape:
 
     def test_softmax_probabilities_sum_to_one_on_grid(self):
         cfg = tiny_config()
-        result = train(cfg, head=HeadKind.SOFTMAX_AFFINE)
+        result = train(cfg, HeadKind.SOFTMAX_AFFINE, make_datasets(cfg)[0])
         grid_pts = np.column_stack([g.ravel() for g in np.meshgrid(
             np.linspace(-50, 50, 9), np.linspace(50, -50, 9))])
-        emb = forward(result.params, grid_pts).embedding
+        emb = forward(result.params, grid_pts)[-1]
         p = probabilities(HeadKind.SOFTMAX_AFFINE,
                           logits(HeadKind.SOFTMAX_AFFINE, result.params, emb))
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
@@ -325,37 +321,38 @@ class TestCentersReport:
 
 
 class TestShiftSweep:
-    def test_clean_row_matches_direct_evaluation(self):
+    def test_clean_row_matches_direct_evaluation(self, tmp_path):
         cfg = tiny_config()
-        result = train(cfg, head=HeadKind.SOFTMAX_AFFINE)
-        _, test_d, _ = make_datasets(cfg)
-        cols = shift_sweep(result.params, HeadKind.SOFTMAX_AFFINE, test_d, cfg)
-        summary = evaluate(result.params, HeadKind.SOFTMAX_AFFINE, test_d, None, cfg)
+        result = train(cfg, HeadKind.SOFTMAX_AFFINE, make_datasets(cfg)[0])
+        _, test_d, ood = make_datasets(cfg)
+        cols = shift_sweep(result.params, HeadKind.SOFTMAX_AFFINE, test_d, cfg, tmp_path)
+        summary = evaluate(result.params, HeadKind.SOFTMAX_AFFINE, test_d, ood, cfg, tmp_path)
         assert cols["kind"][0] == "none" and cols["intensity"][0] == 0
         assert cols["accuracy"][0] == pytest.approx(summary["accuracy"], abs=1e-12)
         assert cols["ece"][0] == pytest.approx(summary["ece"], abs=1e-12)
 
-    def test_constant_predictor_invariant_to_rotation(self):
+    def test_constant_predictor_invariant_to_rotation(self, tmp_path):
         cfg = tiny_config()
         cfg.sweep.kinds = ["rotation"]
         model = identity_body_model(np.zeros((2, 10)))  # all logits tie -> always class 0
         _, test_d, _ = make_datasets(cfg)
-        sweep = shift_sweep(model, HeadKind.OVA_DISTANCE, test_d, cfg)
+        sweep = shift_sweep(model, HeadKind.OVA_DISTANCE, test_d, cfg, tmp_path)
         accs = set(sweep["accuracy"])
         assert len(accs) == 1  # rotation preserves both labels and the prediction
 
     @pytest.mark.parametrize("where, value", [("sweep.kinds", []),
                                               ("sweep.intensities", [2, 2])])
-    def test_empty_or_repeated_sweep_list_refused(self, where, value):
+    def test_empty_or_repeated_sweep_list_refused(self, tmp_path, where, value):
         cfg = tiny_config()
         setattr(cfg.sweep, where.split(".")[1], value)
         model = identity_body_model(np.zeros((2, 10)))
         with pytest.raises(ValueError, match=rf"^{where} must be "):
-            shift_sweep(model, HeadKind.OVA_DISTANCE, make_datasets(tiny_config())[1], cfg)
+            shift_sweep(model, HeadKind.OVA_DISTANCE, make_datasets(tiny_config())[1], cfg,
+                        tmp_path)
 
     def test_stats_cover_each_intensity(self, tmp_path):
         cfg = tiny_config()
-        result = train(cfg, head=HeadKind.OVA_DISTANCE)
+        result = train(cfg, HeadKind.OVA_DISTANCE, make_datasets(cfg)[0])
         _, test_d, _ = make_datasets(cfg)
         shift_sweep(result.params, HeadKind.OVA_DISTANCE, test_d, cfg, out_dir=tmp_path)
         stats = (tmp_path / "sweep_stats.csv").read_text().splitlines()[1:]
@@ -367,7 +364,7 @@ class TestShiftSweep:
 
     def test_sweep_rows_recomputable_from_dumps(self, tmp_path):
         cfg = tiny_config()
-        result = train(cfg, head=HeadKind.SOFTMAX_DISTANCE)
+        result = train(cfg, HeadKind.SOFTMAX_DISTANCE, make_datasets(cfg)[0])
         _, test_d, _ = make_datasets(cfg)
         sweep = shift_sweep(result.params, HeadKind.SOFTMAX_DISTANCE, test_d, cfg,
                             out_dir=tmp_path)

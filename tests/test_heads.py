@@ -258,13 +258,14 @@ class TestGradients:
         y = rng.integers(0, 10, 5)
         trace = forward(params, x)
         _, grads = loss_and_grads(HeadKind.OVA_AFFINE, params, x, y)
-        z = logits(HeadKind.OVA_AFFINE, params, trace.embedding)
+        z = logits(HeadKind.OVA_AFFINE, params, trace[-1])
         g = logit_gradient(HeadKind.OVA_AFFINE, z, y)
-        assert np.allclose(grads.head_weights, trace.embedding.T @ g, atol=1e-15)
+        assert np.allclose(grads.head_weights, trace[-1].T @ g, atol=1e-15)
         assert np.allclose(grads.head_biases, g.sum(axis=0), atol=1e-15)
         # every body layer's gradient is backward() of the per-row embedding
         # gradient, so a wrong row would show in some layer's weights
-        chain = backward(params, trace, g @ params.head_weights.T)
+        chain = backward(params, trace, g @ params.head_weights.T,
+                         ModelParams.zeros(params.layout))
         for got_w, got_b, want_w, want_b in zip(grads.weights, grads.biases, chain.weights,
                                                 chain.biases, strict=True):
             assert np.allclose(got_w, want_w, atol=1e-15)

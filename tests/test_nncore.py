@@ -38,19 +38,19 @@ class TestForward:
             [np.zeros((2, 4)), np.zeros((4, 3))], [np.zeros(4), np.zeros(3)],
             head_weights=np.zeros((3, 5)), head_biases=np.zeros(5))
         trace = forward(params, np.random.default_rng(0).standard_normal((6, 2)))
-        assert np.array_equal(trace.embedding, np.zeros((6, 3)))
+        assert np.array_equal(trace[-1], np.zeros((6, 3)))
 
     def test_identity_single_layer(self):
         # a single layer has no nonlinearity (the last layer output is the embedding)
         params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)],
                                          head_weights=np.zeros((2, 3)), head_biases=np.zeros(3))
         trace = forward(params, [[1.0, 2.0]])
-        assert np.array_equal(trace.embedding, [[1.0, 2.0]])
+        assert np.array_equal(trace[-1], [[1.0, 2.0]])
 
     def test_matches_naive_reimplementation(self):
         params = small_params(seed=11)
         x = np.random.default_rng(12).standard_normal((5, 2)) * 10
-        got = forward(params, x).embedding
+        got = forward(params, x)[-1]
         want = naive_forward(params, x)
         assert np.abs(got - want).max() < 1e-12
 
@@ -62,13 +62,13 @@ class TestForward:
     def test_deterministic_bitwise(self):
         params = small_params(seed=3)
         x = np.random.default_rng(4).standard_normal((32, 2))
-        assert np.array_equal(forward(params, x).embedding, forward(params, x).embedding)
+        assert np.array_equal(forward(params, x)[-1], forward(params, x)[-1])
 
     def test_batch_equals_rows(self):
         params = small_params(seed=5)
         x = np.random.default_rng(6).standard_normal((40, 2)) * 20
-        full = forward(params, x).embedding
-        rows = np.vstack([forward(params, x[i:i + 1]).embedding for i in range(len(x))])
+        full = forward(params, x)[-1]
+        rows = np.vstack([forward(params, x[i:i + 1])[-1] for i in range(len(x))])
         # BLAS uses different kernels for 1-row and batched matmul: last-ulp slack
         assert np.abs(full - rows).max() < 1e-12
 
@@ -76,7 +76,7 @@ class TestForward:
         params = ModelParams.from_arrays([-np.eye(2)], [np.zeros(2)],
                                          head_weights=np.zeros((2, 3)), head_biases=np.zeros(3))
         trace = forward(params, [[1.0, 2.0]])
-        assert np.array_equal(trace.embedding, [[-1.0, -2.0]])
+        assert np.array_equal(trace[-1], [[-1.0, -2.0]])
 
 
 class TestBackward:
@@ -84,7 +84,8 @@ class TestBackward:
         params = small_params(seed=7)
         x = np.random.default_rng(8).standard_normal((4, 2))
         trace = forward(params, x)
-        grads = backward(params, trace, np.zeros_like(trace.embedding))
+        grads = backward(params, trace, np.zeros_like(trace[-1]),
+                         ModelParams.zeros(params.layout))
         for weights, biases in zip(grads.weights, grads.biases):
             assert not weights.any()
             assert not biases.any()
@@ -94,7 +95,7 @@ class TestBackward:
                                          head_weights=np.zeros((2, 2)), head_biases=np.zeros(2))
         x = np.array([[3.0, -1.0]])
         g = np.array([[0.5, 2.0]])
-        grads = backward(params, forward(params, x), g)
+        grads = backward(params, forward(params, x), g, ModelParams.zeros(params.layout))
         assert np.allclose(grads.weights[0], x.T @ g)
         assert np.allclose(grads.biases[0], g.sum(axis=0))
 
@@ -104,8 +105,9 @@ class TestBackward:
 
         def loss_fn(p):
             trace = forward(p, x)
-            value = 0.5 * float((trace.embedding ** 2).sum()) / len(x)
-            grads = backward(p, trace, trace.embedding / len(x))  # head entries stay zero
+            value = 0.5 * float((trace[-1] ** 2).sum()) / len(x)
+            grads = backward(p, trace, trace[-1] / len(x),  # head entries stay zero
+                             ModelParams.zeros(p.layout))
             return value, grads
 
         assert gradient_check(loss_fn, small_params(seed=20), step=1e-5) < 1e-4
@@ -114,7 +116,7 @@ class TestBackward:
         params = small_params()
         trace = forward(params, np.zeros((4, 2)))
         with pytest.raises(ValueError, match="embedding_grad"):
-            backward(params, trace, np.zeros((4, 3)))
+            backward(params, trace, np.zeros((4, 3)), ModelParams.zeros(params.layout))
 
 
 class TestGradientCheck:
@@ -266,13 +268,19 @@ def _nonfinite(doc):
     _entry(doc, "head_weights")["data"][0] = float("nan")
 
 
+def _beyond_float(doc):
+    _entry(doc, "layers.0.weights")["data"][0] = 10 ** 400
+
+
 @pytest.mark.parametrize("corrupt, entry", [
     (_drop_tensors, "tensors"),
     (_drop_head_weights, "head_weights"),
     (_short_data, "layers.0.biases"),
     (_unchained, "layers.1.weights"),
     (_nonfinite, "head_weights"),
-], ids=["no-tensors", "no-head-weights", "short-data", "unchained", "non-finite"])
+    (_beyond_float, "layers.0.weights"),
+], ids=["no-tensors", "no-head-weights", "short-data", "unchained", "non-finite",
+        "beyond-float"])
 def test_malformed_checkpoint_names_file_and_entry(tmp_path, corrupt, entry):
     path = tmp_path / "checkpoint.json"
     save_checkpoint(path, init_params([2, 4, 4], 3, head_biases=True, seed=0), "ova", 0)
