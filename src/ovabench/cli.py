@@ -25,24 +25,17 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "head", None):
-        cfg.head = HeadKind(args.head)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if cfg.out_dir is None:
-        cfg.out_dir = "out"
-    cfg.validate()
     return cfg
 
 
-def _require_head(cfg: ExperimentConfig) -> HeadKind:
-    if cfg.head is None:
-        raise ValueError("this command needs a head; pass --head or set it in the config")
-    return cfg.head
+def _require_head(args) -> HeadKind:
+    if args.head is None:
+        raise ValueError("this command needs a head; pass --head")
+    return HeadKind(args.head)
 
 
 def _load_model(args, cfg: ExperimentConfig):
-    ckpt = args.checkpoint or Path(cfg.out_dir) / _require_head(cfg).value / "checkpoint.json"
+    ckpt = args.checkpoint or Path(args.out) / _require_head(args).value / "checkpoint.json"
     params, head_str, seed = load_checkpoint(ckpt)
     choices = [h.value for h in HeadKind]
     try:
@@ -52,9 +45,9 @@ def _load_model(args, cfg: ExperimentConfig):
         _check_head_params(head, params)
     except ValueError as exc:
         raise ValueError(f"malformed checkpoint {ckpt}: {exc}") from None
-    if cfg.head is not None and head is not cfg.head:
+    if args.head is not None and head.value != args.head:
         raise ValueError(f"checkpoint {ckpt} holds head '{head.value}', "
-                         f"expected '{cfg.head.value}'")
+                         f"expected '{args.head}'")
     if seed != cfg.seed:
         raise ValueError(f"checkpoint {ckpt} was trained with seed {seed}, "
                          f"expected seed {cfg.seed}")
@@ -74,10 +67,10 @@ def _run_stage(name: str, args) -> int:
     """Run one stage of ``harness.STAGES`` for one head and print its summary."""
     cfg = _load_config(args)
     if name == "train":
-        params, head = None, _require_head(cfg)
+        params, head = None, _require_head(args)
     else:
         params, head = _load_model(args, cfg)
-    head_dir = Path(cfg.out_dir) / head.value
+    head_dir = Path(args.out) / head.value
     head_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the stage runs
     _, summary = harness.STAGES[name](cfg, head, params, lambda: harness.make_datasets(cfg),
                                       head_dir)
@@ -87,7 +80,7 @@ def _run_stage(name: str, args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg = _load_config(args)
-    outcome = harness.run_all(cfg, cfg.out_dir)
+    outcome = harness.run_all(cfg, args.out)
     for head, stages in outcome.manifest["stages"].items():
         status = ", ".join(f"{stage}={state}" for stage, state in stages.items())
         print(f"{head}: {status}")
@@ -103,8 +96,7 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, default=None, help="experiment seed")
-    common.add_argument("--out", default=None,
-                        help="output directory (default: config out_dir or ./out)")
+    common.add_argument("--out", default="out", help="output directory (default: ./out)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in harness.STAGES:
         stage = sub.add_parser(name, parents=[common])

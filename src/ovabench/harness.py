@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -88,12 +88,11 @@ class MetricConfig:
 class LandscapeConfig:
     half_extent: float = 50.0
     resolution: int = 200
-    write_pgm: bool = True
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; JSON-loadable and validated up front."""
+    """The experiment: seven sections and the seed.  Head and output path are flags."""
 
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -102,9 +101,7 @@ class ExperimentConfig:
     ood: OodConfig = field(default_factory=OodConfig)
     metrics: MetricConfig = field(default_factory=MetricConfig)
     landscape: LandscapeConfig = field(default_factory=LandscapeConfig)
-    head: HeadKind | None = None
     seed: int = 0
-    out_dir: str | None = None
 
     def validate(self) -> None:
         """Range-check every field; an error names ``section.field`` and its value."""
@@ -112,12 +109,7 @@ class ExperimentConfig:
             section, name = where.split(".")
             value = getattr(getattr(self, section), name)
             if not ok(value):
-                raise ValueError(f"{where} must be {rule}, got {value!r}")
-
-    def to_dict(self) -> dict:
-        raw = asdict(self)
-        raw["head"] = None if self.head is None else self.head.value
-        return raw
+                raise ValueError(f"{where} must be {rule}, got {value!r:.60}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -126,9 +118,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
         raw = dict(raw)
-        sections = {"data": DataConfig, "model": ModelConfig, "optim": OptimConfig,
-                    "sweep": SweepConfig, "ood": OodConfig, "metrics": MetricConfig,
-                    "landscape": LandscapeConfig}
+        sections = {f.name: f.default_factory for f in fields(cls) if f.name != "seed"}
         kwargs = {}
         for name, section_cls in sections.items():
             section = raw.pop(name, {})
@@ -136,21 +126,15 @@ class ExperimentConfig:
                 raise ValueError(f"config section {name!r} must be a JSON object")
             unknown = set(section) - set(section_cls.__dataclass_fields__)
             if unknown:
-                raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+                raise ValueError(f"unknown keys in config section {name!r}: "
+                                 f"{sorted(unknown)!r:.60}")
             for key, value in section.items():
                 _check_type(f"{name}.{key}", value, section_cls.__dataclass_fields__[key].type)
             kwargs[name] = section_cls(**section)
-        head = raw.pop("head", None)
-        choices = [h.value for h in HeadKind]
-        if head is not None and head not in choices:
-            raise ValueError(f"head must be one of {choices} or null, got {head!r}")
-        kwargs["head"] = None if head is None else HeadKind(head)
         kwargs["seed"] = raw.pop("seed", 0)
-        kwargs["out_dir"] = raw.pop("out_dir", None)
         _check_type("seed", kwargs["seed"], "int")
-        _check_type("out_dir", kwargs["out_dir"], "str | None")
         if raw:
-            raise ValueError(f"unknown config keys: {sorted(raw)}")
+            raise ValueError(f"unknown config keys: {sorted(raw)!r:.60}")
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -205,7 +189,7 @@ _RANGES = (
     ("landscape.half_extent", lambda v: v <= 1e6, "<= 1e6"),
 )
 
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def _is_finite(value) -> bool:
@@ -225,7 +209,7 @@ def _check_type(where: str, value, annotation: str) -> None:
               or (type(value) in _FIELD_TYPES.get(kind, ())
                   and (kind != "float" or _is_finite(value)))):
         raise ValueError(f"{where} must be {annotation}"
-                         f"{' (finite)' if kind == 'float' else ''}, got {value!r}")
+                         f"{' (finite)' if kind == 'float' else ''}, got {value!r:.60}")
 
 
 @dataclass
@@ -299,9 +283,13 @@ def make_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, np.ndarra
         train_d = test_d = full
     means = datamod.ring_class_means(d.num_classes, d.radius, d.angle_formula)
     n_ood = config.ood.n if config.ood.n is not None else len(test_d)
-    ood_points = datamod.gen_ood(n_ood, means, seed=derive_seed(config.seed, "ood"),
-                                 box_halfwidth=config.ood.box_halfwidth,
-                                 exclusion_radius=config.ood.exclusion_radius)
+    try:
+        ood_points = datamod.gen_ood(n_ood, means, seed=derive_seed(config.seed, "ood"),
+                                     box_halfwidth=config.ood.box_halfwidth,
+                                     exclusion_radius=config.ood.exclusion_radius)
+    except ValueError as exc:  # data knows no config names; name the fields to change
+        raise ValueError(f"ood.exclusion_radius {config.ood.exclusion_radius!r} with "
+                         f"ood.box_halfwidth {config.ood.box_halfwidth!r}: {exc}") from exc
     return train_d, test_d, ood_points
 
 
@@ -514,8 +502,7 @@ def _sweep_stage(config, head, params, datasets, head_dir):
 def _landscape_stage(config, head, params, datasets, head_dir):
     grid = landscape(params, head, config)
     write_landscape_csv(head_dir / "landscape.csv", grid)
-    if config.landscape.write_pgm:
-        write_landscape_pgm(head_dir / "landscape.pgm", grid)
+    write_landscape_pgm(head_dir / "landscape.pgm", grid)
     res = config.landscape.resolution
     return grid, f"landscape written for head '{head.value}' ({res}x{res} grid)"
 
@@ -558,7 +545,7 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
     datamod.save_dataset(data_dir / "test.csv", test_d, "gen_ring", gen_params)
     write_csv(data_dir / "ood.csv", {"x0": ood_points[:, 0], "x1": ood_points[:, 1]})
 
-    manifest: dict = {"config": config.to_dict(), "stages": {}}
+    manifest: dict = {"config": asdict(config), "stages": {}}
     compared = []
     ok = True
     for head in ALL_HEADS:

@@ -100,6 +100,13 @@ def test_stage_commands_write_the_run_all_files(tmp_path, config_file):
         assert _tree(staged_out / head) == expected, head
 
 
+def test_run_all_tree_does_not_depend_on_out(tmp_path, config_file, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run-all", "--config", str(config_file), "--out", "relative"]) == 0
+    assert main(["run-all", "--config", str(config_file), "--out", str(tmp_path / "abs")]) == 0
+    assert _tree(tmp_path / "relative") == _tree(tmp_path / "abs")
+
+
 def test_landscape_does_not_generate_datasets(tmp_path, config_file, monkeypatch):
     from ovabench import harness
 
@@ -121,13 +128,18 @@ def test_landscape_does_not_generate_datasets(tmp_path, config_file, monkeypatch
     ('{"model": {"hidden": 16}}', "model.hidden"),
     ('{"data": {"n_per_class": 1.5}}', "data.n_per_class"),
     ('{"optim": {"learning_rate": NaN}}', "optim.learning_rate"),
-    ('{"head": "bogus"}', "head must be one of ['softmax', 'dm', 'ova', 'ova_dm']"),
+    ('{"head": "bogus"}', "unknown config keys: ['head']"),
     ('{"ood": {"n": 0}}', "ood.n must be >= 1 or null, got 0"),
     ('{"optim": {"learning_rate": 1%s}}' % ("0" * 400), "optim.learning_rate"),
     ('{"data": {"n_per_class": 1%s}}' % ("0" * 30), "data.n_per_class"),
     ('{"optim": {"batch_size": 1000000000000}}', "optim.batch_size"),
+    ('{"optim": {"steps": "%s"}}' % ("x" * 100000), "optim.steps"),
+    ('{"sweep": {"kinds": ["%s"]}}' % ("x" * 100000), "sweep.kinds"),
+    ('{"optim": {"%s": 1}}' % ("x" * 100000), "unknown keys in config section 'optim'"),
+    ('{"ood": {"n": 10, "exclusion_radius": 1000}}', "ood.exclusion_radius"),
 ], ids=["str-int", "scalar-list", "float-int", "nan-float", "bad-head", "ood-n-zero",
-        "huge-int-float", "huge-n-per-class", "huge-batch-size"])
+        "huge-int-float", "huge-n-per-class", "huge-batch-size", "long-str-int",
+        "long-sweep-kind", "long-key", "infeasible-ood-box"])
 def test_mistyped_config_field_is_named(tmp_path, capsys, bad, field):
     path = tmp_path / "bad.json"
     path.write_text(bad)
@@ -136,6 +148,7 @@ def test_mistyped_config_field_is_named(tmp_path, capsys, bad, field):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) <= 200
     assert field in err
     assert "Traceback" not in err
 
