@@ -405,7 +405,8 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
 
 def landscape(params: ModelParams, head: HeadKind,
               config: ExperimentConfig) -> LandscapeGrid:
-    """Confidence and predicted label over a square grid of 2D inputs."""
+    """Confidence and predicted label over a square grid of 2D inputs; refuses
+    a confidence outside [0, 1] by naming its grid point."""
     res = config.landscape.resolution
     h = config.landscape.half_extent
     xs = np.linspace(-h, h, res)
@@ -413,6 +414,11 @@ def landscape(params: ModelParams, head: HeadKind,
     xx, yy = np.meshgrid(xs, ys)
     points = np.column_stack((xx.ravel(), yy.ravel()))
     pred, conf = _predict_features(params, head, points)
+    bad = ~((conf >= 0.0) & (conf <= 1.0))  # NaN included: a finite body can overflow
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"confidence {conf[i]} at grid point ({points[i, 0]}, "
+                         f"{points[i, 1]}) outside [0, 1]")
     return LandscapeGrid(x_coords=xs, y_coords=ys,
                          confidence=conf.reshape(res, res),
                          labels=pred.reshape(res, res))

@@ -25,6 +25,11 @@ PROB_CLAMP = 1e-12
 
 _LN2 = math.log(2.0)
 
+# Distance logits are scored in blocks of rows whose difference tensor holds at
+# most this many entries (1 MiB of float64), so scoring memory does not grow
+# with the number of rows beyond the [rows x K] output.
+DISTANCE_BLOCK_ENTRIES = 1 << 17
+
 
 class HeadKind(str, Enum):
     """Which probability parametrization a model uses.
@@ -98,8 +103,12 @@ def logits(head: HeadKind, params: ModelParams, embeddings) -> np.ndarray:
         raise ValueError(f"embedding width {emb.shape[1]} does not match head "
                          f"fan_in {params.head_weights.shape[0]}")
     if head.is_distance:
-        diff = emb[:, None, :] - params.head_weights.T[None, :, :]
-        return -np.sqrt(np.einsum("bke,bke->bk", diff, diff))
+        out = np.empty((emb.shape[0], params.head_weights.shape[1]))
+        rows = max(1, DISTANCE_BLOCK_ENTRIES // params.head_weights.size)
+        for start in range(0, emb.shape[0], rows):
+            diff = emb[start:start + rows, None, :] - params.head_weights.T[None, :, :]
+            out[start:start + rows] = -np.sqrt(np.einsum("bke,bke->bk", diff, diff))
+        return out
     return emb @ params.head_weights + params.head_biases
 
 
@@ -190,8 +199,8 @@ def _head_grads(head: HeadKind, params: ModelParams, emb: np.ndarray,
         d = -z
         diff = emb[:, None, :] - params.head_weights.T[None, :, :]
         # subgradient 0 for the norm at zero distance
-        unit = np.where(d[:, :, None] > 0.0,
-                        diff / np.where(d == 0.0, 1.0, d)[:, :, None], 0.0)
+        unit = np.divide(diff, d[:, :, None], out=np.zeros_like(diff),
+                         where=d[:, :, None] > 0.0)
         grads.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
         return -np.einsum("bk,bke->be", g, unit)
     np.matmul(emb.T, g, out=grads.head_weights)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ovabench.cli import main
-from ovabench.nncore import ModelParams, save_checkpoint
+from ovabench.nncore import ModelParams, init_params, save_checkpoint
 
 
 @pytest.fixture()
@@ -121,6 +121,20 @@ def test_landscape_does_not_generate_datasets(tmp_path, config_file, monkeypatch
     assert calls == []
     assert main(["centers", *base]) == 0
     assert len(calls) == 1  # the counter does see stages that need data
+
+
+def test_landscape_refuses_non_finite_confidence(tmp_path, config_file, capsys):
+    params = init_params([2, 16, 16], 10, head_biases=True, seed=5)
+    params.flat *= 1e160  # every value finite; the body overflows on the grid
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, params, "softmax", seed=5)
+    code = main(["landscape", "--config", str(config_file), "--checkpoint", str(path),
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "grid point" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "softmax" / "landscape.csv").exists()
 
 
 @pytest.mark.parametrize("bad, field", [

@@ -1,18 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovabench.heads import (HeadKind, logit_gradient, logits, loss, loss_and_grads,
-                            predict, probabilities)
+from ovabench.heads import (DISTANCE_BLOCK_ENTRIES, HeadKind, logit_gradient, logits, loss,
+                            loss_and_grads, predict, probabilities)
 from ovabench.nncore import ModelParams, backward, forward, init_params
 
 from gradcheck import gradient_check
 
 ALL_HEADS = list(HeadKind)
 DISTANCE_HEADS = [HeadKind.SOFTMAX_DISTANCE, HeadKind.OVA_DISTANCE]
+BLOCK_ROWS = DISTANCE_BLOCK_ENTRIES // (10 * 16)  # rows per distance block at K=10, embed=16
 
 
 def head_only_params(weights, biases=None):
@@ -54,6 +56,32 @@ class TestLogits:
                 for e in range(16):
                     acc += (emb[b, e] - w[e, j]) ** 2
                 assert abs(z[b, j] - (-math.sqrt(acc))) < 1e-12
+
+    @pytest.mark.parametrize("k, embed, rows", [
+        *[(10, 16, n) for n in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                3 * BLOCK_ROWS + 7)],
+        (DISTANCE_BLOCK_ENTRIES // 16 + 1, 16, 3),  # one row per block
+    ])
+    def test_blocked_distance_equals_one_shot(self, k, embed, rows):
+        rng = np.random.default_rng(rows)
+        emb = rng.standard_normal((rows, embed)) * 3.0
+        w = rng.standard_normal((embed, k))
+        params = head_only_params(w)
+        diff = emb[:, None, :] - w.T[None, :, :]
+        expected = -np.sqrt(np.einsum("bke,bke->bk", diff, diff))
+        for head in DISTANCE_HEADS:
+            assert np.array_equal(logits(head, params, emb), expected)
+
+    def test_distance_memory_is_bounded(self):
+        emb = np.random.default_rng(3).standard_normal((90000, 16))
+        params = head_only_params(np.random.default_rng(4).standard_normal((16, 10)))
+        tracemalloc.start()
+        try:
+            z = logits(HeadKind.SOFTMAX_DISTANCE, params, emb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * z.nbytes  # the unblocked difference tensor alone is 115 MB
 
     def test_bias_consistency_enforced(self):
         with_bias = head_only_params(np.zeros((2, 3)), biases=np.zeros(3))
