@@ -237,11 +237,26 @@ class CenterReport:
     alignment_errors: np.ndarray
 
 
-def _predict_features(params: ModelParams, head: HeadKind,
-                      features) -> tuple[np.ndarray, np.ndarray]:
-    z = headsmod.logits(head, params, forward(params, features)[-1])
-    probs = headsmod.probabilities(head, z)
-    return headsmod.predict(probs)
+def _embed(params: ModelParams, head: HeadKind, features,
+           rows: str) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings and logits for each row of ``features``.  A model that
+    overflows on a row (a non-finite embedding gives non-finite logits) is
+    refused without warnings, naming what the rows are and the first bad one."""
+    with np.errstate(all="ignore"):
+        emb = forward(params, features)[-1]
+        z = headsmod.logits(head, params, emb)
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"the model's logits are not finite for {rows} {i} "
+                         f"(input {features[i].tolist()})")
+    return emb, z
+
+
+def _predict_features(params: ModelParams, head: HeadKind, features,
+                      rows: str) -> tuple[np.ndarray, np.ndarray]:
+    z = _embed(params, head, features, rows)[1]
+    return headsmod.predict(headsmod.probabilities(head, z))
 
 
 class PredictionRecord(NamedTuple):
@@ -258,9 +273,9 @@ class PredictionRecord(NamedTuple):
     is_ood: bool
 
 
-def _score(params: ModelParams, head: HeadKind, features, labels=None) -> Predictions:
+def _score(params: ModelParams, head: HeadKind, features, labels, rows: str) -> Predictions:
     """Predictions for ``features``; OOD rows when ``labels`` is None."""
-    pred, conf = _predict_features(params, head, features)
+    pred, conf = _predict_features(params, head, features, rows)
     preds = Predictions.from_scores(conf, pred, labels)
     deque(map(PredictionRecord, conf.tolist(), pred.tolist(), preds.true_label.tolist(),
               preds.is_ood.tolist()), maxlen=0)
@@ -343,8 +358,8 @@ def evaluate(params: ModelParams, head: HeadKind, test_data: Dataset,
     Writes predictions.csv, calibration.csv, curve.csv, histograms.csv and
     metrics.json into ``out_dir``.
     """
-    id_preds = _score(params, head, test_data.features, test_data.labels)
-    preds = Predictions.concatenate([id_preds, _score(params, head, ood_points)])
+    id_preds = _score(params, head, test_data.features, test_data.labels, "test row")
+    preds = Predictions.concatenate([id_preds, _score(params, head, ood_points, None, "OOD row")])
     ece_value, calibration = metricsmod.ece(id_preds, config.metrics.num_bins)
     auroc, auprc = metricsmod.auroc_auprc(preds.confidence, ~preds.is_ood)
     summary = {
@@ -379,19 +394,18 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
     """
     config.validate()
     out = Path(out_dir)
-    (out / "shift").mkdir(exist_ok=True)
-
     columns: dict[str, list] = {"kind": [], "intensity": [], "accuracy": [], "ece": []}
     cases = [(k, i) for k in config.sweep.kinds for i in config.sweep.intensities]
     for kind, intensity in [("none", 0), *cases]:
         dataset = base_test if kind == "none" else datamod.corrupt(
             base_test, CorruptionSpec(kind=kind, intensity=intensity),
             derive_seed(config.seed, f"corrupt:{kind}:{intensity}"))
-        preds = _score(params, head, dataset.features, dataset.labels)
+        preds = _score(params, head, dataset.features, dataset.labels, "test row")
         ece_value, _ = metricsmod.ece(preds, config.metrics.num_bins)
         accuracy = float(np.mean(preds.is_correct))
         for column, value in zip(columns.values(), (kind, intensity, accuracy, ece_value)):
             column.append(value)
+        (out / "shift").mkdir(exist_ok=True)  # only after a row scored: a refusal leaves none
         metricsmod.write_predictions(out / "shift" / f"predictions_{kind}_{intensity}.csv", preds)
 
     write_csv(out / "sweep.csv", columns)
@@ -405,20 +419,14 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
 
 def landscape(params: ModelParams, head: HeadKind,
               config: ExperimentConfig) -> LandscapeGrid:
-    """Confidence and predicted label over a square grid of 2D inputs; refuses
-    a confidence outside [0, 1] by naming its grid point."""
+    """Confidence and predicted label over a square grid of 2D inputs."""
     res = config.landscape.resolution
     h = config.landscape.half_extent
     xs = np.linspace(-h, h, res)
     ys = np.linspace(h, -h, res)  # row 0 = ymax
     xx, yy = np.meshgrid(xs, ys)
     points = np.column_stack((xx.ravel(), yy.ravel()))
-    pred, conf = _predict_features(params, head, points)
-    bad = ~((conf >= 0.0) & (conf <= 1.0))  # NaN included: a finite body can overflow
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"confidence {conf[i]} at grid point ({points[i, 0]}, "
-                         f"{points[i, 1]}) outside [0, 1]")
+    pred, conf = _predict_features(params, head, points, "grid point")
     return LandscapeGrid(x_coords=xs, y_coords=ys,
                          confidence=conf.reshape(res, res),
                          labels=pred.reshape(res, res))
@@ -450,7 +458,7 @@ def centers_report(params: ModelParams, head: HeadKind,
     """
     if not head.is_distance:
         raise ValueError(f"head '{head.value}' has no class-center semantics")
-    emb = forward(params, train_data.features)[-1]
+    emb = _embed(params, head, train_data.features, "training row")[0]
     k = train_data.num_classes
     means = np.empty((k, emb.shape[1]))
     for c in range(k):

@@ -25,18 +25,14 @@ PROB_CLAMP = 1e-12
 
 _LN2 = math.log(2.0)
 
-# Distance logits are scored in blocks of rows whose difference tensor holds at
-# most this many entries (1 MiB of float64), so scoring memory does not grow
-# with the number of rows beyond the [rows x K] output.
+# Distance logits are scored in row blocks whose difference tensor holds at most
+# this many entries (1 MiB of float64), so scoring memory stays bounded.
 DISTANCE_BLOCK_ENTRIES = 1 << 17
 
 
 class HeadKind(str, Enum):
-    """Which probability parametrization a model uses.
-
-    The string values are the serialized names used in checkpoints, configs
-    and the CLI.
-    """
+    """Which probability parametrization a model uses; the string values are
+    the names used in checkpoints, configs and the CLI."""
 
     SOFTMAX_AFFINE = "softmax"
     SOFTMAX_DISTANCE = "dm"
@@ -69,11 +65,10 @@ def _check_labels(labels, z: np.ndarray) -> np.ndarray:
         raise ValueError("labels must be a vector")
     if y.shape[0] != z.shape[0]:
         raise ValueError("labels length does not match batch size")
-    y = y.astype(np.int64)
-    num_classes = z.shape[1]
-    if y.size and (y.min() < 0 or y.max() >= num_classes):
-        bad = int(np.argmax((y < 0) | (y >= num_classes)))
-        raise ValueError(f"label {y[bad]} at index {bad} outside [0, {num_classes})")
+    y, k = y.astype(np.int64), z.shape[1]
+    if y.size and (y.min() < 0 or y.max() >= k):
+        bad = int(np.argmax((y < 0) | (y >= k)))
+        raise ValueError(f"label {y[bad]} at index {bad} outside [0, {k})")
     return y
 
 
@@ -88,6 +83,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def _distances(params: ModelParams, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances [rows x K] from embeddings to class centers, and the [rows x K x
+    embed] differences they sum, in broadcasting's layout (the bits depend on it)."""
+    diff = emb[:, None, :] - params.head_weights.T[None, :, :]
+    return np.sqrt(np.einsum("bke,bke->bk", diff, diff)), diff
 
 
 def logits(head: HeadKind, params: ModelParams, embeddings) -> np.ndarray:
@@ -106,8 +108,7 @@ def logits(head: HeadKind, params: ModelParams, embeddings) -> np.ndarray:
         out = np.empty((emb.shape[0], params.head_weights.shape[1]))
         rows = max(1, DISTANCE_BLOCK_ENTRIES // params.head_weights.size)
         for start in range(0, emb.shape[0], rows):
-            diff = emb[start:start + rows, None, :] - params.head_weights.T[None, :, :]
-            out[start:start + rows] = -np.sqrt(np.einsum("bke,bke->bk", diff, diff))
+            out[start:start + rows] = -_distances(params, emb[start:start + rows])[0]
         return out
     return emb @ params.head_weights + params.head_biases
 
@@ -129,9 +130,46 @@ def probabilities(head: HeadKind, logits_) -> np.ndarray:
                                  "distance logits must be <= 0")
             return 2.0 * _sigmoid(z)
         return _sigmoid(z)
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
+                             gradient: bool = True) -> tuple[float, np.ndarray | None]:
+    """Mean loss of the logits ``z`` and, with ``gradient``, its gradient w.r.t.
+    ``z``; the two share their intermediates and one label check."""
+    y = _check_labels(labels, z)
+    rows = np.arange(z.shape[0])
+    if head is HeadKind.OVA_DISTANCE:
+        d = -z
+        d_own = d[rows, y]
+        # -log p = softplus(d) - ln 2;  1 - p = (e^d - 1)/(e^d + 1) = tanh(d/2)
+        one_minus_p = np.tanh(0.5 * d)
+        neg_all = -np.log(np.maximum(one_minus_p, PROB_CLAMP))
+        per_example = _softplus(d_own) - _LN2 + neg_all.sum(axis=1) - neg_all[rows, y]
+    elif head.is_ova:
+        sp_pos = _softplus(z)
+        per_example = _softplus(-z[rows, y]) + sp_pos.sum(axis=1) - sp_pos[rows, y]
+    else:
+        m = z.max(axis=1, keepdims=True)
+        e = np.exp(z - m)
+        e_sum = e.sum(axis=1, keepdims=True)
+        per_example = (m + np.log(e_sum))[:, 0] - z[rows, y]
+    if not np.isfinite(per_example).all():
+        bad = int(np.argmax(~np.isfinite(per_example)))
+        raise ValueError(f"non-finite loss for batch index {bad}")
+    value = float(per_example.mean())
+    if not gradient:
+        return value, None
+    if head is HeadKind.OVA_DISTANCE:
+        clamped = one_minus_p <= PROB_CLAMP
+        with np.errstate(over="ignore"):
+            grad_d = np.where(clamped, 0.0, -1.0 / np.sinh(np.where(clamped, 1.0, d)))
+        grad_d[rows, y] = _sigmoid(d_own)
+        return value, -grad_d / z.shape[0]
+    p = _sigmoid(z) if head.is_ova else e / e_sum
+    p[rows, y] -= 1.0
+    return value, p / z.shape[0]
 
 
 def loss(head: HeadKind, logits_, labels) -> float:
@@ -142,29 +180,7 @@ def loss(head: HeadKind, logits_, labels) -> float:
     closed forms.  Raises if any per-example loss is non-finite, carrying
     the batch index.
     """
-    z = _as_matrix(logits_, "logits")
-    y = _check_labels(labels, z)
-    rows = np.arange(z.shape[0])
-    if head.is_ova:
-        if head is HeadKind.OVA_DISTANCE:
-            d = -z
-            d_own = d[rows, y]
-            # -log p = softplus(d) - ln 2;  1 - p = (e^d - 1)/(e^d + 1) = tanh(d/2)
-            pos = _softplus(d_own) - _LN2
-            one_minus_p = np.maximum(np.tanh(0.5 * d), PROB_CLAMP)
-            neg_all = -np.log(one_minus_p)
-            per_example = pos + neg_all.sum(axis=1) - neg_all[rows, y]
-        else:
-            sp_pos = _softplus(z)
-            per_example = _softplus(-z[rows, y]) + sp_pos.sum(axis=1) - sp_pos[rows, y]
-    else:
-        m = z.max(axis=1)
-        lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
-        per_example = lse - z[rows, y]
-    if not np.isfinite(per_example).all():
-        bad = int(np.argmax(~np.isfinite(per_example)))
-        raise ValueError(f"non-finite loss for batch index {bad}")
-    return float(per_example.mean())
+    return _loss_and_logit_gradient(head, _as_matrix(logits_, "logits"), labels, False)[0]
 
 
 def logit_gradient(head: HeadKind, logits_, labels) -> np.ndarray:
@@ -174,38 +190,9 @@ def logit_gradient(head: HeadKind, logits_, labels) -> np.ndarray:
     (p - onehot)/batch.  For the one-vs-all distance head the gradient is
     derived in distance space (d = -z): sigmoid(d) for the label class and
     -1/sinh(d) for the rest, zeroed wherever the loss clamp is active.
+    Raises, as :func:`loss` does, if any per-example loss is non-finite.
     """
-    z = _as_matrix(logits_, "logits")
-    y = _check_labels(labels, z)
-    batch = z.shape[0]
-    rows = np.arange(batch)
-    own = np.zeros(z.shape, dtype=bool)
-    own[rows, y] = True
-    if head is HeadKind.OVA_DISTANCE:
-        d = -z
-        clamped = np.tanh(0.5 * d) <= PROB_CLAMP
-        safe_d = np.where(clamped, 1.0, d)
-        with np.errstate(over="ignore"):
-            grad_d = np.where(clamped, 0.0, -1.0 / np.sinh(safe_d))
-        grad_d[own] = _sigmoid(d[own])
-        return -grad_d / batch
-    return (probabilities(head, z) - own) / batch
-
-
-def _head_grads(head: HeadKind, params: ModelParams, emb: np.ndarray,
-                z: np.ndarray, g: np.ndarray, grads: ModelParams) -> np.ndarray:
-    """Write the head's gradients into ``grads``; return the embedding's."""
-    if head.is_distance:
-        d = -z
-        diff = emb[:, None, :] - params.head_weights.T[None, :, :]
-        # subgradient 0 for the norm at zero distance
-        unit = np.divide(diff, d[:, :, None], out=np.zeros_like(diff),
-                         where=d[:, :, None] > 0.0)
-        grads.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
-        return -np.einsum("bk,bke->be", g, unit)
-    np.matmul(emb.T, g, out=grads.head_weights)
-    g.sum(axis=0, out=grads.head_biases)
-    return g @ params.head_weights.T
+    return _loss_and_logit_gradient(head, _as_matrix(logits_, "logits"), labels)[1]
 
 
 def loss_and_grads(head: HeadKind, params: ModelParams, inputs,
@@ -217,11 +204,24 @@ def loss_and_grads(head: HeadKind, params: ModelParams, inputs,
     """
     activations = forward(params, inputs)
     emb = activations[-1]
-    z = logits(head, params, emb)
-    value = loss(head, z, labels)
-    g = logit_gradient(head, z, labels)
+    _check_head_params(head, params)
     grads = ModelParams.zeros(params.layout)
-    backward(params, activations, _head_grads(head, params, emb, z, g, grads), grads)
+    if head.is_distance:
+        d, diff = _distances(params, emb)
+        value, g = _loss_and_logit_gradient(head, -d, labels)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = np.divide(diff, d[:, :, None], out=diff)
+        if not d.all():  # subgradient 0 for the norm at zero distance
+            unit[d == 0.0] = 0.0
+        grads.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
+        emb_grad = -np.einsum("bk,bke->be", g, unit)
+    else:
+        value, g = _loss_and_logit_gradient(head, emb @ params.head_weights
+                                            + params.head_biases, labels)
+        np.matmul(emb.T, g, out=grads.head_weights)
+        g.sum(axis=0, out=grads.head_biases)
+        emb_grad = g @ params.head_weights.T
+    backward(params, activations, emb_grad, grads)
     return value, grads
 
 

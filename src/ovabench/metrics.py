@@ -218,14 +218,17 @@ def pca2(points, extra_points=None) -> Pca2Result:
     two components are the top eigenvectors of the covariance from an exact
     symmetric eigendecomposition; they are orthonormal, and each is
     sign-fixed so its largest-magnitude coordinate is positive.  Raises if
-    the covariance has fewer than two nonzero eigenvalues.
+    the covariance is not finite or has fewer than two nonzero eigenvalues.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] < 2:
         raise ValueError("points must be [n x d] with n >= 3 and d >= 2")
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    cov = centered.T @ centered / (pts.shape[0] - 1)
+    with np.errstate(all="ignore"):  # refused below, without warnings
+        mean = pts.mean(axis=0)
+        centered = pts - mean
+        cov = centered.T @ centered / (pts.shape[0] - 1)
+    if not np.isfinite(cov).all():
+        raise ValueError("the covariance of the points is not finite (they overflow it)")
     scale = max(float(np.trace(cov)), 1.0)
     values, vectors = np.linalg.eigh(cov)  # ascending
     eigenvalues = values[[-1, -2]]

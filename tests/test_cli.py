@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ovabench.cli import main
-from ovabench.nncore import ModelParams, init_params, save_checkpoint
+from ovabench.nncore import ModelParams, init_params, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -135,6 +135,50 @@ def test_landscape_refuses_non_finite_confidence(tmp_path, config_file, capsys):
     assert err.startswith("error:") and "grid point" in err
     assert "Traceback" not in err
     assert not (tmp_path / "softmax" / "landscape.csv").exists()
+
+
+CI_SMALL = {"data": {"n_per_class": 30}, "optim": {"steps": 50, "batch_size": 16},
+            "landscape": {"resolution": 10}, "metrics": {"num_thresholds": 11},
+            "ood": {"n": 30}}
+
+
+@pytest.fixture(scope="module")
+def overflowing_dm(tmp_path_factory):
+    """The small CI config, and a `train --head dm --seed 1` checkpoint on it
+    with every value scaled by 1e160 (the body overflows on every input) or by
+    1e100 (the embeddings are finite, their squares are not)."""
+    root = tmp_path_factory.mktemp("overflow")
+    config = root / "small.json"
+    config.write_text(json.dumps(CI_SMALL))
+    assert main(["train", "--head", "dm", "--config", str(config), "--seed", "1",
+                 "--out", str(root / "trained")]) == 0
+    params, head, seed = load_checkpoint(root / "trained" / "dm" / "checkpoint.json")
+    paths = {}
+    for scale in (1e160, 1e100):
+        paths[scale] = root / f"scaled_{scale:g}.json"
+        save_checkpoint(paths[scale], ModelParams(params.flat * scale, params.layout), head,
+                        seed)
+    return config, paths
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
+@pytest.mark.parametrize("stage, rows, scale", [
+    ("evaluate", "test row 0", 1e160), ("sweep", "test row 0", 1e160),
+    ("landscape", "grid point 0", 1e160), ("centers", "training row 0", 1e160),
+    ("centers", "training row 0", 1e100)])
+def test_overflowing_model_is_refused_in_one_line(tmp_path, capsys, overflowing_dm,
+                                                  stage, rows, scale):
+    config, paths = overflowing_dm
+    capsys.readouterr()
+    code = main([stage, "--config", str(config), "--seed", "1",
+                 "--checkpoint", str(paths[scale]), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: the model's ") and err.count("\n") == 1
+    assert f"are not finite for {rows} (input [" in err
+    # nothing but the head directory the CLI made: no shift/ from a refused sweep
+    assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*"))] \
+        == ["out", "out/dm"]
 
 
 @pytest.mark.parametrize("bad, field", [

@@ -375,6 +375,14 @@ class TestShiftSweep:
             assert abs(acc - accuracy) < 1e-12
             assert abs(value - ece_value) < 1e-12
 
+    def test_refused_sweep_leaves_no_shift_directory(self, tmp_path):
+        cfg = tiny_config()
+        params = init_params([2, *cfg.model.hidden], 10, head_biases=False, seed=5)
+        params.flat *= 1e160  # finite, but the body overflows on every input
+        with pytest.raises(ValueError, match="not finite for test row 0"):
+            shift_sweep(params, HeadKind.SOFTMAX_DISTANCE, make_datasets(cfg)[1], cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 EXPECTED_EVAL_FILES = ("metrics.json", "predictions.csv", "calibration.csv",
                        "curve.csv", "sweep.csv", "landscape.csv")

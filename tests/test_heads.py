@@ -300,6 +300,50 @@ class TestGradients:
             assert np.allclose(got_b, want_b, atol=1e-15)
 
     @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    @pytest.mark.parametrize("batch", [1, 128])
+    def test_step_equals_the_composition_bitwise(self, head, batch):
+        rng = np.random.default_rng(batch)
+        params = random_params(head, seed=12)
+        x = rng.standard_normal((batch, 2)) * 20
+        y = rng.integers(0, 10, batch)
+        if head.is_distance:
+            # embedding component 0 is 0 for every row; row 0 sits exactly on
+            # center 3, and row 1 is 1e-170 from center 4, so its distance
+            # underflows to 0 while its difference does not
+            params.weights[-1][:, 0] = 0.0
+            params.biases[-1][0] = 0.0
+            emb = forward(params, x)[-1]
+            params.head_weights[:, 3] = emb[0]
+            if batch > 1:
+                params.head_weights[:, 4] = emb[1]
+                params.head_weights[0, 4] = 1e-170
+        value, grads = loss_and_grads(head, params, x, y)
+
+        activations = forward(params, x)
+        emb = activations[-1]
+        z = logits(head, params, emb)
+        want = ModelParams.zeros(params.layout)
+        g = logit_gradient(head, z, y)
+        if head.is_distance:
+            d = -z
+            diff = emb[:, None, :] - params.head_weights.T[None, :, :]
+            assert d[0, 3] == 0.0
+            assert batch == 1 or (d[1, 4] == 0.0 and diff[1, 4, 0] != 0.0)
+            unit = np.divide(diff, d[:, :, None], out=np.zeros_like(diff),
+                             where=d[:, :, None] > 0.0)
+            want.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
+            emb_grad = -np.einsum("bk,bke->be", g, unit)
+        else:
+            np.matmul(emb.T, g, out=want.head_weights)
+            g.sum(axis=0, out=want.head_biases)
+            emb_grad = g @ params.head_weights.T
+        backward(params, activations, emb_grad, want)
+        assert value == loss(head, z, y)
+        for name, got, expected in zip(params.layout.names, grads.tensors, want.tensors,
+                                       strict=True):
+            assert np.array_equal(got, expected), name
+
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
     @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 0]], ids=["short", "long"])
     def test_label_count_must_match_batch(self, head, labels):
         z = -np.ones((3, 4))  # valid logits for every head, distance heads included

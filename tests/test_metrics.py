@@ -348,6 +348,13 @@ class TestPca2:
         with pytest.raises(ValueError):
             pca2(np.zeros((2, 3)))
 
+    @pytest.mark.filterwarnings("error")  # refused without a warning first
+    def test_overflowing_covariance_rejected(self):
+        # finite points whose squares, summed over rows, overflow the covariance
+        pts = np.random.default_rng(12).standard_normal((50, 3)) * 1e160
+        with pytest.raises(ValueError, match="covariance of the points is not finite"):
+            pca2(pts)
+
 
 class TestPredictionsIo:
     def test_round_trip(self, tmp_path):
