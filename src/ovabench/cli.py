@@ -60,20 +60,23 @@ def _load_model(args, cfg: ExperimentConfig):
             raise ValueError(f"checkpoint {ckpt} does not fit the config: {name} has shape "
                              f"{have.get(name, '(none)')}, the config needs "
                              f"{want.get(name, '(none)')}")
-    return params, head
+    return params, head, ckpt
 
 
 def _run_stage(name: str, args) -> int:
     """Run one stage of ``harness.STAGES`` for one head and print its summary."""
     cfg = _load_config(args)
     if name == "train":
-        params, head = None, _require_head(args)
+        params, head, ckpt = None, _require_head(args), None
     else:
-        params, head = _load_model(args, cfg)
+        params, head, ckpt = _load_model(args, cfg)
     head_dir = Path(args.out) / head.value
     head_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the stage runs
-    _, summary = harness.STAGES[name](cfg, head, params, lambda: harness.make_datasets(cfg),
-                                      head_dir)
+    try:
+        _, summary = harness.STAGES[name](cfg, head, params,
+                                          lambda: harness.make_datasets(cfg), head_dir)
+    except harness.NonFiniteModel as exc:
+        raise ValueError(f"{exc}; checkpoint {ckpt}") from None
     print(summary)
     return 0
 

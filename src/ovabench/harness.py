@@ -30,9 +30,17 @@ ALL_HEADS = (HeadKind.SOFTMAX_AFFINE, HeadKind.SOFTMAX_DISTANCE,
 
 LOG_EVERY = 100
 
+# Training draws the batch indices of a block of steps in one call, at most this
+# many indices, and gathers the block's rows at once (3 MiB for 2-D features).
+BATCH_BLOCK_ENTRIES = 1 << 17
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss stops being finite."""
+
+
+class NonFiniteModel(ValueError):
+    """Raised when a trained model's logits overflow on an input row."""
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -110,6 +118,10 @@ class ExperimentConfig:
             value = getattr(getattr(self, section), name)
             if not ok(value):
                 raise ValueError(f"{where} must be {rule}, got {value!r:.60}")
+        d = self.data
+        if d.train_fraction < 1.0 and math.floor(d.train_fraction * d.n_per_class) < 1:
+            raise ValueError(f"data.train_fraction {d.train_fraction!r} of data.n_per_class "
+                             f"{d.n_per_class!r} leaves no training row per class")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -248,8 +260,8 @@ def _embed(params: ModelParams, head: HeadKind, features,
     finite = np.isfinite(z).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"the model's logits are not finite for {rows} {i} "
-                         f"(input {features[i].tolist()})")
+        raise NonFiniteModel(f"the model's logits are not finite for {rows} {i} "
+                             f"(input {features[i].tolist()})")
     return emb, z
 
 
@@ -325,8 +337,10 @@ def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> Trai
     params = init_params([x.shape[1], *config.model.hidden], config.data.num_classes,
                          head_biases=head.uses_biases, head_init=head_init,
                          seed=derive_seed(config.seed, f"init:{head.value}"))
-    velocity = ModelParams.zeros(params.layout)
+    velocity, grads = ModelParams.zeros(params.layout), ModelParams.zeros(params.layout)
     rng = np.random.default_rng(derive_seed(config.seed, f"train:{head.value}"))
+    steps, batch = config.optim.steps, config.optim.batch_size
+    block = max(1, BATCH_BLOCK_ENTRIES // batch)
 
     def full_eval():
         z = headsmod.logits(head, params, forward(params, x)[-1])
@@ -334,19 +348,22 @@ def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> Trai
         return headsmod.loss(head, z, y), float((pred == y).mean())
 
     log: dict[str, list] = {"step": [], "loss": [], "accuracy": []}
-    for step in range(1, config.optim.steps + 1):
-        idx = rng.integers(0, len(x), size=config.optim.batch_size)
-        try:
-            batch_loss, grads = headsmod.loss_and_grads(head, params, x[idx], y[idx])
-            if not np.isfinite(batch_loss):
-                raise ValueError("non-finite loss")
-            sgd_step(params, grads, velocity, config.optim.learning_rate, config.optim.momentum)
-        except ValueError as exc:
-            raise TrainingDiverged(
-                f"training diverged at step {step} for head '{head.value}': {exc}") from exc
-        if step % LOG_EVERY == 0 or step == config.optim.steps:
-            for column, value in zip(log.values(), (step, *full_eval())):
-                column.append(value)
+    for first in range(1, steps + 1, block):
+        # one draw per block gives the stream of one draw per step (PCG64)
+        idx = rng.integers(0, len(x), size=(min(block, steps + 1 - first), batch))
+        for step, xs, ys in zip(range(first, steps + 1), x[idx], y[idx]):
+            try:
+                batch_loss, _ = headsmod.loss_and_grads(head, params, xs, ys, grads)
+                if not math.isfinite(batch_loss):
+                    raise ValueError("non-finite loss")
+                sgd_step(params, grads, velocity, config.optim.learning_rate,
+                         config.optim.momentum)
+            except ValueError as exc:
+                raise TrainingDiverged(
+                    f"training diverged at step {step} for head '{head.value}': {exc}") from exc
+            if step % LOG_EVERY == 0 or step == steps:
+                for column, value in zip(log.values(), (step, *full_eval())):
+                    column.append(value)
     final_accuracy = log["accuracy"][-1] if log["step"] else full_eval()[1]
     return TrainResult(params=params, log=log, final_accuracy=final_accuracy)
 

@@ -65,7 +65,7 @@ def _check_labels(labels, z: np.ndarray) -> np.ndarray:
         raise ValueError("labels must be a vector")
     if y.shape[0] != z.shape[0]:
         raise ValueError("labels length does not match batch size")
-    y, k = y.astype(np.int64), z.shape[1]
+    y, k = y.astype(np.int64, copy=False), z.shape[1]
     if y.size and (y.min() < 0 or y.max() >= k):
         bad = int(np.argmax((y < 0) | (y >= k)))
         raise ValueError(f"label {y[bad]} at index {bad} outside [0, {k})")
@@ -158,7 +158,7 @@ def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
     if not np.isfinite(per_example).all():
         bad = int(np.argmax(~np.isfinite(per_example)))
         raise ValueError(f"non-finite loss for batch index {bad}")
-    value = float(per_example.mean())
+    value = float(np.add.reduce(per_example) / z.shape[0])  # np.mean's sum and division
     if not gradient:
         return value, None
     if head is HeadKind.OVA_DISTANCE:
@@ -195,17 +195,16 @@ def logit_gradient(head: HeadKind, logits_, labels) -> np.ndarray:
     return _loss_and_logit_gradient(head, _as_matrix(logits_, "logits"), labels)[1]
 
 
-def loss_and_grads(head: HeadKind, params: ModelParams, inputs,
-                   labels) -> tuple[float, ModelParams]:
+def loss_and_grads(head: HeadKind, params: ModelParams, inputs, labels,
+                   grads: ModelParams) -> tuple[float, ModelParams]:
     """Forward pass, loss, and full parameter gradients in one call.
 
-    Returns ``(loss, grads)``, grads one vector in the layout of ``params``;
-    convenient for the training loop and for finite-difference checks.
+    Overwrites every entry of ``grads``, a vector in the layout of ``params``,
+    and returns ``(loss, grads)``, so a training loop can reuse one buffer.
     """
     activations = forward(params, inputs)
     emb = activations[-1]
     _check_head_params(head, params)
-    grads = ModelParams.zeros(params.layout)
     if head.is_distance:
         d, diff = _distances(params, emb)
         value, g = _loss_and_logit_gradient(head, -d, labels)

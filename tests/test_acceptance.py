@@ -18,7 +18,7 @@ from ovabench.harness import (ExperimentConfig, centers_report, derive_seed,
 from ovabench.heads import HeadKind, loss_and_grads, predict, probabilities, logits
 from ovabench.metrics import (Predictions, auroc_auprc, boxplot_stats, ece,
                               read_predictions)
-from ovabench.nncore import forward, init_params
+from ovabench.nncore import ModelParams, forward, init_params
 
 from gradcheck import gradient_check
 
@@ -177,7 +177,8 @@ class TestCriterion5GradientCorrectness:
             params = init_params([2, 16, 16], 10, head_biases=head.uses_biases,
                                  head_init="glorot", seed=11)
             worst[head.value] = gradient_check(
-                lambda p, h=head: loss_and_grads(h, p, x, y), params, step=1e-5)
+                lambda p, h=head: loss_and_grads(h, p, x, y, ModelParams.zeros(p.layout)),
+                params, step=1e-5)
         elapsed = time.monotonic() - t0
         ok = all(v < 1e-4 for v in worst.values()) and elapsed < 30.0
         detail = "; ".join(f"{k}: {v:.2e}" for k, v in worst.items())

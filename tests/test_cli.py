@@ -176,6 +176,7 @@ def test_overflowing_model_is_refused_in_one_line(tmp_path, capsys, overflowing_
     assert code == 1
     assert err.startswith("error: the model's ") and err.count("\n") == 1
     assert f"are not finite for {rows} (input [" in err
+    assert err.endswith(f"; checkpoint {paths[scale]}\n")
     # nothing but the head directory the CLI made: no shift/ from a refused sweep
     assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*"))] \
         == ["out", "out/dm"]
@@ -195,9 +196,11 @@ def test_overflowing_model_is_refused_in_one_line(tmp_path, capsys, overflowing_
     ('{"sweep": {"kinds": ["%s"]}}' % ("x" * 100000), "sweep.kinds"),
     ('{"optim": {"%s": 1}}' % ("x" * 100000), "unknown keys in config section 'optim'"),
     ('{"ood": {"n": 10, "exclusion_radius": 1000}}', "ood.exclusion_radius"),
+    ('{"data": {"n_per_class": 5, "num_classes": 2, "train_fraction": 0.1}}',
+     "data.train_fraction 0.1 of data.n_per_class 5"),
 ], ids=["str-int", "scalar-list", "float-int", "nan-float", "bad-head", "ood-n-zero",
         "huge-int-float", "huge-n-per-class", "huge-batch-size", "long-str-int",
-        "long-sweep-kind", "long-key", "infeasible-ood-box"])
+        "long-sweep-kind", "long-key", "infeasible-ood-box", "empty-split"])
 def test_mistyped_config_field_is_named(tmp_path, capsys, bad, field):
     path = tmp_path / "bad.json"
     path.write_text(bad)

@@ -178,26 +178,32 @@ class TestTrain:
 
     @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
     def test_update_matches_per_tensor_reference_bitwise(self, head):
-        cfg = tiny_config(steps=300)
-        result = train(cfg, head, make_datasets(cfg)[0])
-        train_d = make_datasets(cfg)[0]
-        x, y = train_d.features, train_d.labels
-        params = init_params([x.shape[1], *cfg.model.hidden], cfg.data.num_classes,
-                             head_biases=head.uses_biases,
-                             head_init="zeros" if head.is_distance else "glorot",
-                             seed=derive_seed(cfg.seed, f"init:{head.value}"))
-        velocity = [np.zeros(t.shape) for t in params.tensors]
-        rng = np.random.default_rng(derive_seed(cfg.seed, f"train:{head.value}"))
-        m, lr = cfg.optim.momentum, cfg.optim.learning_rate
-        for _ in range(cfg.optim.steps):
-            idx = rng.integers(0, len(x), size=cfg.optim.batch_size)
-            _, grads = loss_and_grads(head, params, x[idx], y[idx])
-            for p, g, v in zip(params.tensors, grads.tensors, velocity, strict=True):
-                v[...] = m * v - lr * g
-                p[...] = p + v
-        for name, got, want in zip(params.layout.names, result.params.tensors,
-                                   params.tensors, strict=True):
-            assert np.array_equal(got, want), name
+        # train() draws the indices of BATCH_BLOCK_ENTRIES // batch steps at once:
+        # batch 16 fits in one partial block, 1000 and 30000 span several blocks
+        # and end in a partial one; the reference draws once per step
+        for steps, batch in ((300, 16), (300, 1000), (5, 30000)):
+            cfg = tiny_config(steps=steps)
+            cfg.optim.batch_size = batch
+            result = train(cfg, head, make_datasets(cfg)[0])
+            train_d = make_datasets(cfg)[0]
+            x, y = train_d.features, train_d.labels
+            params = init_params([x.shape[1], *cfg.model.hidden], cfg.data.num_classes,
+                                 head_biases=head.uses_biases,
+                                 head_init="zeros" if head.is_distance else "glorot",
+                                 seed=derive_seed(cfg.seed, f"init:{head.value}"))
+            velocity = [np.zeros(t.shape) for t in params.tensors]
+            rng = np.random.default_rng(derive_seed(cfg.seed, f"train:{head.value}"))
+            m, lr = cfg.optim.momentum, cfg.optim.learning_rate
+            for _ in range(cfg.optim.steps):
+                idx = rng.integers(0, len(x), size=cfg.optim.batch_size)
+                _, grads = loss_and_grads(head, params, x[idx], y[idx],
+                                          ModelParams.zeros(params.layout))
+                for p, g, v in zip(params.tensors, grads.tensors, velocity, strict=True):
+                    v[...] = m * v - lr * g
+                    p[...] = p + v
+            for name, got, want in zip(params.layout.names, result.params.tensors,
+                                       params.tensors, strict=True):
+                assert np.array_equal(got, want), f"{name} at {steps} steps of {batch}"
 
 
 class TestEvaluate:

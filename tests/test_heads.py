@@ -258,7 +258,9 @@ class TestGradients:
         x = rng.standard_normal((8, 2)) * 3
         y = rng.integers(0, 10, 8)
         params = random_params(head, seed=7)
-        err = gradient_check(lambda p: loss_and_grads(head, p, x, y), params, step=1e-5)
+        err = gradient_check(
+            lambda p: loss_and_grads(head, p, x, y, ModelParams.zeros(p.layout)), params,
+            step=1e-5)
         assert err < 1e-4
 
     @pytest.mark.parametrize("head", DISTANCE_HEADS, ids=[h.value for h in DISTANCE_HEADS])
@@ -267,14 +269,17 @@ class TestGradients:
         x = rng.standard_normal((8, 2)) * 3
         y = rng.integers(0, 10, 8)
         params = init_params([2, 16, 16], 10, head_biases=False, head_init="zeros", seed=7)
-        err = gradient_check(lambda p: loss_and_grads(head, p, x, y), params, step=1e-5)
+        err = gradient_check(
+            lambda p: loss_and_grads(head, p, x, y, ModelParams.zeros(p.layout)), params,
+            step=1e-5)
         assert err < 1e-4
 
     def test_embedding_exactly_at_center_stays_finite(self):
         w = np.array([[1.0, -1.0], [2.0, 0.5]])  # embed_dim 2, K 2
         params = head_only_params(w)
         x = w.T[:1]  # embedding == center 0
-        _, grads = loss_and_grads(HeadKind.OVA_DISTANCE, params, x, [0])
+        _, grads = loss_and_grads(HeadKind.OVA_DISTANCE, params, x, [0],
+                                  ModelParams.zeros(params.layout))
         # identity body and batch 1: the body bias gradient is the embedding gradient
         assert np.isfinite(grads.head_weights).all()
         assert np.isfinite(grads.biases[0]).all()
@@ -285,7 +290,8 @@ class TestGradients:
         x = rng.standard_normal((5, 2))
         y = rng.integers(0, 10, 5)
         trace = forward(params, x)
-        _, grads = loss_and_grads(HeadKind.OVA_AFFINE, params, x, y)
+        _, grads = loss_and_grads(HeadKind.OVA_AFFINE, params, x, y,
+                                  ModelParams.zeros(params.layout))
         z = logits(HeadKind.OVA_AFFINE, params, trace[-1])
         g = logit_gradient(HeadKind.OVA_AFFINE, z, y)
         assert np.allclose(grads.head_weights, trace[-1].T @ g, atol=1e-15)
@@ -317,7 +323,9 @@ class TestGradients:
             if batch > 1:
                 params.head_weights[:, 4] = emb[1]
                 params.head_weights[0, 4] = 1e-170
-        value, grads = loss_and_grads(head, params, x, y)
+        # a buffer full of NaN: the step must overwrite every entry
+        nan_filled = ModelParams(np.full(params.layout.size, np.nan), params.layout)
+        value, grads = loss_and_grads(head, params, x, y, nan_filled)
 
         activations = forward(params, x)
         emb = activations[-1]
