@@ -87,7 +87,7 @@ def cmd_run_all(args) -> int:
     for head, stages in outcome.manifest["stages"].items():
         status = ", ".join(f"{stage}={state}" for stage, state in stages.items())
         print(f"{head}: {status}")
-    print(f"artifacts in {outcome.out_dir}")
+    print(f"artifacts in {Path(args.out)}")
     return 0 if outcome.ok else 1
 
 

@@ -44,21 +44,6 @@ class Dataset:
         return len(self.labels)
 
 
-@dataclass
-class CorruptionSpec:
-    """A named corruption at an integer intensity from 1 (mild) to 5 (severe)."""
-
-    kind: str
-    intensity: int
-
-    def __post_init__(self):
-        if self.kind not in CORRUPTION_KINDS:
-            raise ValueError(f"unknown corruption kind {self.kind!r}")
-        if not 1 <= int(self.intensity) <= 5:
-            raise ValueError(f"intensity {self.intensity} outside [1, 5]")
-        self.intensity = int(self.intensity)
-
-
 def ring_class_means(num_classes: int, radius: float,
                      angle_formula: str = "ring") -> np.ndarray:
     """Class means on a circle of the given radius.
@@ -93,25 +78,28 @@ def gen_ring(num_classes: int = 10, n_per_class: int = 1000, radius: float = 20.
     return Dataset(features=features, labels=labels, num_classes=num_classes, seed=seed)
 
 
-def corrupt(data: Dataset, spec: CorruptionSpec, seed: int) -> Dataset:
-    """Apply a corruption; labels and row count never change.
+def corrupt(data: Dataset, kind: str, intensity: int, seed: int) -> Dataset:
+    """Apply a named corruption at an integer intensity from 1 (mild) to 5
+    (severe); labels and row count never change.
 
     gaussian_noise adds isotropic noise with sigma = intensity * sqrt(2), one
     cluster standard deviation per intensity step, which spans mild to severe
     accuracy degradation on the default ring task.  rotation turns all points
     about the origin by 5 degrees per intensity.
     """
-    if spec.kind == "gaussian_noise":
-        sigma = spec.intensity * math.sqrt(2.0)
+    if kind not in CORRUPTION_KINDS:
+        raise ValueError(f"unknown corruption kind {kind!r}")
+    if type(intensity) is not int or not 1 <= intensity <= 5:
+        raise ValueError(f"intensity {intensity!r} outside [1, 5]")
+    if kind == "gaussian_noise":
+        sigma = intensity * math.sqrt(2.0)
         rng = np.random.default_rng(seed)
         features = data.features + sigma * rng.standard_normal(data.features.shape)
-    elif spec.kind == "rotation":
-        phi = math.radians(5.0 * spec.intensity)
+    else:
+        phi = math.radians(5.0 * intensity)
         rot = np.array([[math.cos(phi), -math.sin(phi)],
                         [math.sin(phi), math.cos(phi)]])
         features = data.features @ rot.T
-    else:  # pragma: no cover - CorruptionSpec already validates
-        raise ValueError(f"unknown corruption kind {spec.kind!r}")
     return Dataset(features=features, labels=data.labels.copy(),
                    num_classes=data.num_classes, seed=seed)
 
@@ -169,15 +157,16 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
     return make(tr), make(te)
 
 
-def save_dataset(path, data: Dataset, generator: str, params: dict) -> None:
-    """Write features/labels as CSV plus a JSON sidecar with provenance."""
+def save_dataset(path, data: Dataset, params: dict) -> None:
+    """Write features/labels as CSV plus a JSON sidecar with provenance; the
+    generator is always ``gen_ring``."""
     path = Path(path)
     if data.features.shape[1] != 2:
         raise ValueError("dataset CSV format is fixed to 2 feature columns")
     write_csv(path, {"x0": data.features[:, 0], "x1": data.features[:, 1],
                      "label": data.labels})
     meta = {
-        "generator": generator,
+        "generator": "gen_ring",
         "params": params,
         "seed": int(data.seed),
         "num_classes": int(data.num_classes),

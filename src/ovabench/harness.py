@@ -19,7 +19,7 @@ import numpy as np
 from . import data as datamod
 from . import heads as headsmod
 from . import metrics as metricsmod
-from .data import CorruptionSpec, Dataset
+from .data import Dataset
 from .heads import HeadKind
 from .ioutil import write_csv, write_json
 from .metrics import Predictions, boxplot_stats
@@ -231,24 +231,6 @@ class TrainResult:
     final_accuracy: float
 
 
-@dataclass
-class LandscapeGrid:
-    """Confidence and predicted label on a dense grid; row 0 is the top (ymax)."""
-
-    x_coords: np.ndarray
-    y_coords: np.ndarray
-    confidence: np.ndarray
-    labels: np.ndarray
-
-
-@dataclass
-class CenterReport:
-    projected_points: np.ndarray
-    point_labels: np.ndarray
-    projected_centers: np.ndarray
-    alignment_errors: np.ndarray
-
-
 def _embed(params: ModelParams, head: HeadKind, features,
            rows: str) -> tuple[np.ndarray, np.ndarray]:
     """Embeddings and logits for each row of ``features``.  A model that
@@ -415,8 +397,7 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
     cases = [(k, i) for k in config.sweep.kinds for i in config.sweep.intensities]
     for kind, intensity in [("none", 0), *cases]:
         dataset = base_test if kind == "none" else datamod.corrupt(
-            base_test, CorruptionSpec(kind=kind, intensity=intensity),
-            derive_seed(config.seed, f"corrupt:{kind}:{intensity}"))
+            base_test, kind, intensity, derive_seed(config.seed, f"corrupt:{kind}:{intensity}"))
         preds = _score(params, head, dataset.features, dataset.labels, "test row")
         ece_value, _ = metricsmod.ece(preds, config.metrics.num_bins)
         accuracy = float(np.mean(preds.is_correct))
@@ -435,43 +416,40 @@ def shift_sweep(params: ModelParams, head: HeadKind, base_test: Dataset,
 
 
 def landscape(params: ModelParams, head: HeadKind,
-              config: ExperimentConfig) -> LandscapeGrid:
-    """Confidence and predicted label over a square grid of 2D inputs."""
+              config: ExperimentConfig) -> dict[str, np.ndarray]:
+    """Confidence and predicted label over a square grid of 2D inputs, as the
+    landscape.csv columns ``x, y, confidence, label``, row by row from ymax."""
     res = config.landscape.resolution
     h = config.landscape.half_extent
-    xs = np.linspace(-h, h, res)
-    ys = np.linspace(h, -h, res)  # row 0 = ymax
-    xx, yy = np.meshgrid(xs, ys)
-    points = np.column_stack((xx.ravel(), yy.ravel()))
-    pred, conf = _predict_features(params, head, points, "grid point")
-    return LandscapeGrid(x_coords=xs, y_coords=ys,
-                         confidence=conf.reshape(res, res),
-                         labels=pred.reshape(res, res))
+    xx, yy = np.meshgrid(np.linspace(-h, h, res), np.linspace(h, -h, res))
+    x, y = xx.ravel(), yy.ravel()
+    pred, conf = _predict_features(params, head, np.column_stack((x, y)), "grid point")
+    return {"x": x, "y": y, "confidence": conf, "label": pred}
 
 
-def write_landscape_csv(path, grid: LandscapeGrid) -> None:
-    write_csv(path, {"x": np.tile(grid.x_coords, len(grid.y_coords)),
-                     "y": np.repeat(grid.y_coords, len(grid.x_coords)),
-                     "confidence": grid.confidence.ravel(), "label": grid.labels.ravel()})
+def write_landscape_csv(path, columns: dict[str, np.ndarray]) -> None:
+    write_csv(path, columns)
 
 
-def write_landscape_pgm(path, grid: LandscapeGrid) -> None:
-    """Binary P5 image, confidence mapped linearly onto 0..255, row 0 = ymax."""
-    res_y, res_x = grid.confidence.shape
-    pixels = np.rint(np.clip(grid.confidence, 0.0, 1.0) * 255.0).astype(np.uint8)
+def write_landscape_pgm(path, confidence: np.ndarray) -> None:
+    """Binary P5 image of a [rows x cols] confidence grid on 0..255, row 0 = ymax."""
+    res_y, res_x = confidence.shape
+    pixels = np.rint(np.clip(confidence, 0.0, 1.0) * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{res_x} {res_y}\n255\n".encode())
         fh.write(pixels.tobytes())
 
 
 def centers_report(params: ModelParams, head: HeadKind,
-                   train_data: Dataset) -> CenterReport:
+                   train_data: Dataset) -> dict[str, np.ndarray]:
     """Compare learned class centers against per-class embedding means.
 
     Only distance heads carry center semantics; affine heads are refused.
     Embeddings and the weight columns are projected onto the same top-2 PCA
     subspace, and each class gets the alignment error
     ||mean embedding - weight column|| in the original embedding space.
+    Returns the centers.csv columns ``kind, label, p0, p1, alignment_error``:
+    point rows, then center rows; points have no alignment error.
     """
     if not head.is_distance:
         raise ValueError(f"head '{head.value}' has no class-center semantics")
@@ -485,20 +463,16 @@ def centers_report(params: ModelParams, head: HeadKind,
         means[c] = emb[mask].mean(axis=0)
     centers = params.head_weights.T
     alignment = np.linalg.norm(means - centers, axis=1)
-    result = metricsmod.pca2(emb, extra_points=centers)
-    return CenterReport(projected_points=result.points, point_labels=train_data.labels,
-                        projected_centers=result.extras, alignment_errors=alignment)
+    projected = np.concatenate(metricsmod.pca2(emb, extra_points=centers)[:2])
+    n = len(emb)
+    return {"kind": np.repeat(["point", "center"], [n, k]),
+            "label": np.concatenate((train_data.labels, np.arange(k))),
+            "p0": projected[:, 0], "p1": projected[:, 1],
+            "alignment_error": np.concatenate((np.full(n, np.nan), alignment))}
 
 
-def write_centers_csv(path, report: CenterReport) -> None:
-    """Point rows then center rows; points have no alignment error."""
-    n, k = len(report.projected_points), len(report.projected_centers)
-    projected = np.concatenate((report.projected_points, report.projected_centers))
-    write_csv(path, {"kind": np.repeat(["point", "center"], [n, k]),
-                     "label": np.concatenate((report.point_labels, np.arange(k))),
-                     "p0": projected[:, 0], "p1": projected[:, 1],
-                     "alignment_error": np.concatenate((np.full(n, np.nan),
-                                                        report.alignment_errors))})
+def write_centers_csv(path, columns: dict[str, np.ndarray]) -> None:
+    write_csv(path, columns)
 
 
 # Stages: each takes the config, the head, the trained params (None for
@@ -531,18 +505,19 @@ def _sweep_stage(config, head, params, datasets, head_dir):
 
 
 def _landscape_stage(config, head, params, datasets, head_dir):
-    grid = landscape(params, head, config)
-    write_landscape_csv(head_dir / "landscape.csv", grid)
-    write_landscape_pgm(head_dir / "landscape.pgm", grid)
+    columns = landscape(params, head, config)
     res = config.landscape.resolution
-    return grid, f"landscape written for head '{head.value}' ({res}x{res} grid)"
+    write_landscape_csv(head_dir / "landscape.csv", columns)
+    write_landscape_pgm(head_dir / "landscape.pgm", columns["confidence"].reshape(res, res))
+    return columns, f"landscape written for head '{head.value}' ({res}x{res} grid)"
 
 
 def _centers_stage(config, head, params, datasets, head_dir):
-    report = centers_report(params, head, datasets()[0])
-    write_centers_csv(head_dir / "centers.csv", report)
-    return report, (f"centers report written for head '{head.value}'; "
-                    f"mean alignment error {float(report.alignment_errors.mean()):.4f}")
+    columns = centers_report(params, head, datasets()[0])
+    write_centers_csv(head_dir / "centers.csv", columns)
+    alignment = columns["alignment_error"][-config.data.num_classes:]  # the center rows
+    return columns, (f"centers report written for head '{head.value}'; "
+                     f"mean alignment error {float(alignment.mean()):.4f}")
 
 
 STAGES = {"train": _train_stage, "evaluate": _evaluate_stage, "sweep": _sweep_stage,
@@ -553,7 +528,6 @@ STAGES = {"train": _train_stage, "evaluate": _evaluate_stage, "sweep": _sweep_st
 class RunOutcome:
     ok: bool
     manifest: dict
-    out_dir: Path
 
 
 def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
@@ -572,8 +546,8 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
     gen_params = asdict(config.data)
-    datamod.save_dataset(data_dir / "train.csv", train_d, "gen_ring", gen_params)
-    datamod.save_dataset(data_dir / "test.csv", test_d, "gen_ring", gen_params)
+    datamod.save_dataset(data_dir / "train.csv", train_d, gen_params)
+    datamod.save_dataset(data_dir / "test.csv", test_d, gen_params)
     write_csv(data_dir / "ood.csv", {"x0": ood_points[:, 0], "x1": ood_points[:, 1]})
 
     manifest: dict = {"config": asdict(config), "stages": {}}
@@ -609,4 +583,4 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
                for name in ("head", "train_accuracy", "accuracy", "ece", "auroc", "auprc")})
     manifest["completed"] = ok
     write_json(out / "MANIFEST.json", manifest)
-    return RunOutcome(ok=ok, manifest=manifest, out_dir=out)
+    return RunOutcome(ok=ok, manifest=manifest)

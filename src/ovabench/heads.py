@@ -138,6 +138,8 @@ def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
                              gradient: bool = True) -> tuple[float, np.ndarray | None]:
     """Mean loss of the logits ``z`` and, with ``gradient``, its gradient w.r.t.
     ``z``; the two share their intermediates and one label check."""
+    if not z.shape[0]:  # the mean would divide by zero
+        raise ValueError("batch must contain at least one row")
     y = _check_labels(labels, z)
     rows = np.arange(z.shape[0])
     if head is HeadKind.OVA_DISTANCE:

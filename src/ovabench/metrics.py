@@ -65,16 +65,6 @@ class Predictions:
         return ~self.is_ood & (self.predicted_label == self.true_label)
 
 
-@dataclass
-class Pca2Result:
-    """Top-2 principal projection of a point cloud plus optional extras."""
-
-    points: np.ndarray
-    extras: np.ndarray | None
-    components: np.ndarray
-    eigenvalues: np.ndarray
-
-
 def _bin_indices(confidences: np.ndarray, num_bins: int) -> np.ndarray:
     # Equal-width bins on [0, 1]; a value on an interior edge goes to the
     # higher bin, and 1.0 lands in the top bin.
@@ -211,8 +201,11 @@ def boxplot_stats(values) -> dict[str, float]:
             "q3": quantile(0.75), "max": float(s[-1])}
 
 
-def pca2(points, extra_points=None) -> Pca2Result:
-    """Project points (and optional extras) onto the top-2 PCA subspace.
+def pca2(points, extra_points=None) -> tuple[np.ndarray, np.ndarray | None,
+                                               np.ndarray, np.ndarray]:
+    """Project points (and optional extras) onto the top-2 PCA subspace;
+    returns ``(points, extras, components, eigenvalues)``, extras None without
+    ``extra_points``.
 
     Centering uses the points' mean; extra points share that centering.  The
     two components are the top eigenvectors of the covariance from an exact
@@ -244,8 +237,7 @@ def pca2(points, extra_points=None) -> Pca2Result:
         if extra.ndim != 2 or extra.shape[1] != pts.shape[1]:
             raise ValueError("extra_points must be [m x d] with matching d")
         extras = (extra - mean) @ basis
-    return Pca2Result(points=projected, extras=extras, components=basis,
-                      eigenvalues=eigenvalues)
+    return projected, extras, basis, eigenvalues
 
 
 def write_predictions(path, preds: Predictions) -> None:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ovabench.data import CorruptionSpec, corrupt, ring_class_means
+from ovabench.data import corrupt, ring_class_means
 from ovabench.harness import (ExperimentConfig, centers_report, derive_seed,
                               landscape, make_datasets, run_all, train)
 from ovabench.heads import HeadKind, loss_and_grads, predict, probabilities, logits
@@ -85,11 +85,10 @@ def shift_models():
 
 def far_mask_and_confidence(result, head, cfg):
     grid = landscape(result.params, head, cfg)
-    xx, yy = np.meshgrid(grid.x_coords, grid.y_coords)
-    pts = np.column_stack((xx.ravel(), yy.ravel()))
+    pts = np.column_stack((grid["x"], grid["y"]))
     means = ring_class_means(cfg.data.num_classes, cfg.data.radius)
     dmin = np.sqrt(((pts[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
-    return grid, pts, dmin > 40.0, grid.confidence.ravel()
+    return grid, pts, dmin > 40.0, grid["confidence"]
 
 
 class TestCriterion1TrainAccuracy:
@@ -154,10 +153,11 @@ class TestCriterion4CenterAlignment:
             sm, _, cfg = full_models[(HeadKind.SOFTMAX_DISTANCE, seed)]
             ova, _, _ = full_models[(HeadKind.OVA_DISTANCE, seed)]
             train_d, _, _ = make_datasets(cfg)
+            k = cfg.data.num_classes  # the center rows are the last k
             err_sm = centers_report(sm.params, HeadKind.SOFTMAX_DISTANCE,
-                                    train_d).alignment_errors.mean()
+                                    train_d)["alignment_error"][-k:].mean()
             err_ova = centers_report(ova.params, HeadKind.OVA_DISTANCE,
-                                     train_d).alignment_errors.mean()
+                                     train_d)["alignment_error"][-k:].mean()
             seed_ok = err_ova < err_sm
             ok = ok and seed_ok
             lines.append(f"seed {seed}: ova-distance {err_ova:.3f} vs "
@@ -240,7 +240,7 @@ class TestCriterion7ShiftDegradation:
         seed_results = []
         for seed in SEEDS:
             test_d = shift_models[("test_data", seed)]
-            noisy = {i: corrupt(test_d, CorruptionSpec("gaussian_noise", i),
+            noisy = {i: corrupt(test_d, "gaussian_noise", i,
                                 derive_seed(seed, f"corrupt:gaussian_noise:{i}"))
                      for i in (1, 5)}
             acc, ece_at_5 = {}, {}
@@ -288,18 +288,18 @@ def reduced_runs(tmp_path_factory):
     base = tmp_path_factory.mktemp("accept_runall")
     outcomes = []
     for tag in ("first", "second"):
-        outcomes.append(run_all(reduced_config(), base / tag))
+        outcomes.append((run_all(reduced_config(), base / tag), base / tag))
     return outcomes
 
 
 class TestCriterion8Determinism:
     def test_rerun_is_bitwise_identical(self, reduced_runs):
-        first, second = reduced_runs
+        (first, first_dir), (second, second_dir) = reduced_runs
         identical = first.ok and second.ok
         for head in ALL_HEADS:
             for name in ("metrics.json", "checkpoint.json"):
-                a = (first.out_dir / head.value / name).read_bytes()
-                b = (second.out_dir / head.value / name).read_bytes()
+                a = (first_dir / head.value / name).read_bytes()
+                b = (second_dir / head.value / name).read_bytes()
                 identical = identical and a == b
         report(8, identical, "metrics.json and checkpoint.json byte-identical "
                              "across two run-all invocations for all four heads")
@@ -308,7 +308,7 @@ class TestCriterion8Determinism:
 
 class TestCriterion9RoundTrip:
     def test_summary_metrics_recomputable_from_dumps(self, reduced_runs):
-        out = reduced_runs[0].out_dir
+        out = reduced_runs[0][1]
         worst = 0.0
         for head in ALL_HEADS:
             summary = json.loads((out / head.value / "metrics.json").read_text())

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ovabench.data import (CorruptionSpec, Dataset, corrupt, gen_ood, gen_ring,
-                           ring_class_means, save_dataset, split)
+from ovabench.data import (Dataset, corrupt, gen_ood, gen_ring, ring_class_means,
+                           save_dataset, split)
 
 
 class TestGenRing:
@@ -52,20 +52,20 @@ class TestGenRing:
 class TestCorrupt:
     def test_rotation_is_isometry(self):
         data = gen_ring(seed=3, n_per_class=100)
-        rotated = corrupt(data, CorruptionSpec("rotation", 5), seed=0)
+        rotated = corrupt(data, "rotation", 5, seed=0)
         assert np.abs(np.linalg.norm(rotated.features, axis=1)
                       - np.linalg.norm(data.features, axis=1)).max() < 1e-9
 
     def test_rotation_angle(self):
         data = Dataset(features=np.array([[1.0, 0.0]]), labels=np.array([0]),
                        num_classes=2, seed=0)
-        rotated = corrupt(data, CorruptionSpec("rotation", 2), seed=0)
+        rotated = corrupt(data, "rotation", 2, seed=0)
         phi = math.radians(10.0)
         assert np.allclose(rotated.features, [[math.cos(phi), math.sin(phi)]], atol=1e-12)
 
     def test_noise_moment_check(self):
         data = gen_ring(seed=5)
-        noisy = corrupt(data, CorruptionSpec("gaussian_noise", 3), seed=11)
+        noisy = corrupt(data, "gaussian_noise", 3, seed=11)
         noise = noisy.features - data.features
         sigma2 = (3 * math.sqrt(2.0)) ** 2
         assert np.abs(noise.var(axis=0, ddof=1) - sigma2).max() < 0.1 * sigma2
@@ -73,22 +73,24 @@ class TestCorrupt:
 
     def test_labels_and_shape_preserved(self):
         data = gen_ring(seed=6, n_per_class=37)
-        for spec in (CorruptionSpec("gaussian_noise", 1), CorruptionSpec("rotation", 4)):
-            out = corrupt(data, spec, seed=2)
+        for kind, intensity in (("gaussian_noise", 1), ("rotation", 4)):
+            out = corrupt(data, kind, intensity, seed=2)
             assert np.array_equal(out.labels, data.labels)
             assert out.features.shape == data.features.shape
 
     def test_corrupt_deterministic(self):
         data = gen_ring(seed=6, n_per_class=20)
-        a = corrupt(data, CorruptionSpec("gaussian_noise", 2), seed=8)
-        b = corrupt(data, CorruptionSpec("gaussian_noise", 2), seed=8)
+        a = corrupt(data, "gaussian_noise", 2, seed=8)
+        b = corrupt(data, "gaussian_noise", 2, seed=8)
         assert np.array_equal(a.features, b.features)
 
     def test_unknown_kind_rejected(self):
+        data = gen_ring(seed=6, n_per_class=2)
         with pytest.raises(ValueError, match="kind"):
-            CorruptionSpec("fog", 1)
-        with pytest.raises(ValueError, match="intensity"):
-            CorruptionSpec("rotation", 6)
+            corrupt(data, "fog", 1, seed=0)
+        for intensity in (6, 0, 2.5, "3"):
+            with pytest.raises(ValueError, match="intensity"):
+                corrupt(data, "rotation", intensity, seed=0)
 
 
 def disc_union_area(means, r):
@@ -180,7 +182,7 @@ class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         data = gen_ring(num_classes=3, n_per_class=8, seed=17)
         path = tmp_path / "ring.csv"
-        save_dataset(path, data, "gen_ring", {"num_classes": 3, "n_per_class": 8})
+        save_dataset(path, data, {"num_classes": 3, "n_per_class": 8})
         lines = path.read_text().splitlines()
         assert lines[0] == "x0,x1,label"
         rows = [line.split(",") for line in lines[1:]]
@@ -194,7 +196,7 @@ class TestDatasetIo:
     def test_sidecar_records_prng(self, tmp_path):
         import json
         data = gen_ring(num_classes=2, n_per_class=3, seed=18)
-        save_dataset(tmp_path / "d.csv", data, "gen_ring", {})
+        save_dataset(tmp_path / "d.csv", data, {})
         meta = json.loads((tmp_path / "d.meta.json").read_text())
         assert "PCG64" in meta["prng"]
         assert meta["generator"] == "gen_ring"

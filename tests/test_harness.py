@@ -260,10 +260,9 @@ class TestLandscape:
         cfg.landscape.resolution = 101  # integer grid over +-50
         model = identity_body_model(np.array([[10.0, -20.0], [-3.0, 7.0]]).T)
         grid = landscape(model, HeadKind.OVA_DISTANCE, cfg)
-        xi = int(np.argwhere(np.isclose(grid.x_coords, 10.0))[0][0])
-        yi = int(np.argwhere(np.isclose(grid.y_coords, -20.0))[0][0])
-        assert grid.confidence[yi, xi] == 1.0
-        assert grid.labels[yi, xi] == 0
+        i = int(np.argwhere(np.isclose(grid["x"], 10.0) & np.isclose(grid["y"], -20.0))[0][0])
+        assert grid["confidence"][i] == 1.0
+        assert grid["label"][i] == 0
 
     def test_softmax_probabilities_sum_to_one_on_grid(self):
         cfg = tiny_config()
@@ -279,16 +278,16 @@ class TestLandscape:
         cfg = tiny_config()
         model = identity_body_model(np.zeros((2, 3)))
         grid = landscape(model, HeadKind.OVA_DISTANCE, cfg)
-        assert grid.y_coords[0] == 50.0
-        assert grid.y_coords[-1] == -50.0
-        assert grid.confidence.shape == (9, 9)
+        assert grid["y"][0] == 50.0
+        assert grid["y"][-1] == -50.0
+        assert grid["confidence"].shape == (9 * 9,)
 
     def test_csv_and_pgm_outputs(self, tmp_path):
         cfg = tiny_config()
         model = identity_body_model(np.array([[0.0, 0.0]]).T)
         grid = landscape(model, HeadKind.OVA_DISTANCE, cfg)
         write_landscape_csv(tmp_path / "landscape.csv", grid)
-        write_landscape_pgm(tmp_path / "landscape.pgm", grid)
+        write_landscape_pgm(tmp_path / "landscape.pgm", grid["confidence"].reshape(9, 9))
         lines = (tmp_path / "landscape.csv").read_text().splitlines()
         assert lines[0] == "x,y,confidence,label"
         assert len(lines) == 1 + 81
@@ -314,7 +313,7 @@ class TestCentersReport:
                               for c in range(4)])
         model = identity_body_model(emb_means.T)
         report = centers_report(model, HeadKind.OVA_DISTANCE, data)
-        assert np.abs(report.alignment_errors).max() < 1e-12
+        assert np.abs(report["alignment_error"][-4:]).max() < 1e-12  # the 4 center rows
 
     def test_csv_row_count_is_n_plus_k(self, tmp_path):
         data = gen_ring(num_classes=4, n_per_class=30, seed=3)
@@ -439,8 +438,8 @@ class TestRunAll:
         second = run_all(cfg, tmp_path / "again")
         assert second.ok
         files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
-        again = {p.relative_to(second.out_dir): p.read_bytes()
-                 for p in second.out_dir.rglob("*") if p.is_file()}
+        again = {p.relative_to(tmp_path / "again"): p.read_bytes()
+                 for p in (tmp_path / "again").rglob("*") if p.is_file()}
         assert again.keys() == files.keys()
         for name, content in files.items():
             assert again[name] == content, name

@@ -352,11 +352,15 @@ class TestGradients:
             assert np.array_equal(got, expected), name
 
     @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
-    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 0]], ids=["short", "long"])
-    def test_label_count_must_match_batch(self, head, labels):
-        z = -np.ones((3, 4))  # valid logits for every head, distance heads included
+    @pytest.mark.parametrize("rows, labels, message", [
+        (3, [0, 1], "labels length does not match batch size"),
+        (3, [0, 1, 2, 0], "labels length does not match batch size"),
+        (0, [], "batch must contain at least one row"),
+    ], ids=["short", "long", "empty"])
+    def test_label_count_must_match_batch(self, head, rows, labels, message):
+        z = -np.ones((rows, 4))  # valid logits for every head, distance heads included
         for fn in (loss, logit_gradient):
-            with pytest.raises(ValueError, match="labels length does not match batch size"):
+            with pytest.raises(ValueError, match=message):
                 fn(head, z, labels)
 
 

@@ -283,32 +283,32 @@ class TestPca2:
         base = np.zeros((200, 5))
         base[:, 0] = rng.standard_normal(200) * 4.0
         base[:, 1] = rng.standard_normal(200) * 1.5
-        result = pca2(base)
+        points, _, components, _ = pca2(base)
         centered = base - base.mean(axis=0)
-        residual = centered - result.points @ result.components.T
+        residual = centered - points @ components.T
         assert np.abs(residual).max() < 1e-8
 
     def test_components_orthonormal(self):
         rng = np.random.default_rng(6)
         pts = rng.standard_normal((300, 6)) @ np.diag([5, 4, 3, 2, 1, 0.5])
-        result = pca2(pts)
-        gram = result.components.T @ result.components
+        components = pca2(pts)[2]
+        gram = components.T @ components
         assert np.abs(gram - np.eye(2)).max() < 1e-8
 
     def test_sign_convention(self):
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((100, 4)) * [6, 3, 1, 0.5]
-        result = pca2(pts)
+        components = pca2(pts)[2]
         for i in range(2):
-            comp = result.components[:, i]
+            comp = components[:, i]
             assert comp[np.argmax(np.abs(comp))] > 0
 
     def test_isotropic_cloud_variance(self):
         rng = np.random.default_rng(8)
         pts = rng.standard_normal((2000, 4))
-        result = pca2(pts)
+        points = pca2(pts)[0]
         per_coord = pts.var(axis=0, ddof=1).mean()
-        proj_var = result.points.var(axis=0, ddof=1)
+        proj_var = points.var(axis=0, ddof=1)
         assert np.abs(proj_var - per_coord).max() < 0.1 * per_coord
 
     def test_three_dim_eigenvalues_match_cubic_roots(self):
@@ -317,16 +317,16 @@ class TestPca2:
         centered = pts - pts.mean(axis=0)
         cov = centered.T @ centered / (len(pts) - 1)
         roots = sorted(closed_form_symmetric3_eigs(cov), reverse=True)
-        result = pca2(pts)
-        assert result.eigenvalues[0] == pytest.approx(roots[0], rel=1e-9)
-        assert result.eigenvalues[1] == pytest.approx(roots[1], rel=1e-9)
+        eigenvalues = pca2(pts)[3]
+        assert eigenvalues[0] == pytest.approx(roots[0], rel=1e-9)
+        assert eigenvalues[1] == pytest.approx(roots[1], rel=1e-9)
 
     def test_projection_variance_beats_random_frames(self):
         rng = np.random.default_rng(10)
         pts = rng.standard_normal((400, 6)) * [5, 4, 3, 2, 1, 0.5]
-        result = pca2(pts)
+        points = pca2(pts)[0]
         centered = pts - pts.mean(axis=0)
-        best = result.points.var(axis=0, ddof=1).sum()
+        best = points.var(axis=0, ddof=1).sum()
         for _ in range(100):
             frame, _ = np.linalg.qr(rng.standard_normal((6, 2)))
             random_var = (centered @ frame).var(axis=0, ddof=1).sum()
@@ -336,8 +336,8 @@ class TestPca2:
         rng = np.random.default_rng(11)
         pts = rng.standard_normal((50, 3)) * [4, 2, 1] + [10, -5, 3]
         extras = pts[:4].copy()
-        result = pca2(pts, extra_points=extras)
-        assert np.allclose(result.extras, result.points[:4], atol=1e-12)
+        points, projected_extras, _, _ = pca2(pts, extra_points=extras)
+        assert np.allclose(projected_extras, points[:4], atol=1e-12)
 
     def test_rank_deficient_rejected(self):
         line = np.outer(np.arange(10.0), [1.0, 2.0, 3.0])  # rank-1 cloud
