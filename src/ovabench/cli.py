@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import harness
 from .harness import ExperimentConfig
-from .heads import HeadKind, _check_head_params
+from .heads import HeadKind
 from .nncore import Layout, load_checkpoint
 
 
@@ -38,13 +38,10 @@ def _load_model(args, cfg: ExperimentConfig):
     ckpt = args.checkpoint or Path(args.out) / _require_head(args).value / "checkpoint.json"
     params, head_str, seed = load_checkpoint(ckpt)
     choices = [h.value for h in HeadKind]
-    try:
-        if head_str not in choices:
-            raise ValueError(f"head must be one of {choices}, got {head_str!r}")
-        head = HeadKind(head_str)
-        _check_head_params(head, params)
-    except ValueError as exc:
-        raise ValueError(f"malformed checkpoint {ckpt}: {exc}") from None
+    if head_str not in choices:
+        raise ValueError(f"malformed checkpoint {ckpt}: head must be one of {choices}, "
+                         f"got {head_str!r}")
+    head = HeadKind(head_str)
     if args.head is not None and head.value != args.head:
         raise ValueError(f"checkpoint {ckpt} holds head '{head.value}', "
                          f"expected '{args.head}'")
@@ -53,13 +50,10 @@ def _load_model(args, cfg: ExperimentConfig):
                          f"expected seed {cfg.seed}")
     # the ring data has 2 features
     expected = Layout([2, *cfg.model.hidden], cfg.data.num_classes, head.uses_biases)
-    have = dict(zip(params.layout.names, params.layout.shapes))
-    want = dict(zip(expected.names, expected.shapes))
-    for name in dict.fromkeys([*want, *have]):
-        if have.get(name) != want.get(name):
-            raise ValueError(f"checkpoint {ckpt} does not fit the config: {name} has shape "
-                             f"{have.get(name, '(none)')}, the config needs "
-                             f"{want.get(name, '(none)')}")
+    misfit = expected.misfit(dict(zip(params.layout.names, params.layout.shapes)))
+    if misfit:
+        raise ValueError(f"checkpoint {ckpt} does not fit the config: "
+                         "{} has shape {}, the config needs {}".format(*misfit))
     return params, head, ckpt
 
 

@@ -440,19 +440,27 @@ def write_landscape_pgm(path, confidence: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
+def _check_centers(params: ModelParams, head: HeadKind) -> None:
+    """Refuse an affine head, or an embedding too narrow to project onto 2-D."""
+    if not head.is_distance:
+        raise ValueError(f"head '{head.value}' has no class-center semantics")
+    if params.head_weights.shape[0] < 2:
+        raise ValueError(f"model.hidden ends in {params.head_weights.shape[0]}; "
+                         "centers need an embedding of width >= 2")
+
+
 def centers_report(params: ModelParams, head: HeadKind,
                    train_data: Dataset) -> dict[str, np.ndarray]:
     """Compare learned class centers against per-class embedding means.
 
-    Only distance heads carry center semantics; affine heads are refused.
+    Affine heads (no center semantics) and embeddings narrower than 2 are refused.
     Embeddings and the weight columns are projected onto the same top-2 PCA
     subspace, and each class gets the alignment error
     ||mean embedding - weight column|| in the original embedding space.
     Returns the centers.csv columns ``kind, label, p0, p1, alignment_error``:
     point rows, then center rows; points have no alignment error.
     """
-    if not head.is_distance:
-        raise ValueError(f"head '{head.value}' has no class-center semantics")
+    _check_centers(params, head)
     emb = _embed(params, head, train_data.features, "training row")[0]
     k = train_data.num_classes
     means = np.empty((k, emb.shape[1]))
@@ -513,6 +521,7 @@ def _landscape_stage(config, head, params, datasets, head_dir):
 
 
 def _centers_stage(config, head, params, datasets, head_dir):
+    _check_centers(params, head)  # before any data is generated
     columns = centers_report(params, head, datasets()[0])
     write_centers_csv(head_dir / "centers.csv", columns)
     alignment = columns["alignment_error"][-config.data.num_classes:]  # the center rows

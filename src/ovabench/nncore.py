@@ -53,6 +53,16 @@ class Layout:
         t = bisect.bisect_right(self.offsets, index) - 1
         return self.names[t], index - self.offsets[t]
 
+    def misfit(self, shapes: dict) -> tuple | None:
+        """The first tensor, in layout order and then ``shapes``' order, whose shape in
+        ``shapes`` (name -> shape) differs from its shape here, as (name, shape there,
+        shape here) with "(none)" for an absent tensor; None if every shape fits."""
+        want = dict(zip(self.names, self.shapes))
+        for name in dict.fromkeys([*want, *shapes]):
+            if shapes.get(name) != want.get(name):
+                return name, shapes.get(name, "(none)"), want.get(name, "(none)")
+        return None
+
 
 class ModelParams:
     """Parameters (or gradients, or velocity) as one flat float64 vector.
@@ -75,26 +85,6 @@ class ModelParams:
     @classmethod
     def zeros(cls, layout: Layout) -> "ModelParams":
         return cls(np.zeros(layout.size), layout)
-
-    @classmethod
-    def from_arrays(cls, weights, biases, head_weights, head_biases=None) -> "ModelParams":
-        """Copy separate tensors into one vector, checking that their shapes chain."""
-        shapes = [np.shape(t) for t in (*weights, head_weights)]
-        if not weights or any(len(shape) != 2 for shape in shapes):
-            raise ValueError(f"need at least one layer, and weight matrices; got shapes {shapes}")
-        for i in range(1, len(weights)):
-            if shapes[i][0] != shapes[i - 1][1]:
-                raise ValueError(f"layers.{i}.weights: layer {i} fan_in {shapes[i][0]} does not "
-                                 f"chain with layer {i - 1} fan_out {shapes[i - 1][1]}")
-        dims = [shapes[0][0], *(shape[1] for shape in shapes[:-1])]
-        params = cls.zeros(Layout(dims, shapes[-1][1], head_biases is not None))
-        given = [t for pair in zip(weights, biases, strict=True) for t in pair]
-        given += [head_weights, head_biases]
-        for name, view, t in zip(params.layout.names, params.tensors, given):
-            if np.shape(t) != view.shape:
-                raise ValueError(f"{name} has shape {np.shape(t)}, expected {view.shape}")
-            view[...] = t
-        return params
 
     def validate(self, message: str = "non-finite values in {}") -> None:
         """Check that every entry is finite; ``message`` names the first tensor that is not."""
@@ -227,8 +217,10 @@ def _tensor(entry) -> tuple[str, np.ndarray]:
 def load_checkpoint(path) -> tuple[ModelParams, str, int]:
     """Read a checkpoint back into (params, head string, seed).
 
-    An unreadable or malformed file raises ValueError naming the file and,
-    for a malformed one, the entry at fault.
+    The entries must be exactly the tensors of the :class:`Layout` that the
+    weight matrices imply, with head biases if and only if ``head_biases`` is
+    present.  An unreadable or malformed file raises ValueError naming the
+    file and, for a malformed one, the entry at fault.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -242,16 +234,26 @@ def load_checkpoint(path) -> tuple[ModelParams, str, int]:
         if not (isinstance(doc.get("tensors"), list) and isinstance(doc.get("head"), str)
                 and type(doc.get("seed")) is int):
             raise ValueError("needs a 'tensors' list, a string 'head' and an integer 'seed'")
-        tensors = dict(map(_tensor, doc["tensors"]))
-        n = sum(name.startswith("layers.") and name.endswith(".weights") for name in tensors)
-        names = [f"layers.{i}.{kind}" for i in range(n) for kind in ("weights", "biases")]
-        names += ["head_weights", "head_biases"][:1 + ("head_biases" in tensors)]
-        missing = [name for name in names if name not in tensors]
-        if missing or len(names) != len(doc["tensors"]):
-            raise ValueError(f"entry {missing[0]!r} is missing" if missing
-                             else "duplicate or unexpected entries")
-        arrays = [tensors[name] for name in names]
-        params = ModelParams.from_arrays(arrays[:2 * n:2], arrays[1:2 * n:2], *arrays[2 * n:])
+        tensors = {}
+        for name, values in map(_tensor, doc["tensors"]):
+            if name in tensors:
+                raise ValueError(f"entry {name!r} is repeated")
+            tensors[name] = values
+        shapes = {name: t.shape for name, t in tensors.items()}
+        n = sum(f"layers.{i}.weights" in shapes or f"layers.{i}.biases" in shapes
+                for i in range(len(shapes)))
+        matrices = [f"layers.{i}.weights" for i in range(max(n, 1))] + ["head_weights"]
+        for name in matrices:
+            if len(shapes.get(name, ())) != 2:
+                raise ValueError(f"entry {name!r} is missing" if name not in shapes else
+                                 f"entry {name!r} must be a matrix, has shape {shapes[name]}")
+        dims = [shapes[matrices[0]][0], *(shapes[name][1] for name in matrices[:-1])]
+        layout = Layout(dims, shapes["head_weights"][1], "head_biases" in shapes)
+        misfit = layout.misfit(shapes)
+        if misfit:
+            raise ValueError("entry {!r} has shape {}, expected {}".format(*misfit))
+        flat = np.concatenate([tensors[name].ravel() for name in layout.names])
+        params = ModelParams(flat, layout)
         params.validate()
     except ValueError as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc}") from None

@@ -1,8 +1,19 @@
-"""Finite-difference oracle for the analytic gradients, shared by the tests."""
+"""Finite-difference oracle for the analytic gradients, and a model built from
+given tensors; shared by the tests."""
 
 import numpy as np
 
-from ovabench.nncore import ModelParams
+from ovabench.nncore import Layout, ModelParams
+
+
+def params_from_arrays(weights, biases, head_weights, head_biases=None) -> ModelParams:
+    """A model holding copies of the given tensors, whose shapes must chain."""
+    tensors = [t for pair in zip(weights, biases, strict=True) for t in pair] + [head_weights]
+    tensors += [] if head_biases is None else [head_biases]
+    layout = Layout([np.shape(weights[0])[0], *(np.shape(w)[1] for w in weights)],
+                    np.shape(head_weights)[1], head_biases is not None)
+    assert [np.shape(t) for t in tensors] == list(layout.shapes)
+    return ModelParams(np.concatenate([np.ravel(t) for t in tensors], dtype=np.float64), layout)
 
 
 def gradient_check(loss_fn, params: ModelParams, step: float = 1e-5) -> float:

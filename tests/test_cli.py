@@ -6,6 +6,8 @@ import pytest
 from ovabench.cli import main
 from ovabench.nncore import ModelParams, init_params, load_checkpoint, save_checkpoint
 
+from gradcheck import params_from_arrays
+
 
 @pytest.fixture()
 def config_file(tmp_path):
@@ -123,6 +125,30 @@ def test_landscape_does_not_generate_datasets(tmp_path, config_file, monkeypatch
     assert len(calls) == 1  # the counter does see stages that need data
 
 
+@pytest.mark.parametrize("head, hidden, message", [
+    ("softmax", [16, 16], "head 'softmax' has no class-center semantics"),
+    ("dm", [16, 1], "model.hidden ends in 1"),
+], ids=["affine-head", "narrow-embedding"])
+def test_centers_refusals_do_not_generate_datasets(tmp_path, config_file, capsys, monkeypatch,
+                                                   head, hidden, message):
+    from ovabench import harness
+
+    cfg = {**json.loads(config_file.read_text()), "model": {"hidden": hidden}}
+    config_file.write_text(json.dumps(cfg))
+    params = init_params([2, *hidden], 10, head_biases=head == "softmax", seed=5)
+    (tmp_path / head).mkdir()
+    save_checkpoint(tmp_path / head / "checkpoint.json", params, head, seed=5)
+    calls = []
+    monkeypatch.setattr(harness, "make_datasets", lambda c: calls.append(c))
+    code = main(["centers", "--config", str(config_file), "--out", str(tmp_path),
+                 "--head", head])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert calls == []  # refused before any data is generated
+    assert not (tmp_path / head / "centers.csv").exists()
+
+
 def test_landscape_refuses_non_finite_confidence(tmp_path, config_file, capsys):
     params = init_params([2, 16, 16], 10, head_biases=True, seed=5)
     params.flat *= 1e160  # every value finite; the body overflows on the grid
@@ -226,26 +252,28 @@ def test_malformed_checkpoint_fails_cleanly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("head, biases, message", [
-    ("bogus", True, "head must be one of ['softmax', 'dm', 'ova', 'ova_dm'], got 'bogus'"),
-    ("dm", True, "head 'dm' must not carry head_biases"),
-    ("softmax", False, "head 'softmax' requires head_biases"),
+    ("bogus", True, "malformed checkpoint {path}: head must be one of "
+                    "['softmax', 'dm', 'ova', 'ova_dm'], got 'bogus'"),
+    ("dm", True, "checkpoint {path} does not fit the config: head_biases has shape (10,), "
+                 "the config needs (none)"),
+    ("softmax", False, "checkpoint {path} does not fit the config: head_biases has shape "
+                       "(none), the config needs (10,)"),
 ], ids=["unknown-head", "distance-with-biases", "affine-without-biases"])
 def test_checkpoint_head_mismatch_names_the_file(tmp_path, capsys, head, biases, message):
-    params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)], np.zeros((2, 10)),
-                                     np.zeros(10) if biases else None)
+    params = init_params([2, 16, 16], 10, head_biases=biases, seed=0)  # the default config's
     path = tmp_path / "checkpoint.json"
     save_checkpoint(path, params, head, seed=0)
     code = main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
-    assert f"malformed checkpoint {path}: {message}" in err
+    assert message.format(path=path) in err
     assert "Traceback" not in err
 
 
 def test_checkpoint_of_another_head_names_the_file(tmp_path, capsys):
-    params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)], np.zeros((2, 10)),
-                                     np.zeros(10))
+    params = params_from_arrays([np.eye(2)], [np.zeros(2)], np.zeros((2, 10)),
+                                np.zeros(10))
     path = tmp_path / "checkpoint.json"
     save_checkpoint(path, params, "softmax", seed=0)
     code = main(["evaluate", "--head", "dm", "--checkpoint", str(path),
@@ -334,8 +362,8 @@ def test_unreadable_checkpoint_names_the_path(tmp_path, capsys, kind, message):
     elif kind == "nested":
         path.write_text("[" * 100000)
     else:
-        params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)], np.zeros((2, 10)),
-                                         np.zeros(10))
+        params = params_from_arrays([np.eye(2)], [np.zeros(2)], np.zeros((2, 10)),
+                                    np.zeros(10))
         save_checkpoint(path, params, "softmax", seed=0)
         path.write_text(path.read_text()[:100])
     code = main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "out")])

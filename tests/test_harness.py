@@ -16,6 +16,8 @@ from ovabench.heads import HeadKind, logits, loss_and_grads, predict, probabilit
 from ovabench.metrics import auroc_auprc, ece, read_predictions
 from ovabench.nncore import ModelParams, forward, init_params
 
+from gradcheck import params_from_arrays
+
 ALL_HEADS = list(HeadKind)
 
 
@@ -57,9 +59,9 @@ CONFIG_DICTS = st.one_of([
 
 
 def identity_body_model(head_weights, head_biases=None):
-    return ModelParams.from_arrays([np.eye(2)], [np.zeros(2)],
-                                   head_weights=np.asarray(head_weights, dtype=np.float64),
-                                   head_biases=head_biases)
+    return params_from_arrays([np.eye(2)], [np.zeros(2)],
+                              head_weights=np.asarray(head_weights, dtype=np.float64),
+                              head_biases=head_biases)
 
 
 class TestConfig:

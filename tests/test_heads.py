@@ -10,7 +10,7 @@ from ovabench.heads import (DISTANCE_BLOCK_ENTRIES, HeadKind, logit_gradient, lo
                             loss_and_grads, predict, probabilities)
 from ovabench.nncore import ModelParams, backward, forward, init_params
 
-from gradcheck import gradient_check
+from gradcheck import gradient_check, params_from_arrays
 
 ALL_HEADS = list(HeadKind)
 DISTANCE_HEADS = [HeadKind.SOFTMAX_DISTANCE, HeadKind.OVA_DISTANCE]
@@ -20,7 +20,7 @@ BLOCK_ROWS = DISTANCE_BLOCK_ENTRIES // (10 * 16)  # rows per distance block at K
 def head_only_params(weights, biases=None):
     """Identity body so the embedding equals the input."""
     dim = weights.shape[0]
-    return ModelParams.from_arrays(
+    return params_from_arrays(
         [np.eye(dim)], [np.zeros(dim)], head_weights=np.asarray(weights, dtype=np.float64),
         head_biases=None if biases is None else np.asarray(biases, float))
 
@@ -48,7 +48,7 @@ class TestLogits:
         rng = np.random.default_rng(42)
         emb = rng.standard_normal((6, 16))
         w = rng.standard_normal((16, 10))
-        params = ModelParams.from_arrays([np.eye(16)], [np.zeros(16)], head_weights=w)
+        params = params_from_arrays([np.eye(16)], [np.zeros(16)], head_weights=w)
         z = logits(HeadKind.OVA_DISTANCE, params, emb)
         for b in range(6):
             for j in range(10):
@@ -151,8 +151,8 @@ class TestProbabilities:
         rng = np.random.default_rng(7)
         w = rng.standard_normal((16, 10))
         params = head_only_params(w)  # zero-bias equivalent below
-        params = ModelParams.from_arrays([np.eye(16)], [np.zeros(16)],
-                                         head_weights=w, head_biases=np.zeros(10))
+        params = params_from_arrays([np.eye(16)], [np.zeros(16)],
+                                    head_weights=w, head_biases=np.zeros(10))
         f = rng.standard_normal((1, 16))
         base = logits(HeadKind.SOFTMAX_AFFINE, params, f)
         assert np.sum(base[0] == base[0].max()) == 1  # strict dominance

@@ -6,7 +6,7 @@ import pytest
 from ovabench.nncore import (ModelParams, backward, forward, init_params, load_checkpoint,
                              save_checkpoint, sgd_step)
 
-from gradcheck import gradient_check
+from gradcheck import gradient_check, params_from_arrays
 
 
 def small_params(seed=0, head_biases=True):
@@ -34,7 +34,7 @@ def naive_forward(params, x):
 
 class TestForward:
     def test_zero_params_give_zero_embedding(self):
-        params = ModelParams.from_arrays(
+        params = params_from_arrays(
             [np.zeros((2, 4)), np.zeros((4, 3))], [np.zeros(4), np.zeros(3)],
             head_weights=np.zeros((3, 5)), head_biases=np.zeros(5))
         trace = forward(params, np.random.default_rng(0).standard_normal((6, 2)))
@@ -42,8 +42,8 @@ class TestForward:
 
     def test_identity_single_layer(self):
         # a single layer has no nonlinearity (the last layer output is the embedding)
-        params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)],
-                                         head_weights=np.zeros((2, 3)), head_biases=np.zeros(3))
+        params = params_from_arrays([np.eye(2)], [np.zeros(2)],
+                                    head_weights=np.zeros((2, 3)), head_biases=np.zeros(3))
         trace = forward(params, [[1.0, 2.0]])
         assert np.array_equal(trace[-1], [[1.0, 2.0]])
 
@@ -73,8 +73,8 @@ class TestForward:
         assert np.abs(full - rows).max() < 1e-12
 
     def test_embedding_has_no_trailing_relu(self):
-        params = ModelParams.from_arrays([-np.eye(2)], [np.zeros(2)],
-                                         head_weights=np.zeros((2, 3)), head_biases=np.zeros(3))
+        params = params_from_arrays([-np.eye(2)], [np.zeros(2)],
+                                    head_weights=np.zeros((2, 3)), head_biases=np.zeros(3))
         trace = forward(params, [[1.0, 2.0]])
         assert np.array_equal(trace[-1], [[-1.0, -2.0]])
 
@@ -91,8 +91,8 @@ class TestBackward:
             assert not biases.any()
 
     def test_single_linear_layer_analytic(self):
-        params = ModelParams.from_arrays([np.eye(2)], [np.zeros(2)],
-                                         head_weights=np.zeros((2, 2)), head_biases=np.zeros(2))
+        params = params_from_arrays([np.eye(2)], [np.zeros(2)],
+                                    head_weights=np.zeros((2, 2)), head_biases=np.zeros(2))
         x = np.array([[3.0, -1.0]])
         g = np.array([[0.5, 2.0]])
         grads = backward(params, forward(params, x), g, ModelParams.zeros(params.layout))
@@ -147,8 +147,8 @@ class TestGradientCheck:
 
 
 def scalar_param(value=0.0):
-    return ModelParams.from_arrays([np.array([[value]])], [np.zeros(1)],
-                                   head_weights=np.zeros((1, 1)), head_biases=None)
+    return params_from_arrays([np.array([[value]])], [np.zeros(1)],
+                              head_weights=np.zeros((1, 1)), head_biases=None)
 
 
 class TestSgd:
@@ -213,12 +213,6 @@ class TestInit:
         assert not params.head_weights.any()
         assert params.head_biases is None
 
-    def test_validate_catches_bad_chaining(self):
-        with pytest.raises(ValueError, match="layer 1"):
-            ModelParams.from_arrays([np.zeros((2, 4)), np.zeros((5, 3))],
-                                    [np.zeros(4), np.zeros(3)],
-                                    head_weights=np.zeros((3, 2)), head_biases=None)
-
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
@@ -232,6 +226,18 @@ class TestCheckpoint:
                                         loaded.layout.names, loaded.tensors):
             assert name_a == name_b
             assert np.array_equal(a, b)
+
+    def test_entries_in_any_order_load_to_the_saved_flat_bitwise(self, tmp_path):
+        params = init_params([2, 4, 4], 3, head_biases=True, seed=0)
+        params.flat[:3] = [-0.0, 5e-324, 1.0 / 3.0]  # a signed zero and a subnormal too
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, params, head="ova", seed=0)
+        doc = json.loads(path.read_text())
+        doc["tensors"].reverse()  # entries are found by name, not by position
+        path.write_text(json.dumps(doc))
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.layout.names == params.layout.names
+        assert loaded.flat.tobytes() == params.flat.tobytes()
 
     def test_resave_identical_bytes(self, tmp_path):
         params = init_params([2, 4, 4], 3, head_biases=False, head_init="zeros", seed=1)
@@ -250,6 +256,10 @@ def _drop_head_weights(doc):
     doc["tensors"] = [t for t in doc["tensors"] if t["name"] != "head_weights"]
 
 
+def _drop_last_weights(doc):
+    doc["tensors"] = [t for t in doc["tensors"] if t["name"] != "layers.1.weights"]
+
+
 def _entry(doc, name):
     return next(t for t in doc["tensors"] if t["name"] == name)
 
@@ -264,6 +274,18 @@ def _unchained(doc):
     entry["data"] = entry["data"][:12]
 
 
+def _not_a_matrix(doc):
+    _entry(doc, "head_weights")["shape"] = [12]
+
+
+def _extra_entry(doc):
+    doc["tensors"].append({"name": "foo", "shape": [1], "data": [0.0]})
+
+
+def _duplicate_entry(doc):
+    doc["tensors"].append(dict(_entry(doc, "layers.0.biases")))
+
+
 def _nonfinite(doc):
     _entry(doc, "head_weights")["data"][0] = float("nan")
 
@@ -275,12 +297,16 @@ def _beyond_float(doc):
 @pytest.mark.parametrize("corrupt, entry", [
     (_drop_tensors, "tensors"),
     (_drop_head_weights, "head_weights"),
+    (_drop_last_weights, "'layers.1.weights'"),
     (_short_data, "layers.0.biases"),
     (_unchained, "layers.1.weights"),
+    (_not_a_matrix, "head_weights"),
+    (_extra_entry, "'foo'"),
+    (_duplicate_entry, "'layers.0.biases'"),
     (_nonfinite, "head_weights"),
     (_beyond_float, "layers.0.weights"),
-], ids=["no-tensors", "no-head-weights", "short-data", "unchained", "non-finite",
-        "beyond-float"])
+], ids=["no-tensors", "no-head-weights", "no-last-weights", "short-data", "unchained",
+        "not-a-matrix", "extra-entry", "duplicate-entry", "non-finite", "beyond-float"])
 def test_malformed_checkpoint_names_file_and_entry(tmp_path, corrupt, entry):
     path = tmp_path / "checkpoint.json"
     save_checkpoint(path, init_params([2, 4, 4], 3, head_biases=True, seed=0), "ova", 0)
