@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
+import sys
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -49,53 +51,70 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+# A config rule: its test of one value against the rule's argument, and its wording.
+_RULES = {"gt": (operator.gt, "> {!r}"), "ge": (operator.ge, ">= {!r}"),
+          "lt": (operator.lt, "< {!r}"), "le": (operator.le, "<= {!r}"),
+          "choices": (lambda value, choices: value in choices, "in {!r}")}
+
+
+def _field(default, **rules):
+    """A config field's default and the ``_RULES`` its value keeps; on a list
+    they hold for each item, the list is non-empty and ``distinct=True`` forbids
+    repeats.  Upper bounds stop a size before numpy tries to allocate it, or
+    coordinates whose squares or sums overflow."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=rules)
+    return field(default=default, metadata=rules)
+
+
 @dataclass
 class DataConfig:
-    num_classes: int = 10
-    n_per_class: int = 1000
-    radius: float = 20.0
-    variance: float = 2.0
-    angle_formula: str = "ring"
-    train_fraction: float = 0.5
+    num_classes: int = _field(10, ge=2, le=1000)
+    n_per_class: int = _field(1000, ge=1, le=100000)
+    radius: float = _field(20.0, gt=0, le=10**6)
+    variance: float = _field(2.0, gt=0, le=10**6)
+    angle_formula: str = _field("ring", choices=["ring", "literal"])
+    train_fraction: float = _field(0.5, gt=0, le=1)
 
 
 @dataclass
 class ModelConfig:
-    hidden: list[int] = field(default_factory=lambda: [16, 16])
-    distance_init: str = "zeros"  # or "random"
+    hidden: list[int] = _field([16, 16], ge=1, le=4096)
+    distance_init: str = _field("zeros", choices=["zeros", "random"])
 
 
 @dataclass
 class OptimConfig:
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 128
-    steps: int = 10000
+    learning_rate: float = _field(0.01, gt=0)
+    momentum: float = _field(0.9, ge=0, lt=1)
+    batch_size: int = _field(128, ge=1, le=100000)
+    steps: int = _field(10000, ge=0, le=10000000)
 
 
 @dataclass
 class SweepConfig:
-    kinds: list[str] = field(default_factory=lambda: ["gaussian_noise", "rotation"])
-    intensities: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
+    kinds: list[str] = _field(["gaussian_noise", "rotation"], distinct=True,
+                              choices=list(datamod.CORRUPTION_KINDS))
+    intensities: list[int] = _field([1, 2, 3, 4, 5], distinct=True, ge=1, le=5)
 
 
 @dataclass
 class OodConfig:
-    n: int | None = None  # None: match the test-set size
-    box_halfwidth: float = 50.0
-    exclusion_radius: float = 8.0
+    n: int | None = _field(None, ge=1, le=1000000)  # None: match the test-set size
+    box_halfwidth: float = _field(50.0, gt=0, le=10**6)
+    exclusion_radius: float = _field(8.0, ge=0, le=10**6)
 
 
 @dataclass
 class MetricConfig:
-    num_bins: int = 15
-    num_thresholds: int = 101
+    num_bins: int = _field(15, ge=1, le=10000)
+    num_thresholds: int = _field(101, ge=2, le=100000)
 
 
 @dataclass
 class LandscapeConfig:
-    half_extent: float = 50.0
-    resolution: int = 200
+    half_extent: float = _field(50.0, gt=0, le=10**6)
+    resolution: int = _field(200, ge=2, le=1000)
 
 
 @dataclass
@@ -112,12 +131,27 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        """Range-check every field; an error names ``section.field`` and its value."""
-        for where, ok, rule in _RANGES:
-            section, name = where.split(".")
-            value = getattr(getattr(self, section), name)
-            if not ok(value):
-                raise ValueError(f"{where} must be {rule}, got {value!r:.60}")
+        """Check each field's annotated type, then its rules, then that the split
+        leaves a training row; an error names ``section.field`` and its value."""
+        for s in fields(self):
+            section = getattr(self, s.name)
+            if s.name != "seed" and not isinstance(section, s.default_factory):
+                raise ValueError(f"{s.name} must be {s.type}, got {section!r:.60}")
+            entries = ([("seed", section, s)] if s.name == "seed" else
+                       [(f"{s.name}.{f.name}", getattr(section, f.name), f)
+                        for f in fields(section)])
+            for where, value, f in entries:
+                kind = f.type.removesuffix(" | None")
+                null = "" if kind == f.type else " or null"
+                if value is None and null:
+                    continue
+                if not _has_type(value, kind):
+                    raise ValueError(f"{where} must be {f.type}"
+                                     f"{' (finite)' if kind == 'float' else ''}, "
+                                     f"got {value!r:.60}")
+                rule = _broken_rule(value, f.metadata)
+                if rule:
+                    raise ValueError(f"{where} must be {rule}{null}, got {value!r:.60}")
         d = self.data
         if d.train_fraction < 1.0 and math.floor(d.train_fraction * d.n_per_class) < 1:
             raise ValueError(f"data.train_fraction {d.train_fraction!r} of data.n_per_class "
@@ -125,26 +159,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build and validate a config; a field of the wrong type raises
-        ValueError naming it as ``section.field``."""
+        """Build and validate a config; an unknown section or key raises ValueError."""
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
         raw = dict(raw)
         sections = {f.name: f.default_factory for f in fields(cls) if f.name != "seed"}
-        kwargs = {}
+        kwargs = {"seed": raw.pop("seed", 0)}
         for name, section_cls in sections.items():
             section = raw.pop(name, {})
             if not isinstance(section, dict):
                 raise ValueError(f"config section {name!r} must be a JSON object")
-            unknown = set(section) - set(section_cls.__dataclass_fields__)
+            unknown = set(section) - {f.name for f in fields(section_cls)}
             if unknown:
                 raise ValueError(f"unknown keys in config section {name!r}: "
                                  f"{sorted(unknown)!r:.60}")
-            for key, value in section.items():
-                _check_type(f"{name}.{key}", value, section_cls.__dataclass_fields__[key].type)
             kwargs[name] = section_cls(**section)
-        kwargs["seed"] = raw.pop("seed", 0)
-        _check_type("seed", kwargs["seed"], "int")
         if raw:
             raise ValueError(f"unknown config keys: {sorted(raw)!r:.60}")
         cfg = cls(**kwargs)
@@ -152,76 +181,30 @@ class ExperimentConfig:
         return cfg
 
 
-def _nonempty_distinct(values) -> bool:
-    return bool(values) and len(set(values)) == len(values)
-
-
-# (section.field, predicate, the rule as the error states it); every
-# predicate is False on NaN.  The upper bounds on integer fields sit far above
-# any value in use and stop a huge size before numpy tries to allocate it; those
-# on float fields stop coordinates whose squares or sums overflow.
-_RANGES = (
-    ("data.num_classes", lambda v: v >= 2, ">= 2"),
-    ("data.num_classes", lambda v: v <= 1000, "<= 1000"),
-    ("data.n_per_class", lambda v: v >= 1, ">= 1"),
-    ("data.n_per_class", lambda v: v <= 100000, "<= 100000"),
-    ("data.radius", lambda v: v > 0, "> 0"),
-    ("data.radius", lambda v: v <= 1e6, "<= 1e6"),
-    ("data.variance", lambda v: v > 0, "> 0"),
-    ("data.variance", lambda v: v <= 1e6, "<= 1e6"),
-    ("data.angle_formula", lambda v: v in ("ring", "literal"), "'ring' or 'literal'"),
-    ("data.train_fraction", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    ("model.hidden", lambda v: bool(v) and all(h >= 1 for h in v),
-     "a non-empty list of widths >= 1"),
-    ("model.hidden", lambda v: all(h <= 4096 for h in v), "a list of widths <= 4096"),
-    ("model.distance_init", lambda v: v in ("zeros", "random"), "'zeros' or 'random'"),
-    ("optim.learning_rate", lambda v: v > 0, "> 0"),
-    ("optim.momentum", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    ("optim.batch_size", lambda v: v >= 1, ">= 1"),
-    ("optim.batch_size", lambda v: v <= 100000, "<= 100000"),
-    ("optim.steps", lambda v: v >= 0, ">= 0"),
-    ("optim.steps", lambda v: v <= 10000000, "<= 10000000"),
-    ("sweep.kinds", lambda v: _nonempty_distinct(v)
-     and all(k in datamod.CORRUPTION_KINDS for k in v),
-     f"a non-empty list of distinct names from {list(datamod.CORRUPTION_KINDS)}"),
-    ("sweep.intensities", lambda v: _nonempty_distinct(v) and all(1 <= i <= 5 for i in v),
-     "a non-empty list of distinct integers in [1, 5]"),
-    ("ood.n", lambda v: v is None or v >= 1, ">= 1 or null"),
-    ("ood.n", lambda v: v is None or v <= 1000000, "<= 1000000 or null"),
-    ("ood.box_halfwidth", lambda v: v > 0, "> 0"),
-    ("ood.box_halfwidth", lambda v: v <= 1e6, "<= 1e6"),
-    ("ood.exclusion_radius", lambda v: v >= 0, ">= 0"),
-    ("ood.exclusion_radius", lambda v: v <= 1e6, "<= 1e6"),
-    ("metrics.num_bins", lambda v: v >= 1, ">= 1"),
-    ("metrics.num_bins", lambda v: v <= 10000, "<= 10000"),
-    ("metrics.num_thresholds", lambda v: v >= 2, ">= 2"),
-    ("metrics.num_thresholds", lambda v: v <= 100000, "<= 100000"),
-    ("landscape.resolution", lambda v: 2 <= v <= 1000, "in [2, 1000]"),
-    ("landscape.half_extent", lambda v: v > 0, "> 0"),
-    ("landscape.half_extent", lambda v: v <= 1e6, "<= 1e6"),
-)
-
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
-def _is_finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
+def _has_type(value, kind: str) -> bool:
+    """bool is not an int, a float is finite (so is an int given for one), and
+    a list is checked item by item."""
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_has_type(v, kind[5:-1]) for v in value)
+    return type(value) in _FIELD_TYPES[kind] and (
+        kind != "float" or abs(value) <= sys.float_info.max)
 
 
-def _check_type(where: str, value, annotation: str) -> None:
-    """Reject a config value that does not match its field's annotation."""
-    kind = annotation.removesuffix(" | None")
-    if kind.startswith("list[") and isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_type(f"{where}[{i}]", item, kind[5:-1])
-    elif not ((value is None and kind != annotation)
-              or (type(value) in _FIELD_TYPES.get(kind, ())
-                  and (kind != "float" or _is_finite(value)))):
-        raise ValueError(f"{where} must be {annotation}"
-                         f"{' (finite)' if kind == 'float' else ''}, got {value!r:.60}")
+def _broken_rule(value, rules) -> str | None:
+    """The wording of the first of a field's rules that ``value`` breaks."""
+    items = value if isinstance(value, list) else [value]
+    if not items:
+        return "a non-empty list"
+    if rules.get("distinct") and len(set(items)) < len(items):
+        return "a list of distinct items"
+    for name, arg in rules.items():
+        if name in _RULES and not all(_RULES[name][0](v, arg) for v in items):
+            rule = _RULES[name][1].format(arg)
+            return f"a list of items {rule}" if isinstance(value, list) else rule
+    return None
 
 
 @dataclass

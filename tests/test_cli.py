@@ -1,9 +1,15 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ovabench.cli import main
+from ovabench.data import CORRUPTION_KINDS
+from ovabench.harness import STAGES
 from ovabench.nncore import ModelParams, init_params, load_checkpoint, save_checkpoint
 
 from gradcheck import params_from_arrays
@@ -401,3 +407,88 @@ def test_checkpoint_that_does_not_fit_the_config_is_refused(tmp_path, config_fil
                    f"{tensor} has shape {have}, the config needs {want}\n")
     assert calls == []  # refused before any data is generated
     assert not (tmp_path / "softmax" / "metrics.json").exists()
+
+
+# Any argv built from the real subcommands and flags, over tiny configs, exits
+# 0, 1 or 2 with no traceback.  Each case runs `train` and then one to three
+# commands with the same flags, so that later stages may find a checkpoint.  A
+# config is valid and small (the sizes that scale the run are always set), or
+# has one field of a wrong type or out of range.  Flag values stand for paths
+# made per case: the config, a missing file, the output directory, a plain
+# file, and a checkpoint of the default shapes.
+_BAD = st.none() | st.booleans() | st.text(max_size=3) | st.just(-1) | st.just(1.5)
+_SECTIONS = {
+    "data": {"num_classes": st.integers(2, 5), "n_per_class": st.integers(1, 30),
+             "radius": st.floats(0.5, 30), "variance": st.floats(0.1, 5),
+             "angle_formula": st.sampled_from(["ring", "literal"]),
+             "train_fraction": st.sampled_from([0.3, 0.5, 1.0])},
+    "model": {"hidden": st.lists(st.integers(1, 8), min_size=1, max_size=2),
+              "distance_init": st.sampled_from(["zeros", "random"])},
+    "optim": {"learning_rate": st.floats(1e-4, 0.5), "momentum": st.sampled_from([0.0, 0.9]),
+              "batch_size": st.integers(1, 16), "steps": st.integers(0, 50)},
+    "sweep": {"kinds": st.lists(st.sampled_from(CORRUPTION_KINDS), min_size=1, unique=True),
+              "intensities": st.lists(st.integers(1, 5), min_size=1, max_size=2, unique=True)},
+    "ood": {"n": st.none() | st.integers(1, 30), "box_halfwidth": st.floats(5, 60),
+            "exclusion_radius": st.floats(0, 10)},
+    "metrics": {"num_bins": st.integers(1, 20), "num_thresholds": st.integers(2, 20)},
+    "landscape": {"half_extent": st.floats(1, 60), "resolution": st.integers(2, 10)},
+}
+_SIZES = ("n_per_class", "steps", "resolution")
+_TINY = st.fixed_dictionaries(
+    {name: st.fixed_dictionaries(
+        {key: value for key, value in keys.items() if key in _SIZES},
+        optional={key: value for key, value in keys.items() if key not in _SIZES})
+     for name, keys in _SECTIONS.items()},
+    optional={"seed": st.integers(0, 3)})
+
+
+def _spoil(config, spoil):
+    """``config`` as JSON, with ``section.key`` (or the top-level ``section``
+    when ``key`` is None) set to a bad value if ``spoil`` is given."""
+    if spoil:
+        (section, key), value = spoil
+        (config[section] if key else config)[key or section] = value
+    return json.dumps(config)
+
+
+TINY_CONFIGS = st.builds(_spoil, _TINY, st.none() | st.tuples(
+    st.sampled_from([(section, key) for section, keys in _SECTIONS.items() for key in keys]
+                    + [("seed", None), ("head", None)]), _BAD))
+FLAGS = st.fixed_dictionaries({"--head": st.sampled_from([*HEADS, "bogus", None])}, optional={
+    "--seed": st.sampled_from(["0", "1", str(2 ** 64), "x"]),
+    "--out": st.sampled_from(["OUT", "FILE"]),
+    "--checkpoint": st.sampled_from(["CKPT", "MISSING", "CONFIG"])})
+
+
+@pytest.fixture(scope="module")
+def default_shaped_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
+    save_checkpoint(path, init_params([2, 16, 16], 10, head_biases=False, seed=0), "dm", 0)
+    return path
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=TINY_CONFIGS, flags=FLAGS,
+       commands=st.lists(st.sampled_from(["run-all", *STAGES]), min_size=1, max_size=3))
+def test_any_cli_call_exits_0_1_or_2_without_traceback(tmp_path, capsys, monkeypatch,
+                                                       default_shaped_checkpoint,
+                                                       config, flags, commands):
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(work)  # the default --out is ./out
+    paths = {"CONFIG": work / "config.json", "MISSING": work / "missing.json",
+             "OUT": work / "elsewhere", "FILE": work / "file",
+             "CKPT": default_shaped_checkpoint}
+    paths["CONFIG"].write_text(config)
+    paths["FILE"].write_text("")
+    for command in ["train", *commands]:
+        argv = [command, "--config", str(paths["CONFIG"])]
+        for flag, value in flags.items():
+            argv += [flag, str(paths.get(value, value))] if value else []
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, config, err)
+        assert "Traceback" not in err, (argv, config, err)

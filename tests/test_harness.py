@@ -112,6 +112,27 @@ class TestConfig:
         assert str(info.value).startswith(f"{where} must be ")
         assert str(info.value).endswith(f", got {value!r}")
 
+    @pytest.mark.parametrize("where, value", [
+        ("optim.steps", "10"), ("optim.steps", 10.5), ("optim.steps", True),
+        ("model.hidden", [16, "a"]), ("ood.n", 1.5)])
+    def test_mistyped_attribute_is_named_before_any_step(self, monkeypatch, where, value):
+        train_d = make_datasets(tiny_config())[0]
+        cfg = tiny_config()
+        section, name = where.split(".")
+        setattr(getattr(cfg, section), name, value)
+        monkeypatch.setattr("ovabench.heads.loss_and_grads", None)  # a step would fail here
+        for check in (cfg.validate, lambda: train(cfg, HeadKind.SOFTMAX_AFFINE, train_d)):
+            with pytest.raises(ValueError) as info:
+                check()
+            assert str(info.value).startswith(f"{where} must be ")
+            assert str(info.value).endswith(f", got {value!r}")
+
+    def test_section_replaced_by_a_dict_is_named(self):
+        cfg = tiny_config()
+        cfg.optim = {"steps": 10}
+        with pytest.raises(ValueError, match=r"^optim must be OptimConfig, got \{'steps': 10\}$"):
+            cfg.validate()
+
     @settings(max_examples=300, deadline=None)
     @given(CONFIG_DICTS)
     def test_any_json_config_builds_or_raises_value_error(self, raw):
