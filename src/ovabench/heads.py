@@ -73,12 +73,13 @@ def _check_labels(labels, z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + t) where z >= 0 and t / (1 + t) below, with t = e^-|z|; two arrays."""
+    t = np.abs(z)
+    np.exp(np.negative(t, out=t), out=t)
+    out = t.copy()
+    np.copyto(out, 1.0, where=z >= 0)
+    t += 1.0
+    return np.divide(out, t, out=out)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -110,7 +111,8 @@ def logits(head: HeadKind, params: ModelParams, embeddings) -> np.ndarray:
         for start in range(0, emb.shape[0], rows):
             out[start:start + rows] = -_distances(params, emb[start:start + rows])[0]
         return out
-    return emb @ params.head_weights + params.head_biases
+    z = emb @ params.head_weights
+    return np.add(z, params.head_biases, out=z)
 
 
 def probabilities(head: HeadKind, logits_) -> np.ndarray:
@@ -128,10 +130,12 @@ def probabilities(head: HeadKind, logits_) -> np.ndarray:
                 bad = int(np.argmax((z > 0).any(axis=1)))
                 raise ValueError(f"positive logit for distance head at batch index {bad}; "
                                  "distance logits must be <= 0")
-            return 2.0 * _sigmoid(z)
+            p = _sigmoid(z)
+            return np.multiply(p, 2.0, out=p)
         return _sigmoid(z)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=1, keepdims=True), out=e)
 
 
 def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,

@@ -7,19 +7,29 @@ from pathlib import Path
 
 import numpy as np
 
+# write_csv formats and writes this many rows at a time, so its memory does not
+# grow with the table.
+CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path, columns) -> None:
     """Write ``columns``, a mapping of header name -> column in file order.
 
     This is the cell rule of every CSV the package writes: a float gets 17
     significant digits (an exact double round-trip) and NaN an empty cell;
     an integer or boolean is a decimal integer; a string is written as it
-    is.  Columns of unequal length raise ValueError.
+    is.  Columns of unequal length raise ValueError before the file is
+    opened.  Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time.
     """
-    cells = [_cells(np.asarray(column)) for column in columns.values()]
-    if len(set(map(len, cells))) > 1:
-        raise ValueError(f"CSV columns differ in length: {dict(zip(columns, map(len, cells)))}")
-    lines = [",".join(columns), *map(",".join, zip(*cells))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    arrays = [np.asarray(column) for column in columns.values()]
+    lengths = set(map(len, arrays))
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {dict(zip(columns, map(len, arrays)))}")
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, max(lengths, default=0), CSV_BLOCK_ROWS):
+            cells = [_cells(a[start:start + CSV_BLOCK_ROWS]) for a in arrays]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _cells(column: np.ndarray) -> list[str]:

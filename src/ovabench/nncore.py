@@ -135,8 +135,9 @@ def forward(params: ModelParams, inputs) -> list[np.ndarray]:
     activations = [x]
     last = params.layout.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = activations[-1] @ w + b
-        activations.append(np.maximum(z, 0.0) if i < last else z)
+        z = activations[-1] @ w
+        z += b
+        activations.append(np.maximum(z, 0.0, out=z) if i < last else z)
     return activations
 
 

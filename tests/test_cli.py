@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -275,6 +278,22 @@ def test_checkpoint_head_mismatch_names_the_file(tmp_path, capsys, head, biases,
     assert err.startswith("error:") and err.count("\n") == 1
     assert message.format(path=path) in err
     assert "Traceback" not in err
+
+
+def test_diverging_train_prints_one_error_line_and_no_warnings(tmp_path):
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({"optim": {"learning_rate": 50, "steps": 50, "batch_size": 16},
+                                  "data": {"n_per_class": 30}, "landscape": {"resolution": 10}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # a fresh process: pytest would capture the warnings of an in-process run
+    result = subprocess.run([sys.executable, "-m", "ovabench.cli", "train", "--head", "softmax",
+                             "--config", str(config), "--out", str(tmp_path / "out")],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 1
+    assert result.stderr == ("error: training diverged at step 7 for head 'softmax': "
+                             "non-finite loss for batch index 0\n")
 
 
 def test_checkpoint_of_another_head_names_the_file(tmp_path, capsys):

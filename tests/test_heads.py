@@ -93,6 +93,20 @@ class TestLogits:
             logits(HeadKind.SOFTMAX_AFFINE, without, emb)
 
 
+def masked_sigmoid(z):
+    """The one-vs-all sigmoid as first written, one formula per sign through
+    boolean masks: the oracle for the bits of the in-place form."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+EDGE_LOGITS = np.array([0.0, 1e-300, 36.7, 709.0, 745.0, 800.0])
+
+
 class TestProbabilities:
     def test_softmax_uniform_on_zero_logits(self):
         p = probabilities(HeadKind.SOFTMAX_AFFINE, np.zeros((3, 10)))
@@ -113,6 +127,37 @@ class TestProbabilities:
     def test_ova_distance_rejects_positive_logit(self):
         with pytest.raises(ValueError, match="positive logit"):
             probabilities(HeadKind.OVA_DISTANCE, np.array([[0.1, -1.0]]))
+
+    @pytest.mark.parametrize("head", [HeadKind.OVA_AFFINE, HeadKind.OVA_DISTANCE])
+    def test_ova_equals_the_masked_sigmoid_bitwise(self, head):
+        wide = np.random.default_rng(11).uniform(-50.0, 50.0, (300, 40))
+        edges = np.concatenate((EDGE_LOGITS, -EDGE_LOGITS))
+        scale = 1.0
+        if head is HeadKind.OVA_DISTANCE:  # distance logits are <= 0, and 0 gives 2 * 0.5
+            wide, edges, scale = -np.abs(wide), np.concatenate(([0.0], -EDGE_LOGITS)), 2.0
+        strided = wide[3::2, 1::3]
+        assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+        for z in (edges[None, :], edges[:, None], wide, strided):
+            assert np.array_equal(probabilities(head, z), scale * masked_sigmoid(z))
+
+    @pytest.mark.parametrize("head", [HeadKind.SOFTMAX_AFFINE, HeadKind.SOFTMAX_DISTANCE])
+    def test_softmax_equals_the_out_of_place_formula_bitwise(self, head):
+        wide = -np.abs(np.random.default_rng(12).uniform(-50.0, 50.0, (300, 40)))
+        for z in (wide, wide[3::2, 1::3], np.concatenate((-EDGE_LOGITS, [0.0]))[None, :]):
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            assert np.array_equal(probabilities(head, z), e / e.sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("head", ALL_HEADS)
+    def test_memory_is_bounded_by_the_logits(self, head):
+        z = -np.abs(np.random.default_rng(13).standard_normal((100000, 10)))
+        tracemalloc.start()
+        try:
+            probabilities(head, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output itself is 1x; the boolean sign mask of a sigmoid is 1/8
+        assert peak <= (2.5 if head.is_ova else 1.5) * z.nbytes
 
     def test_softmax_rows_sum_to_one(self):
         z = np.random.default_rng(1).standard_normal((20, 7)) * 5

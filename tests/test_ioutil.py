@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ovabench.ioutil import write_csv
+from ovabench.ioutil import CSV_BLOCK_ROWS, write_csv
 
 
 def lines(path):
@@ -48,3 +50,34 @@ def test_ragged_columns_raise(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         write_csv(path, {"a": [1.0, 2.0], "b": [1]})
     assert not path.exists()
+
+
+def test_blocks_give_the_bytes_of_a_one_shot_join(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 1
+    rng = np.random.default_rng(1)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[::7] = np.nan
+    columns = {"f": floats, "i": rng.integers(-2 ** 40, 2 ** 40, n), "b": rng.random(n) < 0.5,
+               "s": np.where(rng.random(n) < 0.5, "", rng.integers(0, 10, n).astype(str))}
+    rules = {"f": lambda v: "" if v != v else f"{v:.17g}", "i": str,
+             "b": lambda v: str(int(v)), "s": str}
+    rows = zip(*(map(rules[name], column.tolist()) for name, column in columns.items()))
+    expected = "\n".join(["f,i,b,s", *map(",".join, rows)]) + "\n"
+    path = tmp_path / "blocks.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == expected.encode()
+    assert len(lines(path)) == n + 2  # header, n rows, and the empty string after the last "\n"
+
+
+def test_a_large_table_is_written_in_bounded_memory(tmp_path):
+    n = 100000
+    rng = np.random.default_rng(2)
+    columns = {"confidence": rng.random(n), "predicted_label": rng.integers(0, 10, n),
+               "true_label": rng.integers(0, 10, n), "is_ood": rng.random(n) < 0.5}
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "predictions.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000  # the 2.6 MB file built whole as strings peaks at 38 MB
