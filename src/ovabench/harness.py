@@ -37,8 +37,8 @@ LOG_EVERY = 100
 BATCH_BLOCK_ENTRIES = 1 << 17
 
 
-class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+class TrainingDiverged(ValueError):
+    """Raised when a training step's loss, update or log evaluation is not finite."""
 
 
 class NonFiniteModel(ValueError):
@@ -75,6 +75,12 @@ class DataConfig:
     variance: float = _field(2.0, gt=0, le=10**6)
     angle_formula: str = _field("ring", choices=["ring", "literal"])
     train_fraction: float = _field(0.5, gt=0, le=1)
+
+    @property
+    def train_per_class(self) -> int:
+        """Training rows per class: all at train_fraction 1.0, else the split's floor."""
+        return (self.n_per_class if self.train_fraction == 1.0
+                else math.floor(self.train_fraction * self.n_per_class))
 
 
 @dataclass
@@ -153,7 +159,7 @@ class ExperimentConfig:
                 if rule:
                     raise ValueError(f"{where} must be {rule}{null}, got {value!r:.60}")
         d = self.data
-        if d.train_fraction < 1.0 and math.floor(d.train_fraction * d.n_per_class) < 1:
+        if d.train_per_class < 1:
             raise ValueError(f"data.train_fraction {d.train_fraction!r} of data.n_per_class "
                              f"{d.n_per_class!r} leaves no training row per class")
 
@@ -230,12 +236,6 @@ def _embed(params: ModelParams, head: HeadKind, features,
     return emb, z
 
 
-def _predict_features(params: ModelParams, head: HeadKind, features,
-                      rows: str) -> tuple[np.ndarray, np.ndarray]:
-    z = _embed(params, head, features, rows)[1]
-    return headsmod.predict(headsmod.probabilities(head, z))
-
-
 class PredictionRecord(NamedTuple):
     """One scored example as a row; nothing in the package reads these rows.
 
@@ -252,7 +252,8 @@ class PredictionRecord(NamedTuple):
 
 def _score(params: ModelParams, head: HeadKind, features, labels, rows: str) -> Predictions:
     """Predictions for ``features``; OOD rows when ``labels`` is None."""
-    pred, conf = _predict_features(params, head, features, rows)
+    pred, conf = headsmod.predict(headsmod.probabilities(
+        head, _embed(params, head, features, rows)[1]))  # no logits outlive the call
     preds = Predictions.from_scores(conf, pred, labels)
     deque(map(PredictionRecord, conf.tolist(), pred.tolist(), preds.true_label.tolist(),
               preds.is_ood.tolist()), maxlen=0)
@@ -290,7 +291,7 @@ def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> Trai
 
     Batches are sampled with replacement from a seeded PRNG; loss and train
     accuracy are logged every 100 steps.  Aborts with step index and head
-    kind if the loss turns non-finite.
+    kind if a batch loss, an update or a log evaluation is not finite.
     """
     config.validate()
     x, y = train_data.features, train_data.labels
@@ -308,30 +309,28 @@ def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> Trai
     block = max(1, BATCH_BLOCK_ENTRIES // batch)
 
     def full_eval():
-        z = headsmod.logits(head, params, forward(params, x)[-1])
+        z = _embed(params, head, x, "training row")[1]
         pred, _ = headsmod.predict(headsmod.probabilities(head, z))
         return headsmod.loss(head, z, y), float((pred == y).mean())
 
     log: dict[str, list] = {"step": [], "loss": [], "accuracy": []}
-    # The loss check and sgd_step's validation refuse every non-finite value,
-    # naming the step; numpy's warnings on the way there would only add noise.
+    # heads' loss check, sgd_step's validation and _embed refuse every non-finite
+    # value, naming the step; numpy's warnings on the way there would only add noise.
     with np.errstate(all="ignore"):
         for first in range(1, steps + 1, block):
             # one draw per block gives the stream of one draw per step (PCG64)
             idx = rng.integers(0, len(x), size=(min(block, steps + 1 - first), batch))
             for step, xs, ys in zip(range(first, steps + 1), x[idx], y[idx]):
                 try:
-                    batch_loss, _ = headsmod.loss_and_grads(head, params, xs, ys, grads)
-                    if not math.isfinite(batch_loss):
-                        raise ValueError("non-finite loss")
+                    headsmod.loss_and_grads(head, params, xs, ys, grads)
                     sgd_step(params, grads, velocity, config.optim.learning_rate,
                              config.optim.momentum)
+                    if step % LOG_EVERY == 0 or step == steps:
+                        for column, value in zip(log.values(), (step, *full_eval())):
+                            column.append(value)
                 except ValueError as exc:
                     raise TrainingDiverged(f"training diverged at step {step} "
                                            f"for head '{head.value}': {exc}") from exc
-                if step % LOG_EVERY == 0 or step == steps:
-                    for column, value in zip(log.values(), (step, *full_eval())):
-                        column.append(value)
     final_accuracy = log["accuracy"][-1] if log["step"] else full_eval()[1]
     return TrainResult(params=params, log=log, final_accuracy=final_accuracy)
 
@@ -409,7 +408,8 @@ def landscape(params: ModelParams, head: HeadKind,
     h = config.landscape.half_extent
     xx, yy = np.meshgrid(np.linspace(-h, h, res), np.linspace(h, -h, res))
     x, y = xx.ravel(), yy.ravel()
-    pred, conf = _predict_features(params, head, np.column_stack((x, y)), "grid point")
+    pred, conf = headsmod.predict(headsmod.probabilities(
+        head, _embed(params, head, np.column_stack((x, y)), "grid point")[1]))
     return {"x": x, "y": y, "confidence": conf, "label": pred}
 
 
@@ -508,6 +508,12 @@ def _landscape_stage(config, head, params, datasets, head_dir):
 
 def _centers_stage(config, head, params, datasets, head_dir):
     _check_centers(params, head)  # before any data is generated
+    d = config.data  # and before pca2 would refuse fewer than 3 training rows
+    rows = d.num_classes * d.train_per_class
+    if rows < 3:
+        raise ValueError(f"data.num_classes {d.num_classes!r}, data.n_per_class "
+                         f"{d.n_per_class!r} and data.train_fraction {d.train_fraction!r} "
+                         f"leave {rows} training rows; centers need >= 3")
     columns = centers_report(params, head, datasets()[0])
     write_centers_csv(head_dir / "centers.csv", columns)
     alignment = columns["alignment_error"][-config.data.num_classes:]  # the center rows

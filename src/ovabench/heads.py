@@ -165,6 +165,8 @@ def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
         bad = int(np.argmax(~np.isfinite(per_example)))
         raise ValueError(f"non-finite loss for batch index {bad}")
     value = float(np.add.reduce(per_example) / z.shape[0])  # np.mean's sum and division
+    if not math.isfinite(value):  # finite terms whose sum overflows
+        raise ValueError("non-finite mean loss")
     if not gradient:
         return value, None
     if head is HeadKind.OVA_DISTANCE:
@@ -184,7 +186,7 @@ def loss(head: HeadKind, logits_, labels) -> float:
     Softmax heads use log-sum-exp; one-vs-all heads sum K binary terms,
     -log p for the label class and -log(1 - p) for the rest, in stable
     closed forms.  Raises if any per-example loss is non-finite, carrying
-    the batch index.
+    the batch index, or if their mean is.
     """
     return _loss_and_logit_gradient(head, _as_matrix(logits_, "logits"), labels, False)[0]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,6 +159,24 @@ def test_centers_refusals_do_not_generate_datasets(tmp_path, config_file, capsys
     assert not (tmp_path / head / "centers.csv").exists()
 
 
+def test_centers_refuses_fewer_than_three_training_rows(tmp_path, capsys, monkeypatch):
+    from ovabench import harness
+
+    config = tmp_path / "two_rows.json"
+    config.write_text(json.dumps({"data": {"num_classes": 2, "n_per_class": 1,
+                                           "train_fraction": 1.0}, "optim": {"steps": 5}}))
+    base = ["--config", str(config), "--out", str(tmp_path), "--head", "dm"]
+    assert main(["train", *base]) == 0
+    calls = []
+    monkeypatch.setattr(harness, "make_datasets", lambda c: calls.append(c))
+    assert main(["centers", *base]) == 1
+    assert capsys.readouterr().err == (
+        "error: data.num_classes 2, data.n_per_class 1 and data.train_fraction 1.0 "
+        "leave 2 training rows; centers need >= 3\n")
+    assert calls == []  # refused before any data is generated or scored
+    assert not (tmp_path / "dm" / "centers.csv").exists()
+
+
 def test_landscape_refuses_non_finite_confidence(tmp_path, config_file, capsys):
     params = init_params([2, 16, 16], 10, head_biases=True, seed=5)
     params.flat *= 1e160  # every value finite; the body overflows on the grid
@@ -280,9 +299,15 @@ def test_checkpoint_head_mismatch_names_the_file(tmp_path, capsys, head, biases,
     assert "Traceback" not in err
 
 
-def test_diverging_train_prints_one_error_line_and_no_warnings(tmp_path):
+@pytest.mark.parametrize("steps, start", [  # the batch loss, or the last log evaluation
+    (50, "step 7 for head 'softmax': non-finite loss for batch index 0\n"),
+    (6, "step 6 for head 'softmax': the model's logits are not finite for training row 0 "
+        "(input ["),
+], ids=["steps-50", "steps-6"])
+def test_diverging_train_prints_one_error_line_and_no_warnings(tmp_path, steps, start):
     config = tmp_path / "diverge.json"
-    config.write_text(json.dumps({"optim": {"learning_rate": 50, "steps": 50, "batch_size": 16},
+    config.write_text(json.dumps({"optim": {"learning_rate": 50, "steps": steps,
+                                            "batch_size": 16},
                                   "data": {"n_per_class": 30}, "landscape": {"resolution": 10}}))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -292,8 +317,8 @@ def test_diverging_train_prints_one_error_line_and_no_warnings(tmp_path):
                              "--config", str(config), "--out", str(tmp_path / "out")],
                             capture_output=True, text=True, env=env, timeout=300)
     assert result.returncode == 1
-    assert result.stderr == ("error: training diverged at step 7 for head 'softmax': "
-                             "non-finite loss for batch index 0\n")
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith(f"error: training diverged at {start}")
 
 
 def test_checkpoint_of_another_head_names_the_file(tmp_path, capsys):
@@ -476,7 +501,7 @@ TINY_CONFIGS = st.builds(_spoil, _TINY, st.none() | st.tuples(
 FLAGS = st.fixed_dictionaries({"--head": st.sampled_from([*HEADS, "bogus", None])}, optional={
     "--seed": st.sampled_from(["0", "1", str(2 ** 64), "x"]),
     "--out": st.sampled_from(["OUT", "FILE"]),
-    "--checkpoint": st.sampled_from(["CKPT", "MISSING", "CONFIG"])})
+    "--checkpoint": st.sampled_from(["CKPT", "MISSING", "CONFIG", "MUTATED"])})
 
 
 @pytest.fixture(scope="module")
@@ -486,20 +511,54 @@ def default_shaped_checkpoint(tmp_path_factory):
     return path
 
 
+def _drop_tensor(doc, i):
+    del doc["tensors"][i]
+
+
+def _reshape(doc, i, shape):
+    doc["tensors"][i]["shape"] = shape
+
+
+def _scale(doc):  # finite, but the model overflows
+    for t in doc["tensors"]:
+        t["data"] = [v * 1e160 for v in t["data"]]
+
+
+def _set_value(doc, i, value):
+    doc["tensors"][i]["data"][0] = value
+
+
+def _bogus_head(doc):
+    doc["head"] = "bogus"
+
+
+TENSOR = st.integers(0, 4)  # the default-shaped dm checkpoint holds 5 tensors
+MUTATIONS = st.one_of(
+    st.tuples(st.just(_drop_tensor), TENSOR),
+    st.tuples(st.just(_reshape), TENSOR, st.lists(st.integers(0, 20), max_size=3)),
+    st.tuples(st.just(_scale)),
+    st.tuples(st.just(_set_value), TENSOR, st.sampled_from([math.nan, 10 ** 400, "x"])),
+    st.tuples(st.just(_bogus_head)))
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=TINY_CONFIGS, flags=FLAGS,
-       commands=st.lists(st.sampled_from(["run-all", *STAGES]), min_size=1, max_size=3))
+       commands=st.lists(st.sampled_from(["run-all", *STAGES]), min_size=1, max_size=3),
+       mutation=MUTATIONS)
 def test_any_cli_call_exits_0_1_or_2_without_traceback(tmp_path, capsys, monkeypatch,
                                                        default_shaped_checkpoint,
-                                                       config, flags, commands):
+                                                       config, flags, commands, mutation):
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     monkeypatch.chdir(work)  # the default --out is ./out
     paths = {"CONFIG": work / "config.json", "MISSING": work / "missing.json",
              "OUT": work / "elsewhere", "FILE": work / "file",
-             "CKPT": default_shaped_checkpoint}
+             "CKPT": default_shaped_checkpoint, "MUTATED": work / "mutated.json"}
     paths["CONFIG"].write_text(config)
     paths["FILE"].write_text("")
+    doc = json.loads(default_shaped_checkpoint.read_text())
+    mutation[0](doc, *mutation[1:])
+    paths["MUTATED"].write_text(json.dumps(doc))
     for command in ["train", *commands]:
         argv = [command, "--config", str(paths["CONFIG"])]
         for flag, value in flags.items():

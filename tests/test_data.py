@@ -130,6 +130,15 @@ class TestGenOod:
         # attempts overshoot the strict minimum by at most one chunk
         assert abs(empirical - free_fraction) < 0.1 * free_fraction
 
+    @pytest.mark.parametrize("n, box_halfwidth, exclusion_radius", [
+        (0, 50.0, 8.0), (10, 0.0, 8.0), (10, 50.0, -1.0),
+    ], ids=["no-points", "empty-box", "negative-exclusion"])
+    def test_invalid_parameters(self, n, box_halfwidth, exclusion_radius):
+        with pytest.raises(ValueError, match="need n >= 1, box_halfwidth > 0, "
+                                             "exclusion_radius >= 0"):
+            gen_ood(n, ring_class_means(3, 20.0), seed=0, box_halfwidth=box_halfwidth,
+                    exclusion_radius=exclusion_radius)
+
     def test_infeasible_rejection_aborts(self):
         means = np.array([[0.0, 0.0]])
         with pytest.raises(ValueError, match="attempts"):
@@ -178,6 +187,18 @@ class TestSplit:
                 split(data, bad, seed=0)
 
 
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros(3), [0, 1, 0], "features must be a matrix and labels a vector"),
+    (np.zeros((3, 2)), [[0, 1, 0]], "features must be a matrix and labels a vector"),
+    (np.zeros((3, 2)), [0, 1], "features and labels are misaligned"),
+    (np.zeros((2, 2)), [0, 2], r"labels must lie in \[0, 2\)"),
+    (np.zeros((2, 2)), [-1, 0], r"labels must lie in \[0, 2\)"),
+], ids=["vector-features", "matrix-labels", "misaligned", "label-too-large", "negative-label"])
+def test_malformed_dataset_refused(features, labels, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(features=features, labels=np.asarray(labels), num_classes=2, seed=0)
+
+
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         data = gen_ring(num_classes=3, n_per_class=8, seed=17)
@@ -201,3 +222,10 @@ class TestDatasetIo:
         assert "PCG64" in meta["prng"]
         assert meta["generator"] == "gen_ring"
         assert meta["seed"] == 18
+
+    def test_only_two_feature_columns_saved(self, tmp_path):
+        data = Dataset(features=np.zeros((2, 3)), labels=np.array([0, 1]), num_classes=2,
+                       seed=0)
+        with pytest.raises(ValueError, match="fixed to 2 feature columns"):
+            save_dataset(tmp_path / "d.csv", data, {})
+        assert not (tmp_path / "d.csv").exists()

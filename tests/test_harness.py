@@ -127,6 +127,11 @@ class TestConfig:
             assert str(info.value).startswith(f"{where} must be ")
             assert str(info.value).endswith(f", got {value!r}")
 
+    @pytest.mark.parametrize("raw", [[], "seed", None])
+    def test_config_that_is_not_an_object_refused(self, raw):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            ExperimentConfig.from_dict(raw)
+
     def test_section_replaced_by_a_dict_is_named(self):
         cfg = tiny_config()
         cfg.optim = {"steps": 10}
@@ -189,6 +194,11 @@ class TestTrain:
         cfg = tiny_config(learning_rate=50.0, steps=400)
         with pytest.raises(TrainingDiverged, match=r"step \d+ for head 'softmax'"):
             train(cfg, HeadKind.SOFTMAX_AFFINE, make_datasets(cfg)[0])
+
+    def test_dataset_of_another_class_count_refused(self):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="dataset class count does not match the config"):
+            train(cfg, HeadKind.SOFTMAX_AFFINE, gen_ring(num_classes=3, n_per_class=5))
 
     def test_random_distance_init_option(self):
         cfg = tiny_config(steps=0)
@@ -338,6 +348,13 @@ class TestCentersReport:
         report = centers_report(model, HeadKind.OVA_DISTANCE, data)
         assert np.abs(report["alignment_error"][-4:]).max() < 1e-12  # the 4 center rows
 
+    def test_class_without_training_points_refused(self):
+        data = gen_ring(num_classes=3, n_per_class=5, seed=4)
+        data = Dataset(data.features[data.labels != 1], data.labels[data.labels != 1], 3, 4)
+        model = identity_body_model(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="class 1 has no points in the training data"):
+            centers_report(model, HeadKind.SOFTMAX_DISTANCE, data)
+
     def test_csv_row_count_is_n_plus_k(self, tmp_path):
         data = gen_ring(num_classes=4, n_per_class=30, seed=3)
         model = identity_body_model(np.random.default_rng(0).standard_normal((2, 4)))
@@ -473,6 +490,33 @@ class TestRunAll:
         with pytest.raises(ValueError):
             run_all(cfg, tmp_path / "never")
         assert not (tmp_path / "never").exists()
+
+    @pytest.mark.filterwarnings("error")  # refused without a warning first
+    def test_log_evaluation_divergence_is_recorded_with_step_and_head(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({
+            "optim": {"learning_rate": 50, "steps": 6, "batch_size": 16},
+            "data": {"n_per_class": 30}, "landscape": {"resolution": 10}})
+        stages = run_all(cfg, tmp_path / "diverged").manifest["stages"]
+        for head in ("softmax", "ova"):
+            assert stages[head]["train"].startswith(
+                f"failed: training diverged at step 6 for head '{head}': the model's logits "
+                "are not finite for training row 0 (input ["), stages[head]
+            assert stages[head]["evaluate"] == "skipped"
+
+    def test_centers_refused_for_fewer_than_three_training_rows(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({
+            "data": {"num_classes": 2, "n_per_class": 1, "train_fraction": 1.0},
+            "optim": {"steps": 5}, "landscape": {"resolution": 4}})
+        outcome = run_all(cfg, tmp_path / "two_rows")
+        assert not outcome.ok
+        for head, stages in outcome.manifest["stages"].items():
+            assert {stages[name] for name in ("train", "evaluate", "sweep", "landscape")} \
+                == {"ok"}, (head, stages)
+            if head in ("dm", "ova_dm"):
+                assert stages["centers"] == (
+                    "failed: data.num_classes 2, data.n_per_class 1 and data.train_fraction "
+                    "1.0 leave 2 training rows; centers need >= 3")
+            assert not (tmp_path / "two_rows" / head / "centers.csv").exists()
 
     def test_stage_failure_recorded_and_artifacts_retained(self, tmp_path, monkeypatch):
         import ovabench.harness as harness_mod

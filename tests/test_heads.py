@@ -83,6 +83,12 @@ class TestLogits:
             tracemalloc.stop()
         assert peak < 2 * z.nbytes  # the unblocked difference tensor alone is 115 MB
 
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    def test_embedding_width_must_match_the_head(self, head):
+        params = random_params(head, seed=0)
+        with pytest.raises(ValueError, match="embedding width 3 does not match head fan_in 16"):
+            logits(head, params, np.zeros((2, 3)))
+
     def test_bias_consistency_enforced(self):
         with_bias = head_only_params(np.zeros((2, 3)), biases=np.zeros(3))
         without = head_only_params(np.zeros((2, 3)))
@@ -240,6 +246,15 @@ class TestLoss:
         z = np.array([[0.0, 1.0], [np.inf, 0.0]])
         with pytest.raises(ValueError, match="batch index 1"):
             loss(HeadKind.SOFTMAX_AFFINE, z, [0, 0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sum overflows on purpose
+    @pytest.mark.parametrize("head", [HeadKind.SOFTMAX_AFFINE, HeadKind.OVA_AFFINE],
+                             ids=["softmax", "ova"])
+    def test_finite_losses_with_a_non_finite_mean_refused(self, head):
+        z = np.tile([1e306, -1e306], (100, 1))  # each example's loss is 2e306
+        for fn in (loss, logit_gradient):
+            with pytest.raises(ValueError, match="non-finite mean loss"):
+                fn(head, z, np.ones(100, dtype=int))
 
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -401,7 +416,8 @@ class TestGradients:
         (3, [0, 1], "labels length does not match batch size"),
         (3, [0, 1, 2, 0], "labels length does not match batch size"),
         (0, [], "batch must contain at least one row"),
-    ], ids=["short", "long", "empty"])
+        (3, [[0], [1], [2]], "labels must be a vector"),
+    ], ids=["short", "long", "empty", "matrix"])
     def test_label_count_must_match_batch(self, head, rows, labels, message):
         z = -np.ones((rows, 4))  # valid logits for every head, distance heads included
         for fn in (loss, logit_gradient):

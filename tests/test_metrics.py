@@ -60,6 +60,10 @@ class TestEce:
         with pytest.raises(ValueError):
             ece(preds([]), 15)
 
+    def test_no_bins_rejected(self):
+        with pytest.raises(ValueError, match="num_bins must be >= 1"):
+            ece(preds([rec(0.5)]), 0)
+
     def test_ood_rejected(self):
         with pytest.raises(ValueError, match="in-distribution"):
             ece(preds([rec(0.5, ood=True)]), 15)
@@ -171,6 +175,14 @@ class TestRanking:
         with pytest.raises(ValueError):
             auroc_auprc([0.1, 0.2], [True, True])
 
+    @pytest.mark.parametrize("scores, is_positive", [
+        ([0.1, 0.2, 0.3], [True, False]),
+        ([[0.1, 0.2]], [[True, False]]),
+    ], ids=["unequal-length", "matrix"])
+    def test_scores_and_labels_must_be_equal_length_vectors(self, scores, is_positive):
+        with pytest.raises(ValueError, match="scores and is_positive must be equal-length"):
+            auroc_auprc(scores, is_positive)
+
     @settings(max_examples=60)
     @given(st.lists(st.tuples(st.sampled_from([round(v * 0.05, 2) for v in range(21)]),
                               st.booleans()), min_size=2, max_size=60))
@@ -223,6 +235,10 @@ class TestHistograms:
         for bad in (1.2, -0.25, float("nan")):
             with pytest.raises(ValueError):
                 confidence_histograms(hist_preds([bad], [], []), 10)
+
+    def test_no_bins_rejected(self):
+        with pytest.raises(ValueError, match="num_bins must be >= 1"):
+            confidence_histograms(hist_preds([0.5], [], []), 0)
 
 
 def oracle_five_numbers(values):
@@ -343,6 +359,11 @@ class TestPca2:
         line = np.outer(np.arange(10.0), [1.0, 2.0, 3.0])  # rank-1 cloud
         with pytest.raises(ValueError, match="nonzero eigenvalues"):
             pca2(line)
+
+    def test_extra_points_of_another_width_rejected(self):
+        pts = np.random.default_rng(13).standard_normal((10, 3))
+        with pytest.raises(ValueError, match="extra_points must be"):
+            pca2(pts, extra_points=np.zeros((2, 2)))
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):

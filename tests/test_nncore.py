@@ -54,6 +54,15 @@ class TestForward:
         want = naive_forward(params, x)
         assert np.abs(got - want).max() < 1e-12
 
+    @pytest.mark.parametrize("inputs, message", [
+        (np.zeros(2), r"inputs must be 2-dimensional, got shape \(2,\)"),
+        (np.zeros((1, 1, 2)), r"inputs must be 2-dimensional, got shape \(1, 1, 2\)"),
+        (np.zeros((0, 2)), "batch must contain at least one row"),
+    ], ids=["vector", "3-d", "no-rows"])
+    def test_malformed_batch_refused(self, inputs, message):
+        with pytest.raises(ValueError, match=message):
+            forward(small_params(), inputs)
+
     def test_shape_error_names_layer(self):
         params = small_params()
         with pytest.raises(ValueError, match="layer 0"):
@@ -208,6 +217,14 @@ class TestInit:
         assert not params.biases[0].any()
         assert params.head_biases.shape == (10,)
 
+    @pytest.mark.parametrize("layer_dims, head_init, message", [
+        ([2], "glorot", "layer_dims must list the input width and at least one layer"),
+        ([2, 4], "bogus", "unknown head_init 'bogus'"),
+    ], ids=["no-layer", "unknown-head-init"])
+    def test_bad_arguments_refused(self, layer_dims, head_init, message):
+        with pytest.raises(ValueError, match=message):
+            init_params(layer_dims, 3, head_biases=True, head_init=head_init, seed=0)
+
     def test_zero_head_init(self):
         params = init_params([2, 8, 8], 5, head_biases=False, head_init="zeros", seed=0)
         assert not params.head_weights.any()
@@ -238,6 +255,14 @@ class TestCheckpoint:
         loaded, _, _ = load_checkpoint(path)
         assert loaded.layout.names == params.layout.names
         assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    @pytest.mark.parametrize("doc", [[], {}, {"format": "ovabench-checkpoint-v0"}],
+                             ids=["list", "no-format", "other-format"])
+    def test_unrecognized_format_names_the_file(self, tmp_path, doc):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"unrecognized checkpoint format in {path}"):
+            load_checkpoint(path)
 
     def test_resave_identical_bytes(self, tmp_path):
         params = init_params([2, 4, 4], 3, head_biases=False, head_init="zeros", seed=1)
@@ -294,6 +319,21 @@ def _beyond_float(doc):
     _entry(doc, "layers.0.weights")["data"][0] = 10 ** 400
 
 
+def _nameless_entry(doc):
+    del _entry(doc, "layers.0.biases")["name"]
+
+
+def _fractional_shape(doc):
+    _entry(doc, "layers.0.biases")["shape"] = [1.5]
+
+
+def _string_data(doc):
+    _entry(doc, "layers.0.biases")["data"][0] = "x"
+
+
+NEEDS = "needs a name, shape (sizes) and data (numbers)"
+
+
 @pytest.mark.parametrize("corrupt, entry", [
     (_drop_tensors, "tensors"),
     (_drop_head_weights, "head_weights"),
@@ -305,8 +345,12 @@ def _beyond_float(doc):
     (_duplicate_entry, "'layers.0.biases'"),
     (_nonfinite, "head_weights"),
     (_beyond_float, "layers.0.weights"),
+    (_nameless_entry, NEEDS),
+    (_fractional_shape, NEEDS),
+    (_string_data, NEEDS),
 ], ids=["no-tensors", "no-head-weights", "no-last-weights", "short-data", "unchained",
-        "not-a-matrix", "extra-entry", "duplicate-entry", "non-finite", "beyond-float"])
+        "not-a-matrix", "extra-entry", "duplicate-entry", "non-finite", "beyond-float",
+        "no-name", "fractional-shape", "string-data"])
 def test_malformed_checkpoint_names_file_and_entry(tmp_path, corrupt, entry):
     path = tmp_path / "checkpoint.json"
     save_checkpoint(path, init_params([2, 4, 4], 3, head_biases=True, seed=0), "ova", 0)
