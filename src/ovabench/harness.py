@@ -27,9 +27,6 @@ from .ioutil import write_csv, write_json
 from .metrics import Predictions, boxplot_stats
 from .nncore import ModelParams, forward, init_params, save_checkpoint, sgd_step
 
-ALL_HEADS = (HeadKind.SOFTMAX_AFFINE, HeadKind.SOFTMAX_DISTANCE,
-             HeadKind.OVA_AFFINE, HeadKind.OVA_DISTANCE)
-
 LOG_EVERY = 100
 
 # Training draws the batch indices of a block of steps in one call, at most this
@@ -78,9 +75,8 @@ class DataConfig:
 
     @property
     def train_per_class(self) -> int:
-        """Training rows per class: all at train_fraction 1.0, else the split's floor."""
-        return (self.n_per_class if self.train_fraction == 1.0
-                else math.floor(self.train_fraction * self.n_per_class))
+        """Training rows per class: the split's floor (all of them at train_fraction 1.0)."""
+        return math.floor(self.train_fraction * self.n_per_class)
 
 
 @dataclass
@@ -554,7 +550,7 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
     manifest: dict = {"config": asdict(config), "stages": {}}
     compared = []
     ok = True
-    for head in ALL_HEADS:
+    for head in HeadKind:
         head_dir = out / head.value
         head_dir.mkdir(exist_ok=True)
         stages: dict[str, str] = {}

@@ -140,8 +140,10 @@ def probabilities(head: HeadKind, logits_) -> np.ndarray:
 
 def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
                              gradient: bool = True) -> tuple[float, np.ndarray | None]:
-    """Mean loss of the logits ``z`` and, with ``gradient``, its gradient w.r.t.
-    ``z``; the two share their intermediates and one label check."""
+    """Mean loss of the logits ``z`` and, with ``gradient``, its gradient w.r.t. ``z``,
+    sharing intermediates and one label check.  The gradient is (p - onehot)/batch,
+    but for the one-vs-all distance head, in d = -z: sigmoid(d) for the label class
+    and -1/sinh(d) for the rest, zeroed wherever the loss clamp is active."""
     if not z.shape[0]:  # the mean would divide by zero
         raise ValueError("batch must contain at least one row")
     y = _check_labels(labels, z)
@@ -186,21 +188,10 @@ def loss(head: HeadKind, logits_, labels) -> float:
     Softmax heads use log-sum-exp; one-vs-all heads sum K binary terms,
     -log p for the label class and -log(1 - p) for the rest, in stable
     closed forms.  Raises if any per-example loss is non-finite, carrying
-    the batch index, or if their mean is.
+    the batch index, or if their mean is, without a numpy warning first.
     """
-    return _loss_and_logit_gradient(head, _as_matrix(logits_, "logits"), labels, False)[0]
-
-
-def logit_gradient(head: HeadKind, logits_, labels) -> np.ndarray:
-    """Gradient of the mean loss w.r.t. the logits, [batch x K].
-
-    For softmax and one-vs-all affine heads this is the classic
-    (p - onehot)/batch.  For the one-vs-all distance head the gradient is
-    derived in distance space (d = -z): sigmoid(d) for the label class and
-    -1/sinh(d) for the rest, zeroed wherever the loss clamp is active.
-    Raises, as :func:`loss` does, if any per-example loss is non-finite.
-    """
-    return _loss_and_logit_gradient(head, _as_matrix(logits_, "logits"), labels)[1]
+    with np.errstate(over="ignore"):  # an overflowing mean is refused below
+        return _loss_and_logit_gradient(head, _as_matrix(logits_, "logits"), labels, False)[0]
 
 
 def loss_and_grads(head: HeadKind, params: ModelParams, inputs, labels,

@@ -112,6 +112,27 @@ def test_stage_commands_write_the_run_all_files(tmp_path, config_file):
         assert _tree(staged_out / head) == expected, head
 
 
+def test_one_layer_body_runs_end_to_end(tmp_path, config_file):
+    config_file.write_text(json.dumps({**json.loads(config_file.read_text()),
+                                       "model": {"hidden": [16]}}))
+    out, base = tmp_path / "one_layer", ["--config", str(config_file)]
+    assert main(["run-all", *base, "--out", str(out)]) == 0
+    stages = json.loads((out / "MANIFEST.json").read_text())["stages"]
+    assert sorted(stages) == sorted(HEADS)
+    for head, states in stages.items():
+        assert set(states.values()) == {"ok"}, (head, states)
+
+    params = init_params([2, 16], 10, head_biases=True, seed=1)
+    save_checkpoint(tmp_path / "checkpoint.json", params, "softmax", 5)
+    loaded, _, _ = load_checkpoint(tmp_path / "checkpoint.json")
+    assert loaded.layout.names == params.layout.names
+    assert np.array_equal(loaded.flat, params.flat)
+
+    metrics = (out / "ova_dm" / "metrics.json").read_bytes()
+    assert main(["evaluate", *base, "--out", str(out), "--head", "ova_dm"]) == 0
+    assert (out / "ova_dm" / "metrics.json").read_bytes() == metrics
+
+
 def test_run_all_tree_does_not_depend_on_out(tmp_path, config_file, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run-all", "--config", str(config_file), "--out", "relative"]) == 0

@@ -1,13 +1,14 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovabench.heads import (DISTANCE_BLOCK_ENTRIES, HeadKind, logit_gradient, logits, loss,
-                            loss_and_grads, predict, probabilities)
+from ovabench.heads import (DISTANCE_BLOCK_ENTRIES, HeadKind, _loss_and_logit_gradient, logits,
+                            loss, loss_and_grads, predict, probabilities)
 from ovabench.nncore import ModelParams, backward, forward, init_params
 
 from gradcheck import gradient_check, params_from_arrays
@@ -237,6 +238,14 @@ class TestLoss:
         value = loss(HeadKind.OVA_DISTANCE, -np.array([[0.5, 2.0, 3.0]]), [0])
         assert value == pytest.approx(OVA_DM_LOSS_05_2_3, abs=1e-12)
 
+    def test_ova_distance_wrong_class_at_distance_zero_is_clamped(self):
+        # 1 - p is 0 for the wrong class, so its term -log(1 - p) is clamped
+        # at -log(1e-12); a literal, so that a changed PROB_CLAMP shows
+        z = np.array([[-1.0, 0.0]])
+        want = math.log1p(math.exp(1.0)) - math.log(2.0) - math.log(1e-12)
+        assert loss(HeadKind.OVA_DISTANCE, z, [0]) == pytest.approx(want, rel=1e-14)
+        assert _loss_and_logit_gradient(HeadKind.OVA_DISTANCE, z, [0])[1][0, 1] == 0.0
+
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
             loss(HeadKind.SOFTMAX_AFFINE, np.zeros((2, 3)), [0, 3])
@@ -247,14 +256,17 @@ class TestLoss:
         with pytest.raises(ValueError, match="batch index 1"):
             loss(HeadKind.SOFTMAX_AFFINE, z, [0, 0])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sum overflows on purpose
     @pytest.mark.parametrize("head", [HeadKind.SOFTMAX_AFFINE, HeadKind.OVA_AFFINE],
                              ids=["softmax", "ova"])
     def test_finite_losses_with_a_non_finite_mean_refused(self, head):
         z = np.tile([1e306, -1e306], (100, 1))  # each example's loss is 2e306
-        for fn in (loss, logit_gradient):
+        y = np.ones(100, dtype=int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loss refuses without a warning first
             with pytest.raises(ValueError, match="non-finite mean loss"):
-                fn(head, z, np.ones(100, dtype=int))
+                loss(head, z, y)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite mean loss"):
+            _loss_and_logit_gradient(head, z, y)
 
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -306,7 +318,7 @@ class TestGradients:
         rng = np.random.default_rng(10)
         z = rng.standard_normal((6, 5))
         y = rng.integers(0, 5, 6)
-        g = logit_gradient(HeadKind.SOFTMAX_AFFINE, z, y)
+        g = _loss_and_logit_gradient(HeadKind.SOFTMAX_AFFINE, z, y)[1]
         p = probabilities(HeadKind.SOFTMAX_AFFINE, z)
         onehot = np.zeros_like(p)
         onehot[np.arange(6), y] = 1.0
@@ -353,7 +365,7 @@ class TestGradients:
         _, grads = loss_and_grads(HeadKind.OVA_AFFINE, params, x, y,
                                   ModelParams.zeros(params.layout))
         z = logits(HeadKind.OVA_AFFINE, params, trace[-1])
-        g = logit_gradient(HeadKind.OVA_AFFINE, z, y)
+        g = _loss_and_logit_gradient(HeadKind.OVA_AFFINE, z, y)[1]
         assert np.allclose(grads.head_weights, trace[-1].T @ g, atol=1e-15)
         assert np.allclose(grads.head_biases, g.sum(axis=0), atol=1e-15)
         # every body layer's gradient is backward() of the per-row embedding
@@ -391,7 +403,7 @@ class TestGradients:
         emb = activations[-1]
         z = logits(head, params, emb)
         want = ModelParams.zeros(params.layout)
-        g = logit_gradient(head, z, y)
+        g = _loss_and_logit_gradient(head, z, y)[1]
         if head.is_distance:
             d = -z
             diff = emb[:, None, :] - params.head_weights.T[None, :, :]
@@ -420,7 +432,7 @@ class TestGradients:
     ], ids=["short", "long", "empty", "matrix"])
     def test_label_count_must_match_batch(self, head, rows, labels, message):
         z = -np.ones((rows, 4))  # valid logits for every head, distance heads included
-        for fn in (loss, logit_gradient):
+        for fn in (loss, _loss_and_logit_gradient):
             with pytest.raises(ValueError, match=message):
                 fn(head, z, labels)
 
