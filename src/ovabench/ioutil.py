@@ -19,7 +19,8 @@ def write_csv(path, columns) -> None:
     significant digits (an exact double round-trip) and NaN an empty cell;
     an integer or boolean is a decimal integer; a string is written as it
     is.  Columns of unequal length raise ValueError before the file is
-    opened.  Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time.
+    opened.  Rows are written ``CSV_BLOCK_ROWS`` at a time; a block formats each
+    distinct value (a float by its bit pattern) once, into per-cell bytes.
     """
     arrays = [np.asarray(column) for column in columns.values()]
     lengths = set(map(len, arrays))
@@ -33,11 +34,16 @@ def write_csv(path, columns) -> None:
 
 
 def _cells(column: np.ndarray) -> list[str]:
-    if column.dtype.kind == "f":
-        return ["" if v != v else f"{v:.17g}" for v in column.tolist()]
     if column.dtype.kind == "U":
         return column.tolist()
-    return list(map(str, column.astype(np.int64).tolist()))
+    if column.dtype.kind == "f":  # keyed by bit pattern, so -0.0 and each NaN stay apart
+        keys, inverse = np.unique(column.astype(np.float64, copy=False).view(np.int64),
+                                  return_inverse=True)
+        table = ["" if v != v else f"{v:.17g}" for v in keys.view(np.float64).tolist()]
+    else:
+        keys, inverse = np.unique(column.astype(np.int64), return_inverse=True)
+        table = list(map(str, keys.tolist()))
+    return np.array(table, dtype=object)[inverse].tolist()
 
 
 def write_json(path, obj) -> None:

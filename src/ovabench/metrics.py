@@ -243,7 +243,7 @@ def pca2(points, extra_points=None) -> tuple[np.ndarray, np.ndarray | None,
 def write_predictions(path, preds: Predictions) -> None:
     """Dump predictions as CSV: confidence,predicted_label,true_label,is_ood;
     ``true_label`` is an empty cell on OOD rows."""
-    true_label = np.where(preds.is_ood, "", preds.true_label.astype(str))
+    true_label = np.where(preds.is_ood, np.nan, preds.true_label)
     write_csv(path, dict(zip(_PREDICTIONS_HEADER, (preds.confidence, preds.predicted_label,
                                                    true_label, preds.is_ood))))
 

@@ -1,11 +1,11 @@
-"""Golden digests: the sha256 of every file of a small ``run-all --seed 0`` tree.
+"""Golden digests: the sha256 of every file of small ``run-all --seed 0`` trees.
 
 ``data/`` depends on numpy's generators only, so it is compared everywhere.
 The rest of the tree depends on the numpy build, its SIMD level and the BLAS
 kernel, so it is compared only where ``golden/digests.json`` holds a golden
-for the running environment's key; elsewhere the test prints the key and the
-digests (``pytest tests/test_golden.py -s``).  ``golden/regenerate.py``
-records them.
+for the config and the running environment's key; elsewhere the test prints
+the key and the digests (``pytest tests/test_golden.py -s``).
+``golden/regenerate.py`` records them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 CONFIG = {"data": {"n_per_class": 30}, "optim": {"steps": 50, "batch_size": 16},
           "landscape": {"resolution": 10}, "metrics": {"num_thresholds": 11},
           "ood": {"n": 30}, "seed": 0}
+# The same with more rows than one ``ioutil.CSV_BLOCK_ROWS`` block: 5000-row
+# data and shifted-prediction files, 5030-row prediction dumps and centers
+# tables, and a 4225-row landscape with a 0.0 grid line.
+BLOCKS = {**CONFIG, "data": {"n_per_class": 1000}, "landscape": {"resolution": 65}}
+CONFIGS = {"small": CONFIG, "blocks": BLOCKS}
 
 
 def _openblas() -> tuple[str | None, int | None]:
@@ -68,22 +73,30 @@ def environment_key() -> str:
             f"openblas {core}, threads {threads}; libc {' '.join(platform.libc_ver())}")
 
 
-def run_digests(out: Path) -> dict[str, str]:
-    """Run ``CONFIG`` into ``out``; the sha256 of each file, keyed by its POSIX path there."""
-    assert run_all(ExperimentConfig.from_dict(CONFIG), out).ok
+def run_digests(out: Path, config: dict) -> dict[str, str]:
+    """Run ``config`` into ``out``; the sha256 of each file, keyed by its POSIX path there."""
+    assert run_all(ExperimentConfig.from_dict(config), out).ok
     return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def test_run_all_tree_matches_the_golden_digests(tmp_path):
-    golden = json.loads(GOLDEN.read_text())
-    digests = run_digests(tmp_path)
+def check_against_golden(name: str, out: Path) -> None:
+    golden = json.loads(GOLDEN.read_text())[name]
+    digests = run_digests(out, CONFIGS[name])
     assert {p: d for p, d in digests.items() if p.startswith("data/")} == golden["data"]
     key = environment_key()
     if key not in golden["trees"]:
-        print(f"no golden tree for {key!r}; its digests:\n{json.dumps(digests, indent=1)}")
+        print(f"no golden {name} tree for {key!r}; its digests:\n{json.dumps(digests, indent=1)}")
         return
     want = {**golden["data"], **golden["trees"][key]}
     assert digests.keys() == want.keys()
     changed = [p for p in digests if digests[p] != want[p]]
     assert not changed, f"files whose bytes differ from the golden: {changed}"
+
+
+def test_run_all_tree_matches_the_golden_digests(tmp_path):
+    check_against_golden("small", tmp_path)
+
+
+def test_a_tree_of_several_csv_blocks_matches_its_golden_digests(tmp_path):
+    check_against_golden("blocks", tmp_path)

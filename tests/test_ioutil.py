@@ -81,3 +81,41 @@ def test_a_large_table_is_written_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000  # the 2.6 MB file built whole as strings peaks at 38 MB
+
+
+def cell(v) -> str:
+    """The cell rule, one cell at a time: the oracle for write_csv's value tables."""
+    if isinstance(v, float):
+        return "" if v != v else f"{v:.17g}"
+    return str(int(v))
+
+
+def test_value_tables_give_the_bytes_of_formatting_each_cell(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 5
+    rng = np.random.default_rng(3)
+    nans = np.array([0x7FF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF,
+                     -0x8000000000000, -1], np.int64).view(np.float64)  # signs and payloads
+    specials = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+                                -1.7976931348623157e308, 0.1, 1.0, -2.5], nans])
+    floats = rng.choice(specials, n)
+    floats[::CSV_BLOCK_ROWS // 2], floats[1::CSV_BLOCK_ROWS // 2] = 0.0, -0.0  # both zeros per block
+    many = rng.choice(specials, (n, 3))
+    int64 = np.iinfo(np.int64)
+    columns = {
+        "f": floats,
+        "strided": many[:, 0],
+        "f32": rng.choice(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, 3.4028235e38, 0.1],
+                                   np.float32), n),
+        "wide": rng.standard_normal(n),
+        "i": rng.choice(np.array([int64.min, int64.max, 0, -1, 1], np.int64), n),
+        "i32": rng.integers(-3, 3, n, dtype=np.int32),
+        "b": rng.random(n) < 0.5,
+    }
+    assert not columns["strided"].flags.contiguous
+    rows = zip(*(map(cell, column.tolist()) for column in columns.values()))
+    expected = "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
+    path = tmp_path / "tables.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == expected.encode()
+    first = lines(path)[1:CSV_BLOCK_ROWS + 1]
+    assert {"0", "-0", ""} <= {row.split(",")[0] for row in first}

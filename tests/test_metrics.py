@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ovabench.ioutil import CSV_BLOCK_ROWS, write_csv
 from ovabench.metrics import (Predictions, accuracy_vs_confidence, auroc_auprc,
                               boxplot_stats, confidence_histograms, ece, pca2,
                               read_predictions, write_predictions)
@@ -389,6 +390,25 @@ class TestPredictionsIo:
         for column in ("confidence", "predicted_label", "true_label", "is_ood"):
             assert getattr(loaded, column).tolist() == getattr(records, column).tolist()
         assert loaded.is_correct.tolist() == [True, False, False]
+
+    def test_bytes_match_a_string_label_column_across_blocks(self, tmp_path):
+        n = CSV_BLOCK_ROWS + 500
+        rng = np.random.default_rng(5)
+        is_ood = rng.random(n) < 0.3
+        labels = rng.integers(0, 1000, n)
+        labels[:2], is_ood[:2] = (0, 999), False
+        records = Predictions(rng.random(n), rng.integers(0, 1000, n),
+                              np.where(is_ood, -1, labels), is_ood)
+        path, oracle = tmp_path / "predictions.csv", tmp_path / "oracle.csv"
+        write_predictions(path, records)
+        write_csv(oracle, {"confidence": records.confidence,
+                           "predicted_label": records.predicted_label,
+                           "true_label": np.where(is_ood, "", records.true_label.astype(str)),
+                           "is_ood": records.is_ood})
+        assert path.read_bytes() == oracle.read_bytes()
+        loaded = read_predictions(path)
+        for column in ("confidence", "predicted_label", "true_label", "is_ood"):
+            assert np.array_equal(getattr(loaded, column), getattr(records, column))
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
