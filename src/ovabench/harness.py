@@ -261,6 +261,7 @@ def make_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, np.ndarra
 
     With train_fraction = 1.0 the full dataset plays both roles.
     """
+    config.validate()
     d = config.data
     full = datamod.gen_ring(d.num_classes, d.n_per_class, d.radius, d.variance,
                             seed=derive_seed(config.seed, "data"),
@@ -338,6 +339,7 @@ def evaluate(params: ModelParams, head: HeadKind, test_data: Dataset,
     Writes predictions.csv, calibration.csv, curve.csv, histograms.csv and
     metrics.json into ``out_dir``.
     """
+    config.validate()
     id_preds = _score(params, head, test_data.features, test_data.labels, "test row")
     preds = Predictions.concatenate([id_preds, _score(params, head, ood_points, None, "OOD row")])
     ece_value, calibration = metricsmod.ece(id_preds, config.metrics.num_bins)
@@ -400,6 +402,7 @@ def landscape(params: ModelParams, head: HeadKind,
               config: ExperimentConfig) -> dict[str, np.ndarray]:
     """Confidence and predicted label over a square grid of 2D inputs, as the
     landscape.csv columns ``x, y, confidence, label``, row by row from ymax."""
+    config.validate()
     res = config.landscape.resolution
     h = config.landscape.half_extent
     xx, yy = np.meshgrid(np.linspace(-h, h, res), np.linspace(h, -h, res))

@@ -18,11 +18,16 @@ def write_csv(path, columns) -> None:
     This is the cell rule of every CSV the package writes: a float gets 17
     significant digits (an exact double round-trip) and NaN an empty cell;
     an integer or boolean is a decimal integer; a string is written as it
-    is.  Columns of unequal length raise ValueError before the file is
-    opened.  Rows are written ``CSV_BLOCK_ROWS`` at a time; a block formats each
-    distinct value (a float by its bit pattern) once, into per-cell bytes.
+    is.  A column that is not a vector of these kinds, or columns of unequal
+    length, raise ValueError before the file is opened.  Rows are written
+    ``CSV_BLOCK_ROWS`` at a time; a block formats each distinct value (a
+    float by its bit pattern) once, into per-cell bytes.
     """
     arrays = [np.asarray(column) for column in columns.values()]
+    for name, a in zip(columns, arrays):
+        if a.ndim != 1 or a.dtype.kind not in "fiubU":
+            raise ValueError(f"CSV column {name!r} must be a vector of floats, integers, "
+                             f"booleans or strings, got {a.dtype} of shape {a.shape}")
     lengths = set(map(len, arrays))
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {dict(zip(columns, map(len, arrays)))}")
@@ -41,7 +46,8 @@ def _cells(column: np.ndarray) -> list[str]:
                                   return_inverse=True)
         table = ["" if v != v else f"{v:.17g}" for v in keys.view(np.float64).tolist()]
     else:
-        keys, inverse = np.unique(column.astype(np.int64), return_inverse=True)
+        wide = np.uint64 if column.dtype.kind == "u" else np.int64
+        keys, inverse = np.unique(column.astype(wide), return_inverse=True)
         table = list(map(str, keys.tolist()))
     return np.array(table, dtype=object)[inverse].tolist()
 

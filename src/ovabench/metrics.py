@@ -65,17 +65,15 @@ class Predictions:
         return ~self.is_ood & (self.predicted_label == self.true_label)
 
 
-def _bin_indices(confidences: np.ndarray, num_bins: int) -> np.ndarray:
-    # Equal-width bins on [0, 1]; a value on an interior edge goes to the
-    # higher bin, and 1.0 lands in the top bin.
+def _bins(confidences: np.ndarray, num_bins: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    # The bin of each confidence, and the bin_lo/bin_hi columns.  Equal-width
+    # bins on [0, 1]; a value on an interior edge goes to the higher bin, and
+    # 1.0 lands in the top bin.
+    if num_bins < 1:
+        raise ValueError("num_bins must be >= 1")
     edges = np.linspace(0.0, 1.0, num_bins + 1)
-    idx = np.searchsorted(edges, confidences, side="right") - 1
-    return np.clip(idx, 0, num_bins - 1)
-
-
-def _bin_columns(num_bins: int) -> dict[str, np.ndarray]:
-    edges = np.linspace(0.0, 1.0, num_bins + 1)
-    return {"bin_lo": edges[:-1], "bin_hi": edges[1:]}
+    idx = np.clip(np.searchsorted(edges, confidences, side="right") - 1, 0, num_bins - 1)
+    return idx, {"bin_lo": edges[:-1], "bin_hi": edges[1:]}
 
 
 def ece(preds: Predictions, num_bins: int = 15) -> tuple[float, dict[str, np.ndarray]]:
@@ -87,15 +85,13 @@ def ece(preds: Predictions, num_bins: int = 15) -> tuple[float, dict[str, np.nda
     columns ``bin_lo, bin_hi, count, mean_confidence, accuracy``; empty bins
     hold NaN for mean confidence and accuracy.
     """
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
+    idx, columns = _bins(preds.confidence, num_bins)
     if not len(preds):
         raise ValueError("ece requires at least one prediction")
     if preds.is_ood.any():
         raise ValueError("ece is an in-distribution metric; drop OOD rows first")
     conf = preds.confidence
     correct = preds.is_correct.astype(np.float64)
-    idx = _bin_indices(conf, num_bins)
     counts = np.bincount(idx, minlength=num_bins)
     conf_sums = np.bincount(idx, weights=conf, minlength=num_bins)
     correct_sums = np.bincount(idx, weights=correct, minlength=num_bins)
@@ -107,8 +103,7 @@ def ece(preds: Predictions, num_bins: int = 15) -> tuple[float, dict[str, np.nda
     for b in range(num_bins):
         if counts[b] > 0:
             value += (counts[b] / total) * abs(acc[b] - mean_conf[b])
-    return value, {**_bin_columns(num_bins), "count": counts, "mean_confidence": mean_conf,
-                   "accuracy": acc}
+    return value, {**columns, "count": counts, "mean_confidence": mean_conf, "accuracy": acc}
 
 
 def accuracy_vs_confidence(preds: Predictions, thresholds) -> dict[str, np.ndarray]:
@@ -168,16 +163,11 @@ def confidence_histograms(preds: Predictions, num_bins: int = 15) -> dict[str, n
     """Histogram the confidences of correct ID, incorrect ID and OOD rows
     over shared [0, 1] bins, as the histograms.csv columns ``bin_lo, bin_hi,
     correct_id, incorrect_id, ood``."""
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
-
-    def count(mask):
-        return np.bincount(_bin_indices(preds.confidence[mask], num_bins),
-                           minlength=num_bins)
-
-    correct = preds.is_correct
-    return {**_bin_columns(num_bins), "correct_id": count(correct),
-            "incorrect_id": count(~correct & ~preds.is_ood), "ood": count(preds.is_ood)}
+    idx, columns = _bins(preds.confidence, num_bins)
+    correct, ood = preds.is_correct, preds.is_ood
+    masks = {"correct_id": correct, "incorrect_id": ~correct & ~ood, "ood": ood}
+    return {**columns, **{name: np.bincount(idx[mask], minlength=num_bins)
+                          for name, mask in masks.items()}}
 
 
 def boxplot_stats(values) -> dict[str, float]:

@@ -444,6 +444,31 @@ def test_unreadable_checkpoint_names_the_path(tmp_path, capsys, kind, message):
     assert "Traceback" not in err
 
 
+def _extra_entry(doc):
+    doc["tensors"].append({"name": "foo", "shape": [1], "data": [0.0]})
+
+
+def _beyond_float(doc):
+    doc["tensors"][0]["data"][0] = 10 ** 400
+
+
+@pytest.mark.parametrize("spoil, entry", [(_extra_entry, "'foo'"),
+                                          (_beyond_float, "layers.0.weights")],
+                         ids=["extra-entry", "beyond-float"])
+def test_malformed_checkpoint_entry_is_named(tmp_path, capsys, spoil, entry):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, init_params([2, 16, 16], 10, head_biases=True, seed=0), "softmax", 0)
+    doc = json.loads(path.read_text())
+    spoil(doc)
+    path.write_text(json.dumps(doc))
+    code = main(["evaluate", "--checkpoint", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: malformed checkpoint {path}: ") and err.count("\n") == 1
+    assert entry in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("change, tensor, have, want", [
     ({"data": {"num_classes": 5}}, "head_weights", "(16, 10)", "(16, 5)"),
     ({"model": {"hidden": [8]}}, "layers.0.weights", "(2, 16)", "(2, 8)"),

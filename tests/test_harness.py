@@ -127,6 +127,29 @@ class TestConfig:
             assert str(info.value).startswith(f"{where} must be ")
             assert str(info.value).endswith(f", got {value!r}")
 
+    @pytest.mark.parametrize("stage, where, value", [
+        ("make_datasets", "data.n_per_class", "5"),
+        ("evaluate", "metrics.num_thresholds", "5"),
+        ("landscape", "landscape.resolution", "10"),
+        ("landscape", "landscape.resolution", 10 ** 6),  # a 7.28 TiB grid unchecked
+    ], ids=["make_datasets", "evaluate", "landscape-str", "landscape-huge"])
+    def test_every_stage_names_a_mistyped_attribute_and_writes_nothing(self, tmp_path, stage,
+                                                                       where, value):
+        cfg = tiny_config()
+        _, test_d, ood = make_datasets(cfg)
+        params = init_params([2, 16, 16], cfg.data.num_classes, head_biases=True, seed=0)
+        section, name = where.split(".")
+        setattr(getattr(cfg, section), name, value)
+        head = HeadKind.SOFTMAX_AFFINE
+        call = {"make_datasets": lambda: make_datasets(cfg),
+                "evaluate": lambda: evaluate(params, head, test_d, ood, cfg, tmp_path),
+                "landscape": lambda: landscape(params, head, cfg)}[stage]
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(f"{where} must be ")
+        assert str(info.value).endswith(f", got {value!r}")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("raw", [[], "seed", None])
     def test_config_that_is_not_an_object_refused(self, raw):
         with pytest.raises(ValueError, match="config must be a JSON object"):

@@ -52,6 +52,24 @@ def test_ragged_columns_raise(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("column, dtype, shape", [
+    (np.array([1.5, None], dtype=object), "object", "(2,)"),
+    (np.zeros((2, 2)), "float64", "(2, 2)"),
+    (np.array([1 + 1j, 0j]), "complex128", "(2,)"),
+    (3.0, "float64", "()"),
+    (np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"), "datetime64[D]", "(2,)"),
+    (np.array([b"a", b"b"]), "|S1", "(2,)"),
+], ids=["object", "2-d", "complex", "scalar", "datetime", "bytes"])
+def test_a_column_outside_the_cell_rule_is_named_before_the_file_opens(tmp_path, column,
+                                                                       dtype, shape):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError) as info:
+        write_csv(path, {"ok": [1, 2], "bad": column})
+    assert str(info.value) == ("CSV column 'bad' must be a vector of floats, integers, "
+                               f"booleans or strings, got {dtype} of shape {shape}")
+    assert not path.exists()
+
+
 def test_blocks_give_the_bytes_of_a_one_shot_join(tmp_path):
     n = 2 * CSV_BLOCK_ROWS + 1
     rng = np.random.default_rng(1)
@@ -109,6 +127,7 @@ def test_value_tables_give_the_bytes_of_formatting_each_cell(tmp_path):
         "wide": rng.standard_normal(n),
         "i": rng.choice(np.array([int64.min, int64.max, 0, -1, 1], np.int64), n),
         "i32": rng.integers(-3, 3, n, dtype=np.int32),
+        "u64": rng.choice(np.array([2 ** 63, 2 ** 64 - 1, 0, 5], np.uint64), n),
         "b": rng.random(n) < 0.5,
     }
     assert not columns["strided"].flags.contiguous

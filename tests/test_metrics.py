@@ -241,6 +241,18 @@ class TestHistograms:
         with pytest.raises(ValueError, match="num_bins must be >= 1"):
             confidence_histograms(hist_preds([0.5], [], []), 0)
 
+    def test_bins_alike_with_the_ece_table(self):
+        edges = np.linspace(0.0, 1.0, 16)
+        values = np.concatenate([[0.0, 1.0], edges, np.nextafter(edges[1:], 0.0),
+                                 np.nextafter(edges[:-1], 1.0)])
+        id_preds = hist_preds(values, values[::2], [])
+        table = ece(id_preds, 15)[1]
+        h = confidence_histograms(id_preds, 15)
+        assert np.array_equal(table["count"], h["correct_id"] + h["incorrect_id"])
+        assert table["count"].sum() == len(id_preds)
+        for column in ("bin_lo", "bin_hi"):
+            assert table[column].tobytes() == h[column].tobytes()
+
 
 def oracle_five_numbers(values):
     """Sort-and-interpolate oracle, written independently of the implementation."""
