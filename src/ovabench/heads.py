@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -39,15 +40,16 @@ class HeadKind(str, Enum):
     OVA_AFFINE = "ova"
     OVA_DISTANCE = "ova_dm"
 
-    @property
+    # cached: a training step reads these several times
+    @cached_property
     def is_distance(self) -> bool:
         return self in (HeadKind.SOFTMAX_DISTANCE, HeadKind.OVA_DISTANCE)
 
-    @property
+    @cached_property
     def is_ova(self) -> bool:
         return self in (HeadKind.OVA_AFFINE, HeadKind.OVA_DISTANCE)
 
-    @property
+    @cached_property
     def uses_biases(self) -> bool:
         return not self.is_distance
 
@@ -66,7 +68,7 @@ def _check_labels(labels, z: np.ndarray) -> np.ndarray:
     if y.shape[0] != z.shape[0]:
         raise ValueError("labels length does not match batch size")
     y, k = y.astype(np.int64, copy=False), z.shape[1]
-    if y.size and (y.min() < 0 or y.max() >= k):
+    if y.size and y.view(np.uint64).max() >= k:  # a negative label wraps above k
         bad = int(np.argmax((y < 0) | (y >= k)))
         raise ValueError(f"label {y[bad]} at index {bad} outside [0, {k})")
     return y
@@ -87,10 +89,20 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _distances(params: ModelParams, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances [rows x K] from embeddings to class centers, and the [rows x K x
-    embed] differences they sum, in broadcasting's layout (the bits depend on it)."""
-    diff = emb[:, None, :] - params.head_weights.T[None, :, :]
-    return np.sqrt(np.einsum("bke,bke->bk", diff, diff)), diff
+    """Distances [rows x K] from embeddings to class centers, and the differences
+    they sum, [rows x embed*K] with entry ``e*K + k``, built in two long passes."""
+    k = params.head_weights.shape[1]
+    diff = np.repeat(emb, k, axis=1)
+    diff -= params.head_weights.reshape(-1)
+    by_class = _by_class(diff, k)
+    return np.sqrt(np.einsum("bke,bke->bk", by_class, by_class)), diff
+
+
+def _by_class(diff: np.ndarray, k: int) -> np.ndarray:
+    """The [rows x K x embed] view of ``_distances``' differences.  Its strides are
+    those of the broadcast ``emb[:, None, :] - W.T[None]``, and einsum's summation
+    order follows its operands' strides, so the bits depend on them."""
+    return diff.reshape(diff.shape[0], -1, k).transpose(0, 2, 1)
 
 
 def logits(head: HeadKind, params: ModelParams, embeddings) -> np.ndarray:
@@ -176,10 +188,12 @@ def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
         with np.errstate(over="ignore"):
             grad_d = np.where(clamped, 0.0, -1.0 / np.sinh(np.where(clamped, 1.0, d)))
         grad_d[rows, y] = _sigmoid(d_own)
-        return value, -grad_d / z.shape[0]
+        grad_d /= -z.shape[0]  # the same bits as -grad_d / batch
+        return value, grad_d
     p = _sigmoid(z) if head.is_ova else e / e_sum
     p[rows, y] -= 1.0
-    return value, p / z.shape[0]
+    p /= z.shape[0]
+    return value, p
 
 
 def loss(head: HeadKind, logits_, labels) -> float:
@@ -208,7 +222,8 @@ def loss_and_grads(head: HeadKind, params: ModelParams, inputs, labels,
         d, diff = _distances(params, emb)
         value, g = _loss_and_logit_gradient(head, -d, labels)
         with np.errstate(divide="ignore", invalid="ignore"):
-            unit = np.divide(diff, d[:, :, None], out=diff)
+            diff /= np.tile(d, emb.shape[1])
+        unit = _by_class(diff, d.shape[1])
         if not d.all():  # subgradient 0 for the norm at zero distance
             unit[d == 0.0] = 0.0
         grads.head_weights[...] = np.einsum("bk,bke->ek", g, unit)

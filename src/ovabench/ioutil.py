@@ -11,6 +11,10 @@ import numpy as np
 # grow with the table.
 CSV_BLOCK_ROWS = 4096
 
+# Characters a name or string cell may not hold: written as they are, they would
+# split a cell or a row.
+_SEPARATORS = ',"\n\r'
+
 
 def write_csv(path, columns) -> None:
     """Write ``columns``, a mapping of header name -> column in file order.
@@ -18,8 +22,9 @@ def write_csv(path, columns) -> None:
     This is the cell rule of every CSV the package writes: a float gets 17
     significant digits (an exact double round-trip) and NaN an empty cell;
     an integer or boolean is a decimal integer; a string is written as it
-    is.  A column that is not a vector of these kinds, or columns of unequal
-    length, raise ValueError before the file is opened.  Rows are written
+    is.  A column that is not a vector of these kinds, a name or string cell
+    holding a comma, quote or line break, or columns of unequal length,
+    raise ValueError before the file is opened.  Rows are written
     ``CSV_BLOCK_ROWS`` at a time; a block formats each distinct value (a
     float by its bit pattern) once, into per-cell bytes.
     """
@@ -28,6 +33,10 @@ def write_csv(path, columns) -> None:
         if a.ndim != 1 or a.dtype.kind not in "fiubU":
             raise ValueError(f"CSV column {name!r} must be a vector of floats, integers, "
                              f"booleans or strings, got {a.dtype} of shape {a.shape}")
+        text = name + "".join(a.tolist()) if a.dtype.kind == "U" else name
+        if any(c in text for c in _SEPARATORS):
+            raise ValueError(f"CSV column {name!r} has a comma, quote or line break "
+                             "in its name or a string cell")
     lengths = set(map(len, arrays))
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {dict(zip(columns, map(len, arrays)))}")

@@ -250,6 +250,22 @@ class TestLoss:
         with pytest.raises(ValueError, match="label"):
             loss(HeadKind.SOFTMAX_AFFINE, np.zeros((2, 3)), [0, 3])
 
+    @pytest.mark.parametrize("labels, shown", [
+        ([0, -1, 1], -1),
+        ([0, 4, 1], 4),
+        ([0, 2 ** 63 - 1, 1], 2 ** 63 - 1),
+        (np.array([0, -2 ** 63, 1], dtype=np.int64), -2 ** 63),
+        (np.array([0, 2 ** 63, 1], dtype=np.uint64), -2 ** 63),  # as int64, it wraps
+        (np.array([0, 2 ** 64 - 1, 1], dtype=np.uint64), -1),
+    ], ids=["minus-one", "k", "int64-max", "int64-min", "uint64-2**63", "uint64-max"])
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    def test_out_of_range_label_is_named_with_its_index(self, head, labels, shown):
+        z = -np.ones((3, 4))
+        for fn in (loss, _loss_and_logit_gradient):
+            with pytest.raises(ValueError) as info:
+                fn(head, z, labels)
+            assert str(info.value) == f"label {shown} at index 1 outside [0, 4)"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf logit on purpose
     def test_nonfinite_loss_carries_batch_index(self):
         z = np.array([[0.0, 1.0], [np.inf, 0.0]])
@@ -435,6 +451,49 @@ class TestGradients:
         for fn in (loss, _loss_and_logit_gradient):
             with pytest.raises(ValueError, match=message):
                 fn(head, z, labels)
+
+    @pytest.mark.parametrize("rows, embed, k, scale", [
+        *[(rows, 16, 10, 1.0) for rows in (1, 7, 128, BLOCK_ROWS, BLOCK_ROWS + 1, 5000)],
+        *[(128, embed, k, scale) for embed in (1, 2) for k in (2, 1000)
+          for scale in (1e-150, 1e-20, 1.0, 1e5)],
+    ])
+    @pytest.mark.parametrize("head", DISTANCE_HEADS, ids=[h.value for h in DISTANCE_HEADS])
+    def test_distance_step_equals_the_broadcast_oracle_bitwise(self, head, rows, embed, k,
+                                                               scale):
+        rng = np.random.default_rng(rows * embed + k)
+        params = random_params(head, seed=rows, dims=(2, 16, embed), k=k)
+        x = rng.standard_normal((rows, 2)) * scale
+        y = rng.integers(0, k, rows)
+        params.head_weights[...] *= scale
+        if rows > 1:
+            # with zero body biases, input 0 embeds at 0; 1e-170 from it, the
+            # distance underflows to 0 while the difference does not
+            x[1] = 0.0
+            params.head_weights[:, 1] = 0.0
+            params.head_weights[0, 1] = 1e-170
+        emb = forward(params, x)[-1]
+        params.head_weights[:, 0] = emb[0]  # row 0 sits exactly on center 0
+        nan_filled = ModelParams(np.full(params.layout.size, np.nan), params.layout)
+        value, grads = loss_and_grads(head, params, x, y, nan_filled)
+
+        # the oracle: one [rows x K x embed] broadcast difference, read by einsum
+        activations = forward(params, x)
+        diff = activations[-1][:, None, :] - params.head_weights.T[None, :, :]
+        d = np.sqrt(np.einsum("bke,bke->bk", diff, diff))
+        assert d[0, 0] == 0.0 and (rows == 1 or (d[1, 1] == 0.0 and diff[1, 1, 0] != 0.0))
+        want_value, g = _loss_and_logit_gradient(head, -d, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = np.divide(diff, d[:, :, None], out=diff)
+        unit[d == 0.0] = 0.0
+        want = ModelParams.zeros(params.layout)
+        want.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
+        backward(params, activations, -np.einsum("bk,bke->be", g, unit), want)
+
+        assert np.array_equal(logits(head, params, activations[-1]), -d)
+        assert value == want_value
+        for name, got, expected in zip(params.layout.names, grads.tensors, want.tensors,
+                                       strict=True):
+            assert np.array_equal(got, expected), name
 
 
 class TestPredict:

@@ -70,6 +70,24 @@ def test_a_column_outside_the_cell_rule_is_named_before_the_file_opens(tmp_path,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("columns, name", [
+    ({"a,b": ["x,y", "p\nq"], "n": [1, 2]}, "a,b"),
+    ({"n": [1, 2], "s": ["ok", 'say "hi"']}, "s"),
+    ({"n": [1, 2], "s": np.array(["ok", "cr\r"])}, "s"),
+    ({"n": [1, 2], "s": ["ok", "p\nq"]}, "s"),
+    ({"line\nbreak": [1.5, 2.5]}, "line\nbreak"),
+], ids=["comma-name-and-cells", "quote-cell", "carriage-return-cell", "newline-cell",
+        "newline-name"])
+def test_a_separator_in_a_name_or_string_cell_is_refused_before_the_file_opens(
+        tmp_path, columns, name):
+    path = tmp_path / "sep.csv"
+    with pytest.raises(ValueError) as info:
+        write_csv(path, columns)
+    assert str(info.value) == (f"CSV column {name!r} has a comma, quote or line break "
+                               "in its name or a string cell")
+    assert not path.exists()
+
+
 def test_blocks_give_the_bytes_of_a_one_shot_join(tmp_path):
     n = 2 * CSV_BLOCK_ROWS + 1
     rng = np.random.default_rng(1)
