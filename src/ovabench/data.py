@@ -69,13 +69,13 @@ def gen_ring(num_classes: int = 10, n_per_class: int = 1000, radius: float = 20.
         raise ValueError("need num_classes >= 2, n_per_class >= 1, radius > 0, variance > 0")
     means = ring_class_means(num_classes, radius, angle_formula)
     rng = np.random.default_rng(seed)
-    std = math.sqrt(variance)
-    features = np.concatenate([
-        means[j] + std * rng.standard_normal((n_per_class, 2))
-        for j in range(num_classes)
-    ])
     labels = np.repeat(np.arange(num_classes), n_per_class)
-    return Dataset(features=features, labels=labels, num_classes=num_classes, seed=seed)
+    # one draw for all classes is the stream of one draw per class (PCG64)
+    features = rng.standard_normal((num_classes, n_per_class, 2))
+    features *= math.sqrt(variance)
+    features += means[:, None, :]
+    return Dataset(features=features.reshape(-1, 2), labels=labels, num_classes=num_classes,
+                   seed=seed)
 
 
 def corrupt(data: Dataset, kind: str, intensity: int, seed: int) -> Dataset:
@@ -126,7 +126,10 @@ def gen_ood(n: int, class_means, seed: int, box_halfwidth: float = 50.0,
         draw = min(max(n - total, 256), max_attempts - attempts)
         candidates = rng.uniform(-box_halfwidth, box_halfwidth, size=(draw, 2))
         attempts += draw
-        dist2 = ((candidates[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        dist2 = np.subtract.outer(candidates[:, 0], means[:, 0])  # [draw x K]
+        dist2 *= dist2
+        dy = np.subtract.outer(candidates[:, 1], means[:, 1])
+        dist2 += np.multiply(dy, dy, out=dy)
         keep = candidates[(dist2 > exclusion_radius ** 2).all(axis=1)]
         accepted.append(keep)
         total += len(keep)

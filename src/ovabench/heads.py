@@ -214,27 +214,29 @@ def loss_and_grads(head: HeadKind, params: ModelParams, inputs, labels,
 
     Overwrites every entry of ``grads``, a vector in the layout of ``params``,
     and returns ``(loss, grads)``, so a training loop can reuse one buffer.
+    A non-finite loss is refused, naming the batch index, without a numpy
+    warning first.
     """
-    activations = forward(params, inputs)
-    emb = activations[-1]
-    _check_head_params(head, params)
-    if head.is_distance:
-        d, diff = _distances(params, emb)
-        value, g = _loss_and_logit_gradient(head, -d, labels)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff /= np.tile(d, emb.shape[1])
-        unit = _by_class(diff, d.shape[1])
-        if not d.all():  # subgradient 0 for the norm at zero distance
-            unit[d == 0.0] = 0.0
-        grads.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
-        emb_grad = -np.einsum("bk,bke->be", g, unit)
-    else:
-        value, g = _loss_and_logit_gradient(head, emb @ params.head_weights
-                                            + params.head_biases, labels)
-        np.matmul(emb.T, g, out=grads.head_weights)
-        g.sum(axis=0, out=grads.head_biases)
-        emb_grad = g @ params.head_weights.T
-    backward(params, activations, emb_grad, grads)
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite loss, refused
+        activations = forward(params, inputs)
+        emb = activations[-1]
+        _check_head_params(head, params)
+        if head.is_distance:
+            d, diff = _distances(params, emb)
+            value, g = _loss_and_logit_gradient(head, -d, labels)
+            unit = _by_class(diff, d.shape[1])
+            unit /= d[:, :, None]
+            if not d.all():  # subgradient 0 for the norm at zero distance
+                unit[d == 0.0] = 0.0
+            grads.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
+            emb_grad = -np.einsum("bk,bke->be", g, unit)
+        else:
+            value, g = _loss_and_logit_gradient(head, emb @ params.head_weights
+                                                + params.head_biases, labels)
+            np.matmul(emb.T, g, out=grads.head_weights)
+            g.sum(axis=0, out=grads.head_biases)
+            emb_grad = g @ params.head_weights.T
+        backward(params, activations, emb_grad, grads)
     return value, grads
 
 

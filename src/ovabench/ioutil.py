@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -14,6 +15,14 @@ CSV_BLOCK_ROWS = 4096
 # Characters a name or string cell may not hold: written as they are, they would
 # split a cell or a row.
 _SEPARATORS = ',"\n\r'
+
+# A block's floats with magnitude in [1e-4, 1e16) are formatted in numpy passes
+# (_fast_cells) once the block holds this many distinct ones; fewer cost less as
+# one f-string each.  The bounds are bit patterns of |v|; NaN and inf lie above.
+FAST_MIN_VALUES = 200
+_FAST_LOW = int(np.float64(1e-4).view(np.int64))
+_FAST_HIGH = int(np.float64(1e16).view(np.int64))
+_U = np.uint64
 
 
 def write_csv(path, columns) -> None:
@@ -53,12 +62,119 @@ def _cells(column: np.ndarray) -> list[str]:
     if column.dtype.kind == "f":  # keyed by bit pattern, so -0.0 and each NaN stay apart
         keys, inverse = np.unique(column.astype(np.float64, copy=False).view(np.int64),
                                   return_inverse=True)
-        table = ["" if v != v else f"{v:.17g}" for v in keys.view(np.float64).tolist()]
+        table = _floats(keys)
     else:
         wide = np.uint64 if column.dtype.kind == "u" else np.int64
         keys, inverse = np.unique(column.astype(wide), return_inverse=True)
         table = list(map(str, keys.tolist()))
     return np.array(table, dtype=object)[inverse].tolist()
+
+
+def _float_cell(v: float) -> str:
+    return "" if v != v else f"{v:.17g}"
+
+
+def _floats(keys: np.ndarray) -> list[str] | np.ndarray:
+    """The cells of the float64 values whose bit patterns are ``keys``.  Values
+    outside ``_fast_cells``' range, and blocks with few values in it, take one
+    f-string each; both give the same bytes."""
+    magnitude = keys & 0x7FFF_FFFF_FFFF_FFFF
+    fast = (magnitude >= _FAST_LOW) & (magnitude < _FAST_HIGH)
+    if np.count_nonzero(fast) < FAST_MIN_VALUES:
+        return list(map(_float_cell, keys.view(np.float64).tolist()))
+    table = np.empty(len(keys), dtype=object)
+    table[fast] = _fast_cells(keys[fast])
+    slow = ~fast
+    table[slow] = list(map(_float_cell, keys[slow].view(np.float64).tolist()))
+    return table
+
+
+@functools.cache
+def _fast_tables():
+    """The lookup tables of ``_fast_cells``, built on first use."""
+    # the smallest double >= 10^n, which float("1e<n>") is for each n here
+    tens = np.array([float(f"1e{n}") for n in range(-4, 16)])
+    pow5 = np.array([5 ** k for k in range(21)], np.uint64)
+    # ASCII of each 4-digit chunk 0000-9999 as one uint32, then the bytes ".-0 "
+    ascii4 = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(48)
+    chunks = np.append(ascii4.copy().view(np.uint32)[:, 0], np.frombuffer(b".-0 ", np.uint32))
+    # the place among the 17 digits of a chunk's last nonzero digit, for the chunks
+    # of digits 2-5, 6-9, 10-13 and 14-17; 0 for a zero chunk
+    c = np.arange(10000)
+    last = sum((c % 10 ** i != 0).astype(np.int8) for i in (1, 2, 3, 4))
+    ends = [np.where(last > 0, last + base, 0).astype(np.int8) for base in (1, 5, 9, 13)]
+    # Templates: the source byte of each output position of a cell with sign s,
+    # exponent x in [-4, 15] and last nonzero digit n in [1, 17], as row-relative
+    # indices into 3 pad bytes, the 17 digits (3-19) and ".-0 " (20-23).
+    s, x, j = np.ix_(range(2), range(-4, 16), range(25))
+    p = j - s  # the position after the sign
+    full = np.where(x >= 0, np.where(p <= x, 3 + p, np.where(p == x + 1, 20, 2 + p)),
+                    np.where(p == 1, 20, np.where(p < 1 - x, 22, 2 + p + x)))
+    full = np.where((s == 1) & (j == 0), 21, full)
+    n = np.arange(1, 18)
+    length = np.where(x >= 0, np.maximum(x + 1, n) + (n > x + 1), 1 - x + n) + s
+    tpl = np.where(j[..., None, :] < length[..., None], full[:, :, None, :], 23)
+    return tens, pow5, chunks, ends, tpl.reshape(680, 25), length.reshape(680)
+
+
+def _fast_cells(keys: np.ndarray) -> list[str]:
+    """``f"{v:.17g}"`` of finite values with 1e-4 <= |v| < 1e16, in numpy passes.
+
+    With e the decimal exponent, the 17 digits are D = round-half-even(|v|*10^(16-e)),
+    computed exactly: |v|*8 = m*2^q with m < 2^56, so D is the 128-bit product
+    m*5^(16-e), built from 32-bit limbs, shifted right by s = -(q + 16 - e), rounded
+    on the bits shifted out.  D never rounds up to 10^17: in this range, the largest
+    double below a power of ten lies at least 8 units of the 17th digit below it.
+    Each cell is a fixed-point string with trailing zeros dropped; its bytes are
+    gathered through a template keyed by sign, exponent and last nonzero digit.
+    """
+    tens, pow5, chunks, ends, tpl, length = _fast_tables()
+    n = len(keys)
+    bits = keys.view(np.uint64)
+    a = bits & _U(0x7FFF_FFFF_FFFF_FFFF)
+    e = np.searchsorted(tens, a.view(np.float64), side="right") - 5
+    k = 16 - e
+    m = (a & _U((1 << 52) - 1) | _U(1 << 52)) << _U(3)
+    s = (1078 - (a >> _U(52)).astype(np.intp) - k).astype(np.uint64)  # in [1, 49]
+    p5 = np.take(pow5, k)
+    m0, m1, a0, a1 = m & _U(0xFFFF_FFFF), m >> _U(32), p5 & _U(0xFFFF_FFFF), p5 >> _U(32)
+    lo = m0 * a0
+    mid = m1 * a0
+    mid += m0 * a1
+    hi = m1 * a1
+    hi += mid >> _U(32)
+    mid <<= _U(32)
+    lo += mid
+    hi += lo < mid  # the carry
+    d = hi << (_U(64) - s)
+    d |= lo >> s
+    lo &= (_U(1) << s) - _U(1)
+    half = _U(1) << (s - _U(1))
+    d += (lo > half) | ((lo == half) & (d & _U(1)).astype(bool))
+    # D as five chunks (1, 4, 4, 4 and 4 digits) and the ".-0 " entry
+    chunk = np.empty((n, 6), np.uint64)
+    high = d // _U(10 ** 8)
+    d -= high * _U(10 ** 8)
+    chunk[:, 0] = t = high // _U(10 ** 8)
+    high -= t * _U(10 ** 8)
+    chunk[:, 1] = t = high // _U(10000)
+    chunk[:, 2] = high - t * _U(10000)
+    chunk[:, 3] = t = d // _U(10000)
+    chunk[:, 4] = d - t * _U(10000)
+    chunk[:, 5] = 10000
+    chunk = chunk.view(np.int64)
+    last = np.take(ends[0], chunk[:, 1])
+    for place in (2, 3, 4):
+        np.maximum(last, np.take(ends[place - 1], chunk[:, place]), out=last)
+    code = (bits >> _U(63)).astype(np.intp) * 340
+    code += e * 17
+    code += np.maximum(last, 1, out=last)
+    code += 67  # (e + 4) * 17 + last - 1
+    width = int(np.take(length, code).max()) + 1  # at least one space between cells
+    index = np.take(tpl[:, :width], code, axis=0)
+    index += np.arange(0, 24 * n, 24)[:, None]
+    text = np.take(np.take(chunks, chunk).view(np.uint8), index)
+    return text.tobytes().decode("ascii").split()
 
 
 def write_json(path, obj) -> None:

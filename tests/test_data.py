@@ -149,6 +149,48 @@ class TestGenOod:
         assert np.array_equal(gen_ood(100, means, seed=8), gen_ood(100, means, seed=8))
 
 
+def ring_per_class(num_classes, n_per_class, radius, variance, seed):
+    """gen_ring's features as one draw per class: the oracle for its single draw."""
+    means = ring_class_means(num_classes, radius)
+    rng = np.random.default_rng(seed)
+    return np.concatenate([means[j] + math.sqrt(variance) * rng.standard_normal((n_per_class, 2))
+                           for j in range(num_classes)])
+
+
+def ood_broadcast(n, means, seed, box_halfwidth, exclusion_radius):
+    """gen_ood with a [draw x K x 2] broadcast exclusion test: the oracle for its
+    per-coordinate passes."""
+    rng = np.random.default_rng(seed)
+    accepted, total, attempts = [], 0, 0
+    while total < n:
+        draw = max(n - total, 256)
+        candidates = rng.uniform(-box_halfwidth, box_halfwidth, size=(draw, 2))
+        attempts += draw
+        dist2 = ((candidates[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        keep = candidates[(dist2 > exclusion_radius ** 2).all(axis=1)]
+        accepted.append(keep)
+        total += len(keep)
+    return np.concatenate(accepted)[:n], attempts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("k, n_per_class, radius, variance, n_ood, exclusion", [
+    (10, 1000, 20.0, 2.0, 5000, 8.0),  # the default config
+    (10, 5000, 20.0, 2.0, 25000, 8.0),
+    (3, 200, 20.0, 3.0, 300, 30.0),  # discs cover most of the box: many rounds
+], ids=["default", "5x-data", "three-classes-wide-exclusion"])
+def test_generators_give_the_bits_of_their_per_class_and_broadcast_forms(
+        seed, k, n_per_class, radius, variance, n_ood, exclusion):
+    data = gen_ring(k, n_per_class, radius, variance, seed=seed)
+    assert np.array_equal(data.features, ring_per_class(k, n_per_class, radius, variance, seed))
+    means = ring_class_means(k, radius)
+    got = gen_ood(n_ood, means, seed=seed, exclusion_radius=exclusion, with_attempts=True)
+    want = ood_broadcast(n_ood, means, seed, 50.0, exclusion)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    if exclusion == 30.0:
+        assert got[1] > 2 * n_ood  # several rejection rounds
+
+
 class TestSplit:
     def test_exact_counts(self):
         data = gen_ring(num_classes=10, n_per_class=1000, seed=9)

@@ -452,6 +452,17 @@ class TestGradients:
             with pytest.raises(ValueError, match=message):
                 fn(head, z, labels)
 
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    def test_an_overflowing_step_is_refused_without_a_warning(self, head):
+        params = init_params([2, 4, 4], 3, head_biases=head.uses_biases, seed=0)
+        params.flat *= 1e120  # row 0's embedding overflows the matmul
+        x = np.array([[1e100, -1e100], [3.0, 4.0]])
+        grads = ModelParams.zeros(params.layout)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite loss for batch index 1"):
+                loss_and_grads(head, params, x, [0, 1], grads)
+
     @pytest.mark.parametrize("rows, embed, k, scale", [
         *[(rows, 16, 10, 1.0) for rows in (1, 7, 128, BLOCK_ROWS, BLOCK_ROWS + 1, 5000)],
         *[(128, embed, k, scale) for embed in (1, 2) for k in (2, 1000)

@@ -1,9 +1,14 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ovabench.ioutil import CSV_BLOCK_ROWS, write_csv
+from ovabench import ioutil
+from ovabench.ioutil import CSV_BLOCK_ROWS, FAST_MIN_VALUES, write_csv
 
 
 def lines(path):
@@ -156,3 +161,82 @@ def test_value_tables_give_the_bytes_of_formatting_each_cell(tmp_path):
     assert path.read_bytes() == expected.encode()
     first = lines(path)[1:CSV_BLOCK_ROWS + 1]
     assert {"0", "-0", ""} <= {row.split(",")[0] for row in first}
+
+
+def csv_bytes(tmp_path, floats) -> bytes:
+    path = tmp_path / "floats.csv"
+    write_csv(path, {"f": floats})
+    return path.read_bytes()
+
+
+def oracle_bytes(floats) -> bytes:
+    return "\n".join(["f", *map(cell, np.asarray(floats, np.float64).tolist())]).encode() + b"\n"
+
+
+# bit patterns whose exponent lies in [1e-4, 1e16)'s binades, of either sign
+FAST_RANGE_BITS = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+                            st.integers(0, 1), st.integers(1009, 1076),
+                            st.integers(0, 2 ** 52 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fast=st.sampled_from([FAST_MIN_VALUES - 1, FAST_MIN_VALUES, CSV_BLOCK_ROWS + 7]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       drawn=st.lists(st.one_of(st.integers(0, 2 ** 64 - 1), FAST_RANGE_BITS), max_size=40))
+def test_float_cells_of_any_bit_pattern_are_those_of_the_f_string(tmp_path_factory, fast, seed,
+                                                                 drawn):
+    """Blocks with just fewer, just as many, and far more distinct values in the
+    fast range than the crossover, plus arbitrary patterns; the last spans two
+    write blocks."""
+    rng = np.random.default_rng(seed)
+    magnitudes = (1.0 + 9.0 * rng.random(fast)) * 10.0 ** rng.integers(-4, 16, fast)
+    magnitudes = magnitudes[(magnitudes >= 1e-4) & (magnitudes < 1e16)]
+    values = np.where(rng.random(len(magnitudes)) < 0.5, -magnitudes, magnitudes)
+    patterns = np.array(drawn, np.uint64).view(np.float64)
+    floats = np.insert(values, rng.integers(0, len(values) + 1, len(patterns)), patterns)
+    assert csv_bytes(tmp_path_factory.mktemp("h"), floats) == oracle_bytes(floats)
+
+
+def ties_and_near_ties() -> list[float]:
+    """Values whose scaled 17-digit fraction is exactly 1/2, and values within 2^-8
+    of 1/2, for each decimal exponent of the fast range."""
+    found = []
+    rng = np.random.default_rng(4)
+    for e in range(-4, 16):
+        k = 16 - e
+        # m / 2^(k+1) * 10^k has fraction 1/2 for odd m
+        low = math.ceil(10 ** e * 2 ** (k + 1)) | 1
+        found += [m / 2 ** (k + 1) for m in range(low, low + 6, 2)]
+        for v in rng.uniform(10.0 ** e, 10.0 ** (e + 1), 400).tolist():
+            scaled = Fraction(v) * 10 ** k
+            if abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 256):
+                found.append(v)
+    return found
+
+
+def edge_values() -> np.ndarray:
+    nans = np.array([0x7FF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF,
+                     0xFFF8000000000000, 0xFFF0000000000001], np.uint64).view(np.float64)
+    singles = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 9999999999999998.0,
+               1234567890123456.25, 1234567890123456.75, 0.5, 0.1, 1 / 3]
+    tens = [10.0 ** n for n in range(-6, 18)] + [float(f"1e{n}") for n in range(-6, 18)]
+    bounds = [x for b in (1e-4, 1e16) for x in (np.nextafter(b, 0), b, np.nextafter(b, np.inf))]
+    neighbours = [np.nextafter(t, d) for t in tens for d in (0.0, np.inf)]
+    values = np.array(singles + tens + bounds + neighbours + ties_and_near_ties())
+    return np.concatenate([values, -values, nans])
+
+
+def test_edge_values_give_the_bytes_of_the_f_string(tmp_path):
+    floats = edge_values()
+    assert np.count_nonzero((np.abs(floats) >= 1e-4) & (np.abs(floats) < 1e16)) >= FAST_MIN_VALUES
+    assert csv_bytes(tmp_path, floats) == oracle_bytes(floats)
+
+
+def test_the_fast_path_switched_off_gives_the_same_bytes(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    floats = np.concatenate([edge_values(), rng.random(CSV_BLOCK_ROWS),
+                             rng.standard_normal(CSV_BLOCK_ROWS) * 1e6])
+    fast = csv_bytes(tmp_path, floats)
+    monkeypatch.setattr(ioutil, "FAST_MIN_VALUES", len(floats) + 1)
+    assert csv_bytes(tmp_path, floats) == fast
