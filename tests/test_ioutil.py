@@ -81,33 +81,50 @@ def test_a_column_outside_the_cell_rule_is_named_before_the_file_opens(tmp_path,
     ({"n": [1, 2], "s": np.array(["ok", "cr\r"])}, "s"),
     ({"n": [1, 2], "s": ["ok", "p\nq"]}, "s"),
     ({"line\nbreak": [1.5, 2.5]}, "line\nbreak"),
+    ({"x\x00y": [1, 2]}, "x\x00y"),
+    ({"n": [1, 2], "s": ["ok", "a\x00b"]}, "s"),
 ], ids=["comma-name-and-cells", "quote-cell", "carriage-return-cell", "newline-cell",
-        "newline-name"])
+        "newline-name", "nul-name", "nul-cell"])
 def test_a_separator_in_a_name_or_string_cell_is_refused_before_the_file_opens(
         tmp_path, columns, name):
     path = tmp_path / "sep.csv"
     with pytest.raises(ValueError) as info:
         write_csv(path, columns)
-    assert str(info.value) == (f"CSV column {name!r} has a comma, quote or line break "
+    assert str(info.value) == (f"CSV column {name!r} has a comma, quote, line break or NUL "
                                "in its name or a string cell")
     assert not path.exists()
 
 
 def test_blocks_give_the_bytes_of_a_one_shot_join(tmp_path):
+    """Fast and slow float cells of unequal width in one column, columns and rows
+    of empty cells, multi-byte UTF-8, extreme integers and a one-row last block."""
     n = 2 * CSV_BLOCK_ROWS + 1
     rng = np.random.default_rng(1)
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     floats[::7] = np.nan
     columns = {"f": floats, "i": rng.integers(-2 ** 40, 2 ** 40, n), "b": rng.random(n) < 0.5,
                "s": np.where(rng.random(n) < 0.5, "", rng.integers(0, 10, n).astype(str))}
-    rules = {"f": lambda v: "" if v != v else f"{v:.17g}", "i": str,
-             "b": lambda v: str(int(v)), "s": str}
-    rows = zip(*(map(rules[name], column.tolist()) for name, column in columns.items()))
-    expected = "\n".join(["f,i,b,s", *map(",".join, rows)]) + "\n"
-    path = tmp_path / "blocks.csv"
-    write_csv(path, columns)
-    assert path.read_bytes() == expected.encode()
-    assert len(lines(path)) == n + 2  # header, n rows, and the empty string after the last "\n"
+    fast = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 16, n)  # up to 23 bytes
+    mixed = np.where(rng.random(n) < 0.5, fast, floats)  # up to 24 bytes, or empty
+    empty = rng.random(n) < 0.1
+    columns.update({
+        "mixed": mixed, "nan": np.full(n, np.nan), "blank": np.full(n, ""),
+        "text": np.where(empty, "", rng.choice(np.array(["é", "naïve", "∞", "日本語"]), n)),
+        "gap": np.where(empty, np.nan, mixed[::-1]),
+        "u64": rng.choice(np.array([0, 2 ** 64 - 1], np.uint64), n),
+    })
+    assert np.count_nonzero(mixed[:CSV_BLOCK_ROWS] == fast[:CSV_BLOCK_ROWS]) >= FAST_MIN_VALUES
+    # all columns, then the four that are empty together in the rows of `empty`
+    for names in (list(columns), ["nan", "blank", "text", "gap"]):
+        table = {name: columns[name] for name in names}
+        rows = zip(*([v if isinstance(v, str) else cell(v) for v in column.tolist()]
+                     for column in table.values()))
+        expected = "\n".join([",".join(table), *map(",".join, rows)]) + "\n"
+        path = tmp_path / f"{len(names)}.csv"
+        write_csv(path, table)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert len(lines(path)) == n + 2  # header, n rows, and the empty string after the last "\n"
+    assert b"\n,,,\n" in path.read_bytes()
 
 
 def test_a_large_table_is_written_in_bounded_memory(tmp_path):
