@@ -206,7 +206,6 @@ def _broken_rule(value, rules) -> str | None:
         if name in _RULES and not all(_RULES[name][0](v, arg) for v in items):
             rule = _RULES[name][1].format(arg)
             return f"a list of items {rule}" if isinstance(value, list) else rule
-    return None
 
 
 @dataclass

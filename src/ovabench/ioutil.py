@@ -115,11 +115,6 @@ def _fast_tables():
     # ASCII of each 4-digit chunk 0000-9999 as one uint32, then the bytes ".-0" and NUL
     ascii4 = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(48)
     chunks = np.append(ascii4.copy().view(np.uint32)[:, 0], np.frombuffer(b".-0\0", np.uint32))
-    # the place among the 17 digits of a chunk's last nonzero digit, for the chunks
-    # of digits 2-5, 6-9, 10-13 and 14-17; 0 for a zero chunk
-    c = np.arange(10000)
-    last = sum((c % 10 ** i != 0).astype(np.int8) for i in (1, 2, 3, 4))
-    ends = [np.where(last > 0, last + base, 0).astype(np.int8) for base in (1, 5, 9, 13)]
     # Templates: the source byte of each output position of a cell with sign s,
     # exponent x in [-4, 15] and last nonzero digit n in [1, 17], as row-relative
     # indices into 3 pad bytes, the 17 digits (3-19), ".-0" (20-22) and NUL (23).
@@ -131,7 +126,7 @@ def _fast_tables():
     n = np.arange(1, 18)
     length = np.where(x >= 0, np.maximum(x + 1, n) + (n > x + 1), 1 - x + n) + s
     tpl = np.where(j[..., None, :] < length[..., None], full[:, :, None, :], 23)
-    return tens, pow5, chunks, ends, tpl.reshape(680, 25), length.reshape(680)
+    return tens, pow5, chunks, tpl.reshape(680, 25), length.reshape(680)
 
 
 def _fast_cells(keys: np.ndarray) -> np.ndarray:
@@ -146,7 +141,7 @@ def _fast_cells(keys: np.ndarray) -> np.ndarray:
     gathered through a template keyed by sign, exponent and last nonzero digit,
     into a uint8 matrix [values x width] padded with NUL.
     """
-    tens, pow5, chunks, ends, tpl, length = _fast_tables()
+    tens, pow5, chunks, tpl, length = _fast_tables()
     n = len(keys)
     bits = keys.view(np.uint64)
     a = bits & _U(0x7FFF_FFFF_FFFF_FFFF)
@@ -170,28 +165,22 @@ def _fast_cells(keys: np.ndarray) -> np.ndarray:
     half = _U(1) << (s - _U(1))
     d += (lo > half) | ((lo == half) & (d & _U(1)).astype(bool))
     # D as five chunks (1, 4, 4, 4 and 4 digits) and the ".-0" entry
-    chunk = np.empty((n, 6), np.uint64)
-    high = d // _U(10 ** 8)
-    d -= high * _U(10 ** 8)
-    chunk[:, 0] = t = high // _U(10 ** 8)
-    high -= t * _U(10 ** 8)
-    chunk[:, 1] = t = high // _U(10000)
-    chunk[:, 2] = high - t * _U(10000)
-    chunk[:, 3] = t = d // _U(10000)
-    chunk[:, 4] = d - t * _U(10000)
+    chunk = np.empty((n, 6), np.int64)
+    for place in (4, 3, 2, 1):
+        t = d // _U(10000)
+        chunk[:, place] = d - t * _U(10000)
+        d = t
+    chunk[:, 0] = d
     chunk[:, 5] = 10000
-    chunk = chunk.view(np.int64)
-    last = np.take(ends[0], chunk[:, 1])
-    for place in (2, 3, 4):
-        np.maximum(last, np.take(ends[place - 1], chunk[:, place]), out=last)
-    code = (bits >> _U(63)).astype(np.intp) * 340
-    code += e * 17
-    code += np.maximum(last, 1, out=last)
-    code += 67  # (e + 4) * 17 + last - 1
+    row = np.take(chunks, chunk).view(np.uint8)  # [values x 24], the digits at 3-19
+    # the template is sign * 340 + (e + 4) * 17 + last - 1, where last, the place of
+    # the last nonzero digit, is the length of the 17 digits without trailing zeros
+    code = (bits >> _U(63)).astype(np.intp) * 340 + e * 17 + 67
+    code += np.char.str_len(np.char.rstrip(row[:, 3:20].view("S17")[:, 0], b"0"))
     width = int(np.take(length, code).max())
     index = np.take(tpl[:, :width], code, axis=0)
     index += np.arange(0, 24 * n, 24)[:, None]
-    return np.take(np.take(chunks, chunk).view(np.uint8), index)
+    return np.take(row, index)
 
 
 def write_json(path, obj) -> None:

@@ -61,7 +61,6 @@ class Layout:
         for name in dict.fromkeys([*want, *shapes]):
             if shapes.get(name) != want.get(name):
                 return name, shapes.get(name, "(none)"), want.get(name, "(none)")
-        return None
 
 
 class ModelParams:

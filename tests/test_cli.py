@@ -51,12 +51,17 @@ def test_train_then_evaluate_sweep_landscape_centers(tmp_path, config_file, caps
     assert "final train accuracy" in captured.out
 
 
-def test_run_all_exit_code_and_tree(tmp_path, config_file):
+def test_run_all_exit_code_and_tree(tmp_path, config_file, capsys):
     out = tmp_path / "all"
     assert main(["run-all", "--config", str(config_file), "--out", str(out)]) == 0
     manifest = json.loads((out / "MANIFEST.json").read_text())
     assert manifest["completed"] is True
     assert set(manifest["stages"]) == {"softmax", "dm", "ova", "ova_dm"}
+    # one line per head, its stages in run order, then where the files are
+    affine, distance = ("train=ok, evaluate=ok, sweep=ok, landscape=ok",
+                        "train=ok, evaluate=ok, sweep=ok, landscape=ok, centers=ok")
+    assert capsys.readouterr().out == (f"softmax: {affine}\ndm: {distance}\nova: {affine}\n"
+                                       f"ova_dm: {distance}\nartifacts in {out}\n")
 
 
 def test_evaluate_without_checkpoint_fails_cleanly(tmp_path, config_file, capsys):

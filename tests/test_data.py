@@ -241,6 +241,14 @@ def test_malformed_dataset_refused(features, labels, message):
         Dataset(features=features, labels=np.asarray(labels), num_classes=2, seed=0)
 
 
+def test_dataset_holds_float64_features_and_int64_labels():
+    data = Dataset(features=[[0, 1], [2, 3]], labels=np.array([1, 0], np.int32),
+                   num_classes=2, seed=0)
+    assert isinstance(data.features, np.ndarray) and data.features.dtype == np.float64
+    assert np.array_equal(data.features, [[0.0, 1.0], [2.0, 3.0]])
+    assert data.labels.dtype == np.int64 and data.labels.tolist() == [1, 0]
+
+
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         data = gen_ring(num_classes=3, n_per_class=8, seed=17)
@@ -264,6 +272,12 @@ class TestDatasetIo:
         assert "PCG64" in meta["prng"]
         assert meta["generator"] == "gen_ring"
         assert meta["seed"] == 18
+
+    def test_a_str_path_is_accepted(self, tmp_path):
+        data = gen_ring(num_classes=2, n_per_class=3, seed=19)
+        save_dataset(str(tmp_path / "d.csv"), data, {})
+        assert (tmp_path / "d.csv").read_text().startswith("x0,x1,label\n")
+        assert json.loads((tmp_path / "d.meta.json").read_text())["seed"] == 19
 
     def test_only_two_feature_columns_saved(self, tmp_path):
         data = Dataset(features=np.zeros((2, 3)), labels=np.array([0, 1]), num_classes=2,

@@ -70,6 +70,12 @@ class TestConfig:
         again = ExperimentConfig.from_dict(asdict(cfg))
         assert asdict(again) == asdict(cfg)
 
+    def test_from_dict_leaves_its_argument_unchanged(self):
+        raw = {"seed": 3, "data": {"n_per_class": 20}, "optim": {"steps": 40}}
+        kept = json.loads(json.dumps(raw))
+        ExperimentConfig.from_dict(raw)
+        assert raw == kept
+
     def test_unknown_head_rejected_before_any_training(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"head": "argmax_of_vibes"})

@@ -99,6 +99,15 @@ class TestLogits:
         with pytest.raises(ValueError, match="head_biases"):
             logits(HeadKind.SOFTMAX_AFFINE, without, emb)
 
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    def test_loss_and_grads_refuses_the_other_bias_layout(self, head):
+        # the layout the head does not use: biases on a distance head, none on an affine one
+        params = init_params([2, 4, 3], 3, head_biases=not head.uses_biases, seed=0)
+        need = "must not carry" if head.is_distance else "requires"
+        with pytest.raises(ValueError, match=f"head '{head.value}' {need} head_biases"):
+            loss_and_grads(head, params, np.zeros((2, 2)), np.array([0, 1]),
+                           ModelParams.zeros(params.layout))
+
 
 def masked_sigmoid(z):
     """The one-vs-all sigmoid as first written, one formula per sign through

@@ -378,9 +378,10 @@ class TestPca2:
         with pytest.raises(ValueError, match="extra_points must be"):
             pca2(pts, extra_points=np.zeros((2, 2)))
 
-    def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            pca2(np.zeros((2, 3)))
+    @pytest.mark.parametrize("shape", [(2, 3), (5, 1)], ids=["two-rows", "one-column"])
+    def test_too_small_rejected(self, shape):
+        with pytest.raises(ValueError, match="points must be"):
+            pca2(np.arange(np.prod(shape), dtype=float).reshape(shape) ** 2)
 
     @pytest.mark.filterwarnings("error")  # refused without a warning first
     def test_overflowing_covariance_rejected(self):

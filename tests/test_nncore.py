@@ -190,12 +190,28 @@ class TestSgd:
                            params.weights[0] + 0.8)
 
     def test_refuses_nonfinite_grads(self):
+        # refused before anything changes, not caught later as a non-finite parameter
         params = small_params(seed=10)
         grads = ModelParams.zeros(params.layout)
         grads.weights[1][0, 0] = np.nan
         velocity = ModelParams.zeros(params.layout)
-        with pytest.raises(ValueError, match="layers.1.weights"):
+        velocity.flat[:] = np.random.default_rng(10).standard_normal(params.layout.size)
+        before = params.flat.copy(), velocity.flat.copy()
+        with pytest.raises(ValueError) as refused:
             sgd_step(params, grads, velocity, 0.1, 0.9)
+        assert str(refused.value) == "non-finite gradient for layers.1.weights; update refused"
+        assert params.flat.tobytes() == before[0].tobytes()
+        assert velocity.flat.tobytes() == before[1].tobytes()
+
+    def test_an_update_that_overflows_a_finite_parameter_is_refused(self):
+        params = small_params(seed=11)
+        params.head_weights[0, 0] = 1.7e308
+        velocity = ModelParams.zeros(params.layout)
+        velocity.head_weights[0, 0] = 1e308
+        grads = ModelParams.zeros(params.layout)
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as refused:
+            sgd_step(params, grads, velocity, 0.1, 1.0)  # 1.7e308 + 1e308 overflows
+        assert str(refused.value) == "non-finite parameter head_weights after update"
 
     def test_params_stay_finite_over_many_steps(self):
         rng = np.random.default_rng(13)
