@@ -310,23 +310,20 @@ def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> Trai
         return headsmod.loss(head, z, y), float((pred == y).mean())
 
     log: dict[str, list] = {"step": [], "loss": [], "accuracy": []}
-    # heads' loss check, sgd_step's validation and _embed refuse every non-finite
-    # value, naming the step; numpy's warnings on the way there would only add noise.
-    with np.errstate(all="ignore"):
-        for first in range(1, steps + 1, block):
-            # one draw per block gives the stream of one draw per step (PCG64)
-            idx = rng.integers(0, len(x), size=(min(block, steps + 1 - first), batch))
-            for step, xs, ys in zip(range(first, steps + 1), x[idx], y[idx]):
-                try:
-                    headsmod.loss_and_grads(head, params, xs, ys, grads)
-                    sgd_step(params, grads, velocity, config.optim.learning_rate,
-                             config.optim.momentum)
-                    if step % LOG_EVERY == 0 or step == steps:
-                        for column, value in zip(log.values(), (step, *full_eval())):
-                            column.append(value)
-                except ValueError as exc:
-                    raise TrainingDiverged(f"training diverged at step {step} "
-                                           f"for head '{head.value}': {exc}") from exc
+    for first in range(1, steps + 1, block):
+        # one draw per block gives the stream of one draw per step (PCG64)
+        idx = rng.integers(0, len(x), size=(min(block, steps + 1 - first), batch))
+        for step, xs, ys in zip(range(first, steps + 1), x[idx], y[idx]):
+            try:
+                headsmod.loss_and_grads(head, params, xs, ys, grads)
+                sgd_step(params, grads, velocity, config.optim.learning_rate,
+                         config.optim.momentum)
+                if step % LOG_EVERY == 0 or step == steps:
+                    for column, value in zip(log.values(), (step, *full_eval())):
+                        column.append(value)
+            except ValueError as exc:
+                raise TrainingDiverged(f"training diverged at step {step} "
+                                       f"for head '{head.value}': {exc}") from exc
     final_accuracy = log["accuracy"][-1] if log["step"] else full_eval()[1]
     return TrainResult(params=params, log=log, final_accuracy=final_accuracy)
 

@@ -127,6 +127,7 @@ def logits(head: HeadKind, params: ModelParams, embeddings) -> np.ndarray:
     return np.add(z, params.head_biases, out=z)
 
 
+@np.errstate(over="ignore")  # a logit more than the double range below its row's max gives 0
 def probabilities(head: HeadKind, logits_) -> np.ndarray:
     """Map logits to per-class probabilities [batch x K].
 
@@ -208,6 +209,7 @@ def loss(head: HeadKind, logits_, labels) -> float:
         return _loss_and_logit_gradient(head, _as_matrix(logits_, "logits"), labels, False)[0]
 
 
+@np.errstate(all="ignore")  # overflow shows as a non-finite loss, refused
 def loss_and_grads(head: HeadKind, params: ModelParams, inputs, labels,
                    grads: ModelParams) -> tuple[float, ModelParams]:
     """Forward pass, loss, and full parameter gradients in one call.
@@ -217,26 +219,25 @@ def loss_and_grads(head: HeadKind, params: ModelParams, inputs, labels,
     A non-finite loss is refused, naming the batch index, without a numpy
     warning first.
     """
-    with np.errstate(all="ignore"):  # overflow shows as a non-finite loss, refused
-        activations = forward(params, inputs)
-        emb = activations[-1]
-        _check_head_params(head, params)
-        if head.is_distance:
-            d, diff = _distances(params, emb)
-            value, g = _loss_and_logit_gradient(head, -d, labels)
-            unit = _by_class(diff, d.shape[1])
-            unit /= d[:, :, None]
-            if not d.all():  # subgradient 0 for the norm at zero distance
-                unit[d == 0.0] = 0.0
-            grads.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
-            emb_grad = -np.einsum("bk,bke->be", g, unit)
-        else:
-            value, g = _loss_and_logit_gradient(head, emb @ params.head_weights
-                                                + params.head_biases, labels)
-            np.matmul(emb.T, g, out=grads.head_weights)
-            g.sum(axis=0, out=grads.head_biases)
-            emb_grad = g @ params.head_weights.T
-        backward(params, activations, emb_grad, grads)
+    activations = forward(params, inputs)
+    emb = activations[-1]
+    _check_head_params(head, params)
+    if head.is_distance:
+        d, diff = _distances(params, emb)
+        value, g = _loss_and_logit_gradient(head, -d, labels)
+        unit = _by_class(diff, d.shape[1])
+        unit /= d[:, :, None]
+        if not d.all():  # subgradient 0 for the norm at zero distance
+            unit[d == 0.0] = 0.0
+        grads.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
+        emb_grad = -np.einsum("bk,bke->be", g, unit)
+    else:
+        value, g = _loss_and_logit_gradient(head, emb @ params.head_weights
+                                            + params.head_biases, labels)
+        np.matmul(emb.T, g, out=grads.head_weights)
+        g.sum(axis=0, out=grads.head_biases)
+        emb_grad = g @ params.head_weights.T
+    backward(params, activations, emb_grad, grads)
     return value, grads
 
 

@@ -22,7 +22,6 @@ _SEPARATORS = ',"\n\r\0'
 FAST_MIN_VALUES = 200
 _FAST_LOW = int(np.float64(1e-4).view(np.int64))
 _FAST_HIGH = int(np.float64(1e16).view(np.int64))
-_U = np.uint64
 
 
 def write_csv(path, columns) -> None:
@@ -111,7 +110,8 @@ def _fast_tables():
     """The lookup tables of ``_fast_cells``, built on first use."""
     # the smallest double >= 10^n, which float("1e<n>") is for each n here
     tens = np.array([float(f"1e{n}") for n in range(-4, 16)])
-    pow5 = np.array([5 ** k for k in range(21)], np.uint64)
+    pow10 = np.array([float(f"1e{k}") for k in range(21)])  # exact: 5^20 < 2^53
+    pow10 = np.stack([pow10, *_halves(pow10)])
     # ASCII of each 4-digit chunk 0000-9999 as one uint32, then the bytes ".-0" and NUL
     ascii4 = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(48)
     chunks = np.append(ascii4.copy().view(np.uint32)[:, 0], np.frombuffer(b".-0\0", np.uint32))
@@ -126,56 +126,49 @@ def _fast_tables():
     n = np.arange(1, 18)
     length = np.where(x >= 0, np.maximum(x + 1, n) + (n > x + 1), 1 - x + n) + s
     tpl = np.where(j[..., None, :] < length[..., None], full[:, :, None, :], 23)
-    return tens, pow5, chunks, tpl.reshape(680, 25), length.reshape(680)
+    return tens, pow10, chunks, tpl.reshape(680, 25), length.reshape(680)
+
+
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of float64 ``x`` into hi + lo, each of at most 26 bits."""
+    hi = x * 134217729.0  # 2^27 + 1
+    hi -= hi - x
+    return hi, x - hi
 
 
 def _fast_cells(keys: np.ndarray) -> np.ndarray:
     """``f"{v:.17g}"`` of finite values with 1e-4 <= |v| < 1e16, in numpy passes.
 
-    With e the decimal exponent, the 17 digits are D = round-half-even(|v|*10^(16-e)),
-    computed exactly: |v|*8 = m*2^q with m < 2^56, so D is the 128-bit product
-    m*5^(16-e), built from 32-bit limbs, shifted right by s = -(q + 16 - e), rounded
-    on the bits shifted out.  D never rounds up to 10^17: in this range, the largest
-    double below a power of ten lies at least 8 units of the 17th digit below it.
-    Each cell is a fixed-point string with trailing zeros dropped; its bytes are
-    gathered through a template keyed by sign, exponent and last nonzero digit,
-    into a uint8 matrix [values x width] padded with NUL.
+    With e the decimal exponent, the 17 digits are D = round-half-even(|v|*10^k), k = 16-e,
+    computed exactly in float64 (IEEE round-to-nearest, no fused multiply-add): 10^k is
+    exact, and Dekker's product gives |v|*10^k = hi + lo, where hi = fl(|v|*10^k) >= 10^16
+    > 2^53 is an even integer and |lo| <= 8, so D = hi + rint(lo), ties to even.  D never
+    rounds up to 10^17: in this range, the largest double below a power of ten lies at
+    least 8 units of the 17th digit below it.  Each cell is a fixed-point string with
+    trailing zeros dropped; its bytes are gathered through a template keyed by sign,
+    exponent and last nonzero digit, into a uint8 matrix [values x width] padded with NUL.
     """
-    tens, pow5, chunks, tpl, length = _fast_tables()
+    tens, pow10, chunks, tpl, length = _fast_tables()
     n = len(keys)
-    bits = keys.view(np.uint64)
-    a = bits & _U(0x7FFF_FFFF_FFFF_FFFF)
-    e = np.searchsorted(tens, a.view(np.float64), side="right") - 5
-    k = 16 - e
-    m = (a & _U((1 << 52) - 1) | _U(1 << 52)) << _U(3)
-    s = (1078 - (a >> _U(52)).astype(np.intp) - k).astype(np.uint64)  # in [1, 49]
-    p5 = np.take(pow5, k)
-    m0, m1, a0, a1 = m & _U(0xFFFF_FFFF), m >> _U(32), p5 & _U(0xFFFF_FFFF), p5 >> _U(32)
-    lo = m0 * a0
-    mid = m1 * a0
-    mid += m0 * a1
-    hi = m1 * a1
-    hi += mid >> _U(32)
-    mid <<= _U(32)
-    lo += mid
-    hi += lo < mid  # the carry
-    d = hi << (_U(64) - s)
-    d |= lo >> s
-    lo &= (_U(1) << s) - _U(1)
-    half = _U(1) << (s - _U(1))
-    d += (lo > half) | ((lo == half) & (d & _U(1)).astype(bool))
+    v = np.abs(keys.view(np.float64))
+    e = np.searchsorted(tens, v, side="right") - 5
+    a, a_hi, a_lo = np.take(pow10, 16 - e, axis=1)
+    v_hi, v_lo = _halves(v)
+    hi = v * a
+    lo = ((v_hi * a_hi - hi) + v_hi * a_lo + v_lo * a_hi) + v_lo * a_lo  # hi + lo = v * a
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # D as five chunks (1, 4, 4, 4 and 4 digits) and the ".-0" entry
     chunk = np.empty((n, 6), np.int64)
     for place in (4, 3, 2, 1):
-        t = d // _U(10000)
-        chunk[:, place] = d - t * _U(10000)
+        t = d // 10000
+        chunk[:, place] = d - t * 10000
         d = t
     chunk[:, 0] = d
     chunk[:, 5] = 10000
     row = np.take(chunks, chunk).view(np.uint8)  # [values x 24], the digits at 3-19
     # the template is sign * 340 + (e + 4) * 17 + last - 1, where last, the place of
     # the last nonzero digit, is the length of the 17 digits without trailing zeros
-    code = (bits >> _U(63)).astype(np.intp) * 340 + e * 17 + 67
+    code = (keys < 0) * 340 + e * 17 + 67
     code += np.char.str_len(np.char.rstrip(row[:, 3:20].view("S17")[:, 0], b"0"))
     width = int(np.take(length, code).max())
     index = np.take(tpl[:, :width], code, axis=0)

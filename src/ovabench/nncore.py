@@ -164,13 +164,15 @@ def backward(params: ModelParams, activations: list[np.ndarray], embedding_grad,
     return grads
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing update is refused below
 def sgd_step(params: ModelParams, grads: ModelParams, velocity: ModelParams,
              learning_rate: float, momentum: float) -> None:
     """One momentum-SGD update of the whole vector, in place:
     v <- m*v - lr*g, p <- p + v.
 
-    Refuses non-finite gradients before changing anything, and checks the
-    updated parameters are finite, naming the offending tensor in either case.
+    Refuses non-finite gradients before changing anything, and checks the updated
+    parameters are finite, naming the offending tensor in either case without a numpy
+    warning first; after that second refusal, ``params`` and ``velocity`` hold the update.
     """
     grads.validate("non-finite gradient for {}; update refused")
     velocity.flat *= momentum

@@ -163,6 +163,10 @@ class TestProbabilities:
             e = np.exp(z - z.max(axis=1, keepdims=True))
             assert np.array_equal(probabilities(head, z), e / e.sum(axis=1, keepdims=True))
 
+    def test_softmax_of_finite_logits_wider_than_the_double_range_does_not_warn(self):
+        z = np.array([[1e308, -1e308, 0.0]])  # z - max overflows to -inf, whose exp is 0
+        assert probabilities(HeadKind.SOFTMAX_AFFINE, z).tolist() == [[1.0, 0.0, 0.0]]
+
     @pytest.mark.parametrize("head", ALL_HEADS)
     def test_memory_is_bounded_by_the_logits(self, head):
         z = -np.abs(np.random.default_rng(13).standard_normal((100000, 10)))
