@@ -127,6 +127,15 @@ def logits(head: HeadKind, params: ModelParams, embeddings) -> np.ndarray:
     return np.add(z, params.head_biases, out=z)
 
 
+def _checked_logits(head: HeadKind, logits_) -> np.ndarray:
+    """``logits_`` as a matrix, refused if any is positive for the one-vs-all distance head."""
+    z = _as_matrix(logits_, "logits")
+    if head is HeadKind.OVA_DISTANCE and (z > 0).any():
+        raise ValueError("positive logit for distance head at batch index "
+                         f"{int(np.argmax((z > 0).any(axis=1)))}; distance logits must be <= 0")
+    return z
+
+
 @np.errstate(over="ignore")  # a logit more than the double range below its row's max gives 0
 def probabilities(head: HeadKind, logits_) -> np.ndarray:
     """Map logits to per-class probabilities [batch x K].
@@ -136,16 +145,10 @@ def probabilities(head: HeadKind, logits_) -> np.ndarray:
     distance head applies 2*sigmoid so that logit 0 (distance 0) gives
     probability exactly 1.  One-vs-all rows do not sum to 1.
     """
-    z = _as_matrix(logits_, "logits")
+    z = _checked_logits(head, logits_)
     if head.is_ova:
-        if head is HeadKind.OVA_DISTANCE:
-            if (z > 0).any():
-                bad = int(np.argmax((z > 0).any(axis=1)))
-                raise ValueError(f"positive logit for distance head at batch index {bad}; "
-                                 "distance logits must be <= 0")
-            p = _sigmoid(z)
-            return np.multiply(p, 2.0, out=p)
-        return _sigmoid(z)
+        p = _sigmoid(z)
+        return np.multiply(p, 2.0, out=p) if head is HeadKind.OVA_DISTANCE else p
     e = z - z.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=1, keepdims=True), out=e)
@@ -176,12 +179,13 @@ def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
         e = np.exp(z - m)
         e_sum = e.sum(axis=1, keepdims=True)
         per_example = (m + np.log(e_sum))[:, 0] - z[rows, y]
-    if not np.isfinite(per_example).all():
-        bad = int(np.argmax(~np.isfinite(per_example)))
-        raise ValueError(f"non-finite loss for batch index {bad}")
     value = float(np.add.reduce(per_example) / z.shape[0])  # np.mean's sum and division
-    if not math.isfinite(value):  # finite terms whose sum overflows
-        raise ValueError("non-finite mean loss")
+    # No term is -inf: each sums non-negative pieces (softplus, or log-sum-exp less the
+    # label's logit).  So an inf or NaN term, or finite terms that overflow, end here.
+    if not math.isfinite(value):
+        bad = ~np.isfinite(per_example)
+        raise ValueError(f"non-finite loss for batch index {int(np.argmax(bad))}"
+                         if bad.any() else "non-finite mean loss")
     if not gradient:
         return value, None
     if head is HeadKind.OVA_DISTANCE:
@@ -203,10 +207,11 @@ def loss(head: HeadKind, logits_, labels) -> float:
     Softmax heads use log-sum-exp; one-vs-all heads sum K binary terms,
     -log p for the label class and -log(1 - p) for the rest, in stable
     closed forms.  Raises if any per-example loss is non-finite, carrying
-    the batch index, or if their mean is, without a numpy warning first.
+    the batch index, or if their mean is, without a numpy warning first, and
+    refuses positive one-vs-all distance logits as ``probabilities`` does.
     """
-    with np.errstate(over="ignore"):  # an overflowing mean is refused below
-        return _loss_and_logit_gradient(head, _as_matrix(logits_, "logits"), labels, False)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is refused below
+        return _loss_and_logit_gradient(head, _checked_logits(head, logits_), labels, False)[0]
 
 
 @np.errstate(all="ignore")  # overflow shows as a non-finite loss, refused

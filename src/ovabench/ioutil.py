@@ -17,9 +17,7 @@ CSV_BLOCK_ROWS = 4096
 _SEPARATORS = ',"\n\r\0'
 
 # A block's floats with magnitude in [1e-4, 1e16) are formatted in numpy passes
-# (_fast_cells) once the block holds this many distinct ones; fewer cost less as
-# one f-string each.  The bounds are bit patterns of |v|; NaN and inf lie above.
-FAST_MIN_VALUES = 200
+# (_fast_cells).  The bounds are bit patterns of |v|; NaN and inf lie above.
 _FAST_LOW = int(np.float64(1e-4).view(np.int64))
 _FAST_HIGH = int(np.float64(1e16).view(np.int64))
 
@@ -84,24 +82,18 @@ def _cells(column: np.ndarray) -> np.ndarray:
     return np.take(table, inverse, axis=0)
 
 
-def _float_cell(v: float) -> str:
-    return "" if v != v else f"{v:.17g}"
-
-
 def _floats(keys: np.ndarray) -> np.ndarray:
     """The cells of the float64 values whose bit patterns are ``keys``, as a
-    NUL-padded uint8 matrix.  Values outside ``_fast_cells``' range, and blocks
-    with few values in it, take one f-string each; both give the same bytes."""
+    NUL-padded uint8 matrix.  Values outside ``_fast_cells``' range take one
+    f-string each; both give the same bytes."""
     magnitude = keys & 0x7FFF_FFFF_FFFF_FFFF
     fast = (magnitude >= _FAST_LOW) & (magnitude < _FAST_HIGH)
-    if np.count_nonzero(fast) < FAST_MIN_VALUES:
-        return _bytes(list(map(_float_cell, keys.view(np.float64).tolist())))
-    slow = ~fast
     fast_cells = _fast_cells(keys[fast])
-    slow_cells = _bytes(list(map(_float_cell, keys[slow].view(np.float64).tolist())))
+    slow_cells = _bytes(["" if v != v else f"{v:.17g}"
+                         for v in keys[~fast].view(np.float64).tolist()])
     table = np.zeros((len(keys), max(fast_cells.shape[1], slow_cells.shape[1])), np.uint8)
     table[fast, :fast_cells.shape[1]] = fast_cells
-    table[slow, :slow_cells.shape[1]] = slow_cells
+    table[~fast, :slow_cells.shape[1]] = slow_cells
     return table
 
 
@@ -170,7 +162,7 @@ def _fast_cells(keys: np.ndarray) -> np.ndarray:
     # the last nonzero digit, is the length of the 17 digits without trailing zeros
     code = (keys < 0) * 340 + e * 17 + 67
     code += np.char.str_len(np.char.rstrip(row[:, 3:20].view("S17")[:, 0], b"0"))
-    width = int(np.take(length, code).max())
+    width = int(np.take(length, code).max(initial=0))
     index = np.take(tpl[:, :width], code, axis=0)
     index += np.arange(0, 24 * n, 24)[:, None]
     return np.take(row, index)

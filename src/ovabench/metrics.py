@@ -111,17 +111,16 @@ def accuracy_vs_confidence(preds: Predictions, thresholds) -> dict[str, np.ndarr
     curve.csv columns ``threshold, retained, accuracy``.
 
     OOD rows count as incorrect whenever retained; a threshold that retains
-    nothing gets NaN accuracy rather than zero.
+    nothing (NaN included) gets NaN accuracy rather than zero.  One sort: each
+    threshold's retained rows are a suffix of the rows sorted by confidence.
     """
     taus = np.asarray(thresholds, dtype=np.float64)
-    conf = preds.confidence
-    correct = preds.is_correct.astype(np.float64)
-    retained = np.empty(len(taus), dtype=np.int64)
-    accuracy = np.empty(len(taus))
-    for i, tau in enumerate(taus):
-        mask = conf >= tau
-        retained[i] = int(mask.sum())
-        accuracy[i] = correct[mask].mean() if retained[i] else np.nan
+    order = np.argsort(preds.confidence)
+    cut = np.searchsorted(preds.confidence[order], taus)  # first row with conf >= tau
+    correct_from = np.append(np.cumsum(preds.is_correct[order][::-1])[::-1], 0)
+    retained = len(order) - cut
+    accuracy = np.divide(correct_from[cut], retained, out=np.full(len(taus), np.nan),
+                         where=retained > 0)
     return {"threshold": taus, "retained": retained, "accuracy": accuracy}
 
 

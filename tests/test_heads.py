@@ -279,21 +279,64 @@ class TestLoss:
                 fn(head, z, labels)
             assert str(info.value) == f"label {shown} at index 1 outside [0, 4)"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf logit on purpose
-    def test_nonfinite_loss_carries_batch_index(self):
-        z = np.array([[0.0, 1.0], [np.inf, 0.0]])
-        with pytest.raises(ValueError, match="batch index 1"):
-            loss(HeadKind.SOFTMAX_AFFINE, z, [0, 0])
-
-    @pytest.mark.parametrize("head", [HeadKind.SOFTMAX_AFFINE, HeadKind.OVA_AFFINE],
-                             ids=["softmax", "ova"])
-    def test_finite_losses_with_a_non_finite_mean_refused(self, head):
-        z = np.tile([1e306, -1e306], (100, 1))  # each example's loss is 2e306
-        y = np.ones(100, dtype=int)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    def test_nonfinite_loss_carries_batch_index(self, head, value):
+        z = np.array([[-1.0, -2.0], [value, -1.0]])
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loss refuses without a warning first
-            with pytest.raises(ValueError, match="non-finite mean loss"):
-                loss(head, z, y)
+            warnings.simplefilter("error")  # refused without a warning first
+            with pytest.raises(ValueError, match="batch index 1"):
+                loss(head, z, [0, 0])
+
+    @pytest.mark.parametrize("z", [[[-0.5, -1.0], [-2.0, 0.5]], [[-0.5, -1.0], [np.inf, -0.1]]],
+                             ids=["positive", "inf"])
+    def test_positive_distance_logits_are_refused_by_loss_as_by_probabilities(self, z):
+        message = ("positive logit for distance head at batch index 1; "
+                   "distance logits must be <= 0")
+        for call in (lambda: probabilities(HeadKind.OVA_DISTANCE, z),
+                     lambda: loss(HeadKind.OVA_DISTANCE, z, [0, 1])):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [-np.inf, np.nan], ids=["inf-term", "nan-term"])
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    def test_a_non_finite_term_is_named_by_loss_and_by_a_step(self, head, value):
+        """Row 2 of 4: a label logit of -inf gives an inf term and NaN a NaN one; in a
+        step, an embedding of 1e300 overflows the logits or distances and NaN spreads."""
+        y = [0, 1, 1, 0]
+        z = -np.ones((4, 2))
+        z[2, 1] = value
+        x = np.ones((4, 2))
+        x[2] = 1e300 if value == -np.inf else np.nan
+        params = head_only_params(np.array([[0.0, -1e10], [0.0, 0.0]]),
+                                  np.zeros(2) if head.uses_biases else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: loss(head, z, y),
+                         lambda: loss_and_grads(head, params, x, y,
+                                                ModelParams.zeros(params.layout))):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == "non-finite loss for batch index 2"
+
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    def test_finite_losses_with_a_non_finite_mean_refused(self, head):
+        """Also by a step of the affine heads: a distance is the root of a finite sum of
+        squares, below 1.4e154, so a distance step cannot reach a mean that overflows."""
+        z = np.tile([0.0, -1e306], (200, 1))  # each example's loss is about 1e306
+        y = np.ones(200, dtype=int)
+        params = head_only_params(np.array([[0.0, -1e306], [0.0, 0.0]]), np.zeros(2))
+        calls = [lambda: loss(head, z, y)]
+        if not head.is_distance:
+            calls.append(lambda: loss_and_grads(head, params, np.ones((200, 2)), y,
+                                                ModelParams.zeros(params.layout)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused without a warning first
+            for call in calls:
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == "non-finite mean loss"
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite mean loss"):
             _loss_and_logit_gradient(head, z, y)
 

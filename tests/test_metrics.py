@@ -141,6 +141,34 @@ class TestAccuracyVsConfidence:
         assert curve["retained"][0] == 2
         assert curve["accuracy"][0] == 1.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(confidences=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])
+                                | st.floats(0.0, 1.0), max_size=30),
+           kinds=st.lists(st.sampled_from(["correct", "incorrect", "ood"]), min_size=30,
+                          max_size=30),
+           picked=st.lists(st.integers(0, 29), max_size=5),
+           drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                          | st.sampled_from([-0.0, 0.0, 1.0, np.nextafter(0.5, 1.0)]),
+                          max_size=10))
+    def test_equals_the_per_threshold_loop_bit_for_bit(self, confidences, kinds, picked,
+                                                       drawn):
+        """Ties, thresholds equal to confidences, NaN and out-of-range thresholds, and no
+        rows, against the loop the one sorted pass replaced."""
+        records = preds([rec(c, kind == "correct", kind == "ood")
+                         for c, kind in zip(confidences, kinds)])
+        taus = np.array([confidences[i] for i in picked if i < len(confidences)] + drawn,
+                        dtype=np.float64)
+        curve = accuracy_vs_confidence(records, taus)
+        correct = records.is_correct.astype(np.float64)
+        retained = np.array([np.count_nonzero(records.confidence >= tau) for tau in taus],
+                            dtype=np.int64)
+        accuracy = np.array([correct[records.confidence >= tau].mean() if kept else np.nan
+                             for tau, kept in zip(taus, retained)], dtype=np.float64)
+        assert curve["threshold"].tobytes() == taus.tobytes()
+        assert curve["retained"].dtype == np.int64
+        assert curve["retained"].tolist() == retained.tolist()
+        assert curve["accuracy"].tobytes() == accuracy.tobytes()  # NaN where nothing is kept
+
 
 def brute_force_auroc(scores, is_positive):
     pos = [s for s, p in zip(scores, is_positive) if p]
