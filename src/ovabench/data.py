@@ -28,7 +28,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    seed: int
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -74,8 +73,7 @@ def gen_ring(num_classes: int = 10, n_per_class: int = 1000, radius: float = 20.
     features = rng.standard_normal((num_classes, n_per_class, 2))
     features *= math.sqrt(variance)
     features += means[:, None, :]
-    return Dataset(features=features.reshape(-1, 2), labels=labels, num_classes=num_classes,
-                   seed=seed)
+    return Dataset(features=features.reshape(-1, 2), labels=labels, num_classes=num_classes)
 
 
 def corrupt(data: Dataset, kind: str, intensity: int, seed: int) -> Dataset:
@@ -100,8 +98,7 @@ def corrupt(data: Dataset, kind: str, intensity: int, seed: int) -> Dataset:
         rot = np.array([[math.cos(phi), -math.sin(phi)],
                         [math.sin(phi), math.cos(phi)]])
         features = data.features @ rot.T
-    return Dataset(features=features, labels=data.labels.copy(),
-                   num_classes=data.num_classes, seed=seed)
+    return Dataset(features=features, labels=data.labels.copy(), num_classes=data.num_classes)
 
 
 def gen_ood(n: int, class_means, seed: int, box_halfwidth: float = 50.0,
@@ -156,13 +153,13 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
     tr = np.concatenate(train_idx)
     te = np.concatenate(test_idx)
     make = lambda sel: Dataset(features=data.features[sel], labels=data.labels[sel],
-                               num_classes=data.num_classes, seed=seed)
+                               num_classes=data.num_classes)
     return make(tr), make(te)
 
 
-def save_dataset(path, data: Dataset, params: dict) -> None:
-    """Write features/labels as CSV plus a JSON sidecar with provenance; the
-    generator is always ``gen_ring``."""
+def save_dataset(path, data: Dataset, params: dict, seed: int) -> None:
+    """Write features/labels as CSV plus a JSON sidecar naming the generator
+    (always ``gen_ring``) and the ``params`` and ``seed`` it was called with."""
     path = Path(path)
     if data.features.shape[1] != 2:
         raise ValueError("dataset CSV format is fixed to 2 feature columns")
@@ -171,7 +168,7 @@ def save_dataset(path, data: Dataset, params: dict) -> None:
     meta = {
         "generator": "gen_ring",
         "params": params,
-        "seed": int(data.seed),
+        "seed": int(seed),
         "num_classes": int(data.num_classes),
         "prng": PRNG_NOTE,
     }

@@ -531,7 +531,8 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
 
     Per head: each stage of ``STAGES`` in order, centers for distance heads
     only.  A failed stage is recorded in MANIFEST.json and later stages for
-    that head are skipped; other heads still run.
+    that head are skipped; other heads still run.  Both data sidecars name
+    ``derive_seed(config.seed, "data")``, the seed that regenerates the ring.
     """
     config.validate()
     out = Path(out_dir)
@@ -541,9 +542,9 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
     train_d, test_d, ood_points = datasets
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
-    gen_params = asdict(config.data)
-    datamod.save_dataset(data_dir / "train.csv", train_d, gen_params)
-    datamod.save_dataset(data_dir / "test.csv", test_d, gen_params)
+    gen_params, data_seed = asdict(config.data), derive_seed(config.seed, "data")
+    datamod.save_dataset(data_dir / "train.csv", train_d, gen_params, data_seed)
+    datamod.save_dataset(data_dir / "test.csv", test_d, gen_params, data_seed)
     write_csv(data_dir / "ood.csv", {"x0": ood_points[:, 0], "x1": ood_points[:, 1]})
 
     manifest: dict = {"config": asdict(config), "stages": {}}

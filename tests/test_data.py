@@ -57,8 +57,7 @@ class TestCorrupt:
                       - np.linalg.norm(data.features, axis=1)).max() < 1e-9
 
     def test_rotation_angle(self):
-        data = Dataset(features=np.array([[1.0, 0.0]]), labels=np.array([0]),
-                       num_classes=2, seed=0)
+        data = Dataset(features=np.array([[1.0, 0.0]]), labels=np.array([0]), num_classes=2)
         rotated = corrupt(data, "rotation", 2, seed=0)
         phi = math.radians(10.0)
         assert np.allclose(rotated.features, [[math.cos(phi), math.sin(phi)]], atol=1e-12)
@@ -217,8 +216,7 @@ class TestSplit:
         assert not np.array_equal(a1.features, b1.features)
 
     def test_small_class_rejected(self):
-        data = Dataset(features=np.zeros((3, 2)), labels=np.array([0, 0, 1]),
-                       num_classes=2, seed=0)
+        data = Dataset(features=np.zeros((3, 2)), labels=np.array([0, 0, 1]), num_classes=2)
         with pytest.raises(ValueError, match="class 1"):
             split(data, 0.5, seed=0)
 
@@ -238,12 +236,11 @@ class TestSplit:
 ], ids=["vector-features", "matrix-labels", "misaligned", "label-too-large", "negative-label"])
 def test_malformed_dataset_refused(features, labels, message):
     with pytest.raises(ValueError, match=message):
-        Dataset(features=features, labels=np.asarray(labels), num_classes=2, seed=0)
+        Dataset(features=features, labels=np.asarray(labels), num_classes=2)
 
 
 def test_dataset_holds_float64_features_and_int64_labels():
-    data = Dataset(features=[[0, 1], [2, 3]], labels=np.array([1, 0], np.int32),
-                   num_classes=2, seed=0)
+    data = Dataset(features=[[0, 1], [2, 3]], labels=np.array([1, 0], np.int32), num_classes=2)
     assert isinstance(data.features, np.ndarray) and data.features.dtype == np.float64
     assert np.array_equal(data.features, [[0.0, 1.0], [2.0, 3.0]])
     assert data.labels.dtype == np.int64 and data.labels.tolist() == [1, 0]
@@ -253,7 +250,7 @@ class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         data = gen_ring(num_classes=3, n_per_class=8, seed=17)
         path = tmp_path / "ring.csv"
-        save_dataset(path, data, {"num_classes": 3, "n_per_class": 8})
+        save_dataset(path, data, {"num_classes": 3, "n_per_class": 8}, 17)
         lines = path.read_text().splitlines()
         assert lines[0] == "x0,x1,label"
         rows = [line.split(",") for line in lines[1:]]
@@ -267,7 +264,7 @@ class TestDatasetIo:
     def test_sidecar_records_prng(self, tmp_path):
         import json
         data = gen_ring(num_classes=2, n_per_class=3, seed=18)
-        save_dataset(tmp_path / "d.csv", data, {})
+        save_dataset(tmp_path / "d.csv", data, {}, 18)
         meta = json.loads((tmp_path / "d.meta.json").read_text())
         assert "PCG64" in meta["prng"]
         assert meta["generator"] == "gen_ring"
@@ -275,13 +272,12 @@ class TestDatasetIo:
 
     def test_a_str_path_is_accepted(self, tmp_path):
         data = gen_ring(num_classes=2, n_per_class=3, seed=19)
-        save_dataset(str(tmp_path / "d.csv"), data, {})
+        save_dataset(str(tmp_path / "d.csv"), data, {}, 19)
         assert (tmp_path / "d.csv").read_text().startswith("x0,x1,label\n")
         assert json.loads((tmp_path / "d.meta.json").read_text())["seed"] == 19
 
     def test_only_two_feature_columns_saved(self, tmp_path):
-        data = Dataset(features=np.zeros((2, 3)), labels=np.array([0, 1]), num_classes=2,
-                       seed=0)
+        data = Dataset(features=np.zeros((2, 3)), labels=np.array([0, 1]), num_classes=2)
         with pytest.raises(ValueError, match="fixed to 2 feature columns"):
-            save_dataset(tmp_path / "d.csv", data, {})
+            save_dataset(tmp_path / "d.csv", data, {}, 0)
         assert not (tmp_path / "d.csv").exists()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovabench import cli
-from ovabench.data import CORRUPTION_KINDS, Dataset, gen_ring
+from ovabench.data import CORRUPTION_KINDS, Dataset, gen_ring, save_dataset, split
 from ovabench.harness import (STAGES, ExperimentConfig, TrainingDiverged, centers_report,
                               derive_seed, evaluate, landscape, make_datasets, run_all,
                               shift_sweep, train, write_centers_csv, write_landscape_csv,
@@ -277,8 +277,7 @@ class TestEvaluate:
             HeadKind.SOFTMAX_AFFINE,
             logits(HeadKind.SOFTMAX_AFFINE, result.params,
                    forward(result.params, test_d.features)[-1])))
-        forced = Dataset(features=test_d.features, labels=pred,
-                         num_classes=test_d.num_classes, seed=test_d.seed)
+        forced = Dataset(features=test_d.features, labels=pred, num_classes=test_d.num_classes)
         summary = evaluate(result.params, HeadKind.SOFTMAX_AFFINE, forced, ood, cfg,
                            out_dir=tmp_path)
         assert summary["accuracy"] == 1.0
@@ -379,7 +378,7 @@ class TestCentersReport:
 
     def test_class_without_training_points_refused(self):
         data = gen_ring(num_classes=3, n_per_class=5, seed=4)
-        data = Dataset(data.features[data.labels != 1], data.labels[data.labels != 1], 3, 4)
+        data = Dataset(data.features[data.labels != 1], data.labels[data.labels != 1], 3)
         model = identity_body_model(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="class 1 has no points in the training data"):
             centers_report(model, HeadKind.SOFTMAX_DISTANCE, data)
@@ -512,6 +511,20 @@ class TestRunAll:
         assert again.keys() == files.keys()
         for name, content in files.items():
             assert again[name] == content, name
+
+    def test_sidecars_regenerate_the_data(self, completed_run, tmp_path):
+        _, _, out = completed_run
+        seed = json.loads((out / "MANIFEST.json").read_text())["config"]["seed"]
+        meta = json.loads((out / "data" / "train.meta.json").read_text())
+        p = meta["params"]
+        ring = gen_ring(p["num_classes"], p["n_per_class"], p["radius"], p["variance"],
+                        seed=meta["seed"], angle_formula=p["angle_formula"])
+        halves = split(ring, p["train_fraction"], seed=derive_seed(seed, "split"))
+        for name, half in zip(("train", "test"), halves):
+            save_dataset(tmp_path / f"{name}.csv", half, p, meta["seed"])
+            for suffix in (".csv", ".meta.json"):
+                assert ((tmp_path / name).with_suffix(suffix).read_bytes()
+                        == (out / "data" / name).with_suffix(suffix).read_bytes()), name
 
     def test_invalid_config_rejected_upfront(self, tmp_path):
         cfg = tiny_config()
