@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .ioutil import write_csv, write_json
+from .nncore import _as_labels
 
 PRNG_NOTE = "numpy default_rng (PCG64); normals via Generator.standard_normal (ziggurat)"
 
@@ -31,7 +32,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _as_labels(self.labels)
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ValueError("features must be a matrix and labels a vector")
         if len(self.features) != len(self.labels):

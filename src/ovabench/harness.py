@@ -223,9 +223,8 @@ def _embed(params: ModelParams, head: HeadKind, features,
     with np.errstate(all="ignore"):
         emb = forward(params, features)[-1]
         z = headsmod.logits(head, params, emb)
-    finite = np.isfinite(z).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    if not np.isfinite(z).all():  # one pass; the per-row pass only to name the row
+        i = int(np.argmin(np.isfinite(z).all(axis=1)))
         raise NonFiniteModel(f"the model's logits are not finite for {rows} {i} "
                              f"(input {features[i].tolist()})")
     return emb, z
@@ -305,9 +304,9 @@ def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> Trai
     block = max(1, BATCH_BLOCK_ENTRIES // batch)
 
     def full_eval():
-        z = _embed(params, head, x, "training row")[1]
-        pred, _ = headsmod.predict(headsmod.probabilities(head, z))
-        return headsmod.loss(head, z, y), float((pred == y).mean())
+        value, pred = headsmod.loss_and_predicted(
+            head, _embed(params, head, x, "training row")[1], y)
+        return value, float((pred == y).mean())
 
     log: dict[str, list] = {"step": [], "loss": [], "accuracy": []}
     for first in range(1, steps + 1, block):

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .nncore import ModelParams, _as_matrix, backward, forward
+from .nncore import ModelParams, _as_labels, _as_matrix, backward, forward
 
 # Probabilities entering the diverging one-vs-all log(1 - p) term are clamped
 # into [PROB_CLAMP, 1 - PROB_CLAMP]; the term is unbounded as distance -> 0.
@@ -62,30 +62,27 @@ def _check_head_params(head: HeadKind, params: ModelParams) -> None:
 
 def _check_labels(labels, z: np.ndarray) -> np.ndarray:
     """Labels as int64: one per row of the logits ``z``, each in [0, K)."""
-    y = np.asarray(labels)
+    y = _as_labels(labels)
     if y.ndim != 1:
         raise ValueError("labels must be a vector")
     if y.shape[0] != z.shape[0]:
         raise ValueError("labels length does not match batch size")
-    y, k = y.astype(np.int64, copy=False), z.shape[1]
+    k = z.shape[1]
     if y.size and y.view(np.uint64).max() >= k:  # a negative label wraps above k
         bad = int(np.argmax((y < 0) | (y >= k)))
         raise ValueError(f"label {y[bad]} at index {bad} outside [0, {k})")
     return y
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + t) where z >= 0 and t / (1 + t) below, with t = e^-|z|; two arrays."""
-    t = np.abs(z)
-    np.exp(np.negative(t, out=t), out=t)
+def _sigmoid(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + t) where z >= 0 and t / (1 + t) below, with t = e^-|z|, overwritten if given."""
+    if t is None:
+        t = np.abs(z)
+        np.exp(np.negative(t, out=t), out=t)
     out = t.copy()
     np.copyto(out, 1.0, where=z >= 0)
     t += 1.0
     return np.divide(out, t, out=out)
-
-
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _distances(params: ModelParams, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +92,8 @@ def _distances(params: ModelParams, emb: np.ndarray) -> tuple[np.ndarray, np.nda
     diff = np.repeat(emb, k, axis=1)
     diff -= params.head_weights.reshape(-1)
     by_class = _by_class(diff, k)
-    return np.sqrt(np.einsum("bke,bke->bk", by_class, by_class)), diff
+    d = np.einsum("bke,bke->bk", by_class, by_class)
+    return np.sqrt(d, out=d), diff
 
 
 def _by_class(diff: np.ndarray, k: int) -> np.ndarray:
@@ -155,30 +153,35 @@ def probabilities(head: HeadKind, logits_) -> np.ndarray:
 
 
 def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
-                             gradient: bool = True) -> tuple[float, np.ndarray | None]:
-    """Mean loss of the logits ``z`` and, with ``gradient``, its gradient w.r.t. ``z``,
-    sharing intermediates and one label check.  The gradient is (p - onehot)/batch,
-    but for the one-vs-all distance head, in d = -z: sigmoid(d) for the label class
-    and -1/sinh(d) for the rest, zeroed wherever the loss clamp is active."""
+                             gradient: bool = True) -> tuple[float, np.ndarray]:
+    """Mean loss of the logits ``z`` and, with ``gradient``, its gradient w.r.t. ``z``, else
+    ``predict``'s labels of ``probabilities``, sharing intermediates and one label check.
+    The gradient is (p - onehot)/batch, but for the one-vs-all distance head, in d = -z:
+    sigmoid(d) for the label class and -1/sinh(d) for the rest, zeroed where the clamp acts."""
     if not z.shape[0]:  # the mean would divide by zero
         raise ValueError("batch must contain at least one row")
     y = _check_labels(labels, z)
-    rows = np.arange(z.shape[0])
+    own = np.arange(0, z.size, z.shape[1]) + y  # flat indices: take and put beat [rows, y]
     if head is HeadKind.OVA_DISTANCE:
         d = -z
-        d_own = d[rows, y]
+        d_own = d.take(own)
+        t_own = np.exp(-np.abs(d_own))
         # -log p = softplus(d) - ln 2;  1 - p = (e^d - 1)/(e^d + 1) = tanh(d/2)
         one_minus_p = np.tanh(0.5 * d)
         neg_all = -np.log(np.maximum(one_minus_p, PROB_CLAMP))
-        per_example = _softplus(d_own) - _LN2 + neg_all.sum(axis=1) - neg_all[rows, y]
+        per_example = (np.maximum(d_own, 0.0) + np.log1p(t_own) - _LN2 + neg_all.sum(axis=1)
+                       - neg_all.take(own))
     elif head.is_ova:
-        sp_pos = _softplus(z)
-        per_example = _softplus(-z[rows, y]) + sp_pos.sum(axis=1) - sp_pos[rows, y]
+        t = np.exp(-np.abs(z))  # softplus(z) = max(z, 0) + log1p(t); softplus(-z) shares it
+        log1p_t = np.log1p(t)
+        sp_pos = np.maximum(z, 0.0) + log1p_t
+        per_example = (np.maximum(-z.take(own), 0.0) + log1p_t.take(own) + sp_pos.sum(axis=1)
+                       - sp_pos.take(own))
     else:
         m = z.max(axis=1, keepdims=True)
         e = np.exp(z - m)
         e_sum = e.sum(axis=1, keepdims=True)
-        per_example = (m + np.log(e_sum))[:, 0] - z[rows, y]
+        per_example = (m + np.log(e_sum))[:, 0] - z.take(own)
     value = float(np.add.reduce(per_example) / z.shape[0])  # np.mean's sum and division
     # No term is -inf: each sums non-negative pieces (softplus, or log-sum-exp less the
     # label's logit).  So an inf or NaN term, or finite terms that overflow, end here.
@@ -186,17 +189,20 @@ def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
         bad = ~np.isfinite(per_example)
         raise ValueError(f"non-finite loss for batch index {int(np.argmax(bad))}"
                          if bad.any() else "non-finite mean loss")
-    if not gradient:
-        return value, None
-    if head is HeadKind.OVA_DISTANCE:
-        clamped = one_minus_p <= PROB_CLAMP
-        with np.errstate(over="ignore"):
-            grad_d = np.where(clamped, 0.0, -1.0 / np.sinh(np.where(clamped, 1.0, d)))
-        grad_d[rows, y] = _sigmoid(d_own)
+    if head is HeadKind.OVA_DISTANCE and gradient:
+        with np.errstate(over="ignore", divide="ignore"):  # d = 0 is clamped
+            grad_d = -1.0 / np.sinh(d)
+        grad_d[one_minus_p <= PROB_CLAMP] = 0.0
+        grad_d.put(own, _sigmoid(d_own, t_own))
         grad_d /= -z.shape[0]  # the same bits as -grad_d / batch
         return value, grad_d
-    p = _sigmoid(z) if head.is_ova else e / e_sum
-    p[rows, y] -= 1.0
+    if head.is_ova:  # ova_dm's probabilities are 2p, whose argmax is p's: doubling is exact
+        p = _sigmoid(z) if head.is_distance else _sigmoid(z, t)
+    else:
+        p = np.divide(e, e_sum, out=e)
+    if not gradient:
+        return value, p.argmax(axis=1)
+    p.put(own, p.take(own) - 1.0)
     p /= z.shape[0]
     return value, p
 
@@ -210,8 +216,13 @@ def loss(head: HeadKind, logits_, labels) -> float:
     the batch index, or if their mean is, without a numpy warning first, and
     refuses positive one-vs-all distance logits as ``probabilities`` does.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is refused below
-        return _loss_and_logit_gradient(head, _checked_logits(head, logits_), labels, False)[0]
+    return loss_and_predicted(head, logits_, labels)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss is refused
+def loss_and_predicted(head: HeadKind, logits_, labels) -> tuple[float, np.ndarray]:
+    """``loss``, and ``predict``'s labels of ``probabilities``, from one pass over the logits."""
+    return _loss_and_logit_gradient(head, _checked_logits(head, logits_), labels, False)
 
 
 @np.errstate(all="ignore")  # overflow shows as a non-finite loss, refused

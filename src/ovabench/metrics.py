@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .ioutil import write_csv
+from .nncore import _as_labels
 
 _PREDICTIONS_HEADER = ["confidence", "predicted_label", "true_label", "is_ood"]
 
@@ -29,8 +30,8 @@ class Predictions:
 
     def __post_init__(self):
         self.confidence = np.asarray(self.confidence, dtype=np.float64)
-        self.predicted_label = np.asarray(self.predicted_label, dtype=np.int64)
-        self.true_label = np.asarray(self.true_label, dtype=np.int64)
+        self.predicted_label = _as_labels(self.predicted_label, "predicted_label")
+        self.true_label = _as_labels(self.true_label, "true_label")
         self.is_ood = np.asarray(self.is_ood, dtype=bool)
         if any(c.ndim != 1 or c.shape != self.confidence.shape for c in self._columns()):
             raise ValueError("prediction columns must be equal-length vectors")

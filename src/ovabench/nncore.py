@@ -29,6 +29,13 @@ def _as_matrix(x, name: str = "inputs") -> np.ndarray:
     return arr
 
 
+def _as_labels(x, name: str = "labels") -> np.ndarray:
+    arr = np.asarray(x)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 class Layout:
     """Names, shapes and offsets of a model's tensors in its flat vector, in
     checkpoint order: ``layers.{i}.weights``, ``layers.{i}.biases`` per body
@@ -160,7 +167,8 @@ def backward(params: ModelParams, activations: list[np.ndarray], embedding_grad,
         np.matmul(a_in.T, g, out=grads.weights[i])
         g.sum(axis=0, out=grads.biases[i])
         if i > 0:  # a_in = max(z, 0) is positive exactly where z is
-            g = (g @ params.weights[i].T) * (a_in > 0.0)
+            g = g @ params.weights[i].T
+            g *= a_in > 0.0
     return grads
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ovabench
 from ovabench.cli import main
 from ovabench.data import CORRUPTION_KINDS
 from ovabench.harness import STAGES
@@ -32,6 +34,11 @@ def config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_package_version_is_the_project_version():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert ovabench.__version__ == re.search(r'^version = "(.+)"$', pyproject, re.M).group(1)
 
 
 def test_train_then_evaluate_sweep_landscape_centers(tmp_path, config_file, capsys):

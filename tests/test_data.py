@@ -246,6 +246,20 @@ def test_dataset_holds_float64_features_and_int64_labels():
     assert data.labels.dtype == np.int64 and data.labels.tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("labels", [[1.9, 0.0], ["1", "0"], [True, False]],
+                         ids=["float", "str", "bool"])
+def test_labels_that_are_not_integers_are_refused(labels):
+    dtype = np.asarray(labels).dtype
+    with pytest.raises(ValueError) as info:
+        Dataset(features=[[0.0, 0.0], [1.0, 1.0]], labels=labels, num_classes=2)
+    assert str(info.value) == f"labels must be integers, got dtype {dtype}"
+
+
+def test_an_empty_dataset_may_carry_float_labels():
+    data = Dataset(features=np.zeros((0, 2)), labels=(), num_classes=2)
+    assert data.labels.dtype == np.int64 and len(data) == 0
+
+
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         data = gen_ring(num_classes=3, n_per_class=8, seed=17)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovabench.heads import (DISTANCE_BLOCK_ENTRIES, HeadKind, _loss_and_logit_gradient, logits,
-                            loss, loss_and_grads, predict, probabilities)
+from ovabench.heads import (DISTANCE_BLOCK_ENTRIES, PROB_CLAMP, HeadKind,
+                            _loss_and_logit_gradient, logits, loss, loss_and_grads,
+                            loss_and_predicted, predict, probabilities)
 from ovabench.nncore import ModelParams, backward, forward, init_params
 
 from gradcheck import gradient_check, params_from_arrays
@@ -278,6 +280,22 @@ class TestLoss:
             with pytest.raises(ValueError) as info:
                 fn(head, z, labels)
             assert str(info.value) == f"label {shown} at index 1 outside [0, 4)"
+
+    @pytest.mark.parametrize("labels", [[1.7], ["1"], [True], np.array([1.0])],
+                             ids=["float", "str", "bool", "integral-float"])
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    def test_labels_that_are_not_integers_are_refused(self, head, labels):
+        """Once truncated or parsed: a label of 1.7 or "1" scored label 1."""
+        z = -np.array([[1.0, 2.0]])
+        params = head_only_params(np.eye(2), np.zeros(2) if head.uses_biases else None)
+        message = f"labels must be integers, got dtype {np.asarray(labels).dtype}"
+        for call in (lambda: loss(head, z, labels), lambda: loss_and_predicted(head, z, labels),
+                     lambda: _loss_and_logit_gradient(head, z, labels),
+                     lambda: loss_and_grads(head, params, -z, labels,
+                                            ModelParams.zeros(params.layout))):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
@@ -577,3 +595,142 @@ class TestPredict:
         labels, conf = predict(np.array([[0.9, 0.9, 0.1]]))
         assert labels[0] == 0
         assert conf[0] == 0.9
+
+
+# The forms these heads had before each head's e^-|z| was shared between its loss, its
+# gradient and its predictions: frozen here as the oracle for their bits.
+LN2 = math.log(2.0)
+
+
+def parent_sigmoid(z):
+    t = np.abs(z)
+    np.exp(np.negative(t, out=t), out=t)
+    out = t.copy()
+    np.copyto(out, 1.0, where=z >= 0)
+    t += 1.0
+    return np.divide(out, t, out=out)
+
+
+def parent_softplus(z):
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def parent_probabilities(head, z):
+    if head.is_ova:
+        p = parent_sigmoid(z)
+        return np.multiply(p, 2.0, out=p) if head is HeadKind.OVA_DISTANCE else p
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=1, keepdims=True), out=e)
+
+
+def parent_loss_and_logit_gradient(head, z, y):
+    rows = np.arange(z.shape[0])
+    if head is HeadKind.OVA_DISTANCE:
+        d = -z
+        d_own = d[rows, y]
+        one_minus_p = np.tanh(0.5 * d)
+        neg_all = -np.log(np.maximum(one_minus_p, PROB_CLAMP))
+        per_example = parent_softplus(d_own) - LN2 + neg_all.sum(axis=1) - neg_all[rows, y]
+    elif head.is_ova:
+        sp_pos = parent_softplus(z)
+        per_example = parent_softplus(-z[rows, y]) + sp_pos.sum(axis=1) - sp_pos[rows, y]
+    else:
+        m = z.max(axis=1, keepdims=True)
+        e = np.exp(z - m)
+        e_sum = e.sum(axis=1, keepdims=True)
+        per_example = (m + np.log(e_sum))[:, 0] - z[rows, y]
+    value = float(np.add.reduce(per_example) / z.shape[0])
+    if head is HeadKind.OVA_DISTANCE:
+        clamped = one_minus_p <= PROB_CLAMP
+        grad_d = np.where(clamped, 0.0, -1.0 / np.sinh(np.where(clamped, 1.0, d)))
+        grad_d[rows, y] = parent_sigmoid(d_own)
+        grad_d /= -z.shape[0]
+        return value, grad_d
+    p = parent_sigmoid(z) if head.is_ova else e / e_sum
+    p[rows, y] -= 1.0
+    p /= z.shape[0]
+    return value, p
+
+
+def parent_step(head, params, x, y):
+    """``loss_and_grads`` as the broadcast composition with the mask product in backward."""
+    activations = forward(params, x)
+    emb = activations[-1]
+    want = ModelParams.zeros(params.layout)
+    if head.is_distance:
+        diff = emb[:, None, :] - params.head_weights.T[None, :, :]
+        d = np.sqrt(np.einsum("bke,bke->bk", diff, diff))
+        value, g = parent_loss_and_logit_gradient(head, -d, y)
+        unit = np.divide(diff, d[:, :, None], out=np.zeros_like(diff), where=d[:, :, None] > 0)
+        want.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
+        g = -np.einsum("bk,bke->be", g, unit)
+    else:
+        value, g = parent_loss_and_logit_gradient(head, emb @ params.head_weights
+                                                  + params.head_biases, y)
+        np.matmul(emb.T, g, out=want.head_weights)
+        g.sum(axis=0, out=want.head_biases)
+        g = g @ params.head_weights.T
+    for i in range(params.layout.num_layers - 1, -1, -1):
+        np.matmul(activations[i].T, g, out=want.weights[i])
+        g.sum(axis=0, out=want.biases[i])
+        if i > 0:
+            g = (g @ params.weights[i].T) * (activations[i] > 0.0)
+    return value, want
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+# saturating logits (|z| > 40, and past exp's range), signed zeros, and distances
+# below 2e-12, where the one-vs-all distance loss clamps 1 - p
+EDGE_VALUES = [0.0, -0.0, 1e-300, 1e-13, 1.9e-12, 2.1e-12, 1e-6, 0.5, 36.7, 40.5, 60.0,
+               709.0, 745.0, 800.0]
+logit_entries = st.one_of(st.sampled_from(EDGE_VALUES + [-v for v in EDGE_VALUES]),
+                          st.floats(-80.0, 80.0))
+
+
+class TestBitsOfTheSharedForms:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 5))
+    def test_loss_gradient_and_predictions_equal_the_parent_forms(self, data, rows, k):
+        entries = data.draw(st.lists(logit_entries, min_size=rows * k, max_size=rows * k))
+        y = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=rows, max_size=rows)))
+        z = np.array(entries).reshape(rows, k)
+        for head, layout in itertools.product(ALL_HEADS, ("C", "F", "strided")):
+            zh = np.where(z > 0.0, -z, z) if head.is_distance else z  # keeps +0.0
+            # the label entries are read and written by flat index, whatever the layout
+            zh = {"C": zh, "F": np.asfortranarray(zh),
+                  "strided": np.repeat(zh, 2, axis=1)[:, ::2]}[layout]
+            with np.errstate(over="ignore"):
+                want_value, want_grad = parent_loss_and_logit_gradient(head, zh, y)
+                want_pred = predict(parent_probabilities(head, zh))[0]
+            value, grad = _loss_and_logit_gradient(head, zh, y)
+            assert bits([value]) == bits([want_value]), (head, layout)
+            assert np.array_equal(bits(grad), bits(want_grad)), (head, layout)
+            got_value, pred = loss_and_predicted(head, zh, y)
+            assert bits([got_value]) == bits([want_value]), (head, layout)
+            assert bits([loss(head, zh, y)]) == bits([want_value]), (head, layout)
+            assert np.array_equal(pred, want_pred), (head, layout)
+            assert np.array_equal(bits(probabilities(head, zh)),
+                                  bits(parent_probabilities(head, zh))), (head, layout)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+           st.sampled_from([1e-3, 1.0, 20.0, 1e3]), st.sampled_from(ALL_HEADS))
+    def test_step_equals_the_parent_composition(self, seed, batch, scale, head):
+        """Scales of 20 and 1e3 saturate the affine logits; the zero-initialized distance
+        heads start with every center at the origin, and the ReLUs leave dead units."""
+        rng = np.random.default_rng(seed)
+        params = init_params([2, 8, 4], 3, head_biases=head.uses_biases, seed=seed,
+                             head_init="zeros" if seed % 2 and head.is_distance else "glorot")
+        x = rng.standard_normal((batch, 2)) * scale
+        y = rng.integers(0, 3, batch)
+        value, grads = loss_and_grads(head, params, x, y, ModelParams.zeros(params.layout))
+        with np.errstate(over="ignore"):
+            want_value, want = parent_step(head, params, x, y)
+        assert bits([value]) == bits([want_value])
+        for name, got, expected in zip(params.layout.names, grads.tensors, want.tensors,
+                                       strict=True):
+            assert np.array_equal(bits(got), bits(expected)), name

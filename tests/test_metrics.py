@@ -479,6 +479,20 @@ class TestPredictionsIo:
 
 
 class TestPredictions:
+    @pytest.mark.parametrize("predicted, true, name", [
+        ([1.9], [0], "predicted_label"), ([1], [0.2], "true_label"),
+        (["1"], [0], "predicted_label"),
+    ], ids=["float-predicted", "float-true", "str-predicted"])
+    def test_labels_that_are_not_integers_are_refused(self, predicted, true, name):
+        dtype = np.asarray(predicted if name == "predicted_label" else true).dtype
+        with pytest.raises(ValueError) as info:
+            Predictions([0.5], predicted, true, [False])
+        assert str(info.value) == f"{name} must be integers, got dtype {dtype}"
+
+    def test_empty_columns_may_be_float(self):
+        p = Predictions((), (), (), ())
+        assert p.predicted_label.dtype == p.true_label.dtype == np.int64 and len(p) == 0
+
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError, match="equal-length"):
             Predictions([0.5, 0.5], [0], [0, 0], [False, False])
