@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -29,6 +29,8 @@ _LN2 = math.log(2.0)
 # Distance logits are scored in row blocks whose difference tensor holds at most
 # this many entries (1 MiB of float64), so scoring memory stays bounded.
 DISTANCE_BLOCK_ENTRIES = 1 << 17
+# ... or in tiles of at most this many [class x row] sums and classes, with long passes.
+DISTANCE_TILE_ENTRIES, DISTANCE_TILE_CLASSES = 1 << 16, 12
 
 
 class HeadKind(str, Enum):
@@ -60,20 +62,6 @@ def _check_head_params(head: HeadKind, params: ModelParams) -> None:
         raise ValueError(f"head '{head.value}' {need} head_biases")
 
 
-def _check_labels(labels, z: np.ndarray) -> np.ndarray:
-    """Labels as int64: one per row of the logits ``z``, each in [0, K)."""
-    y = _as_labels(labels)
-    if y.ndim != 1:
-        raise ValueError("labels must be a vector")
-    if y.shape[0] != z.shape[0]:
-        raise ValueError("labels length does not match batch size")
-    k = z.shape[1]
-    if y.size and y.view(np.uint64).max() >= k:  # a negative label wraps above k
-        bad = int(np.argmax((y < 0) | (y >= k)))
-        raise ValueError(f"label {y[bad]} at index {bad} outside [0, {k})")
-    return y
-
-
 def _sigmoid(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + t) where z >= 0 and t / (1 + t) below, with t = e^-|z|, overwritten if given."""
     if t is None:
@@ -85,22 +73,42 @@ def _sigmoid(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     return np.divide(out, t, out=out)
 
 
-def _distances(params: ModelParams, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances [rows x K] from embeddings to class centers, and the differences
-    they sum, [rows x embed*K] with entry ``e*K + k``, built in two long passes."""
-    k = params.head_weights.shape[1]
+def _distances(w: np.ndarray, emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances [rows x K] from embeddings to class centers ``w``'s columns, and the
+    differences they sum as a [rows x K x embed] view of a [rows x embed*K] array with entry
+    ``e*K + k``, built in two long passes.  The view has the strides of the broadcast
+    ``emb[:, None, :] - W.T[None]``, and einsum orders its sums by its operands' strides."""
+    k = w.shape[1]
     diff = np.repeat(emb, k, axis=1)
-    diff -= params.head_weights.reshape(-1)
-    by_class = _by_class(diff, k)
+    diff -= w.reshape(-1)
+    by_class = diff.reshape(diff.shape[0], -1, k).transpose(0, 2, 1)
     d = np.einsum("bke,bke->bk", by_class, by_class)
-    return np.sqrt(d, out=d), diff
+    return np.sqrt(d, out=d), by_class
 
 
-def _by_class(diff: np.ndarray, k: int) -> np.ndarray:
-    """The [rows x K x embed] view of ``_distances``' differences.  Its strides are
-    those of the broadcast ``emb[:, None, :] - W.T[None]``, and einsum's summation
-    order follows its operands' strides, so the bits depend on them."""
-    return diff.reshape(diff.shape[0], -1, k).transpose(0, 2, 1)
+def _distance_logits(w: np.ndarray, emb: np.ndarray) -> np.ndarray:
+    """-``_distances``, each summed as ((0 + x0²) + x1²) + ... one embedding column at a time
+    in [classes x rows] tiles: einsum's bits where it fuses no multiply and add."""
+    out = np.empty((emb.shape[0], w.shape[1]))
+    rows = DISTANCE_TILE_ENTRIES // min(w.shape[1], DISTANCE_TILE_CLASSES)
+    for start in range(0, emb.shape[0], rows):
+        emb_t = np.ascontiguousarray(emb[start:start + rows].T)
+        for c in range(0, w.shape[1], DISTANCE_TILE_CLASSES):
+            w_c = w[:, c:c + DISTANCE_TILE_CLASSES, None]
+            total, diff = np.zeros((2, w_c.shape[1], emb_t.shape[1]))
+            for e, w_e in enumerate(w_c):
+                np.square(np.subtract(emb_t[e], w_e, out=diff), out=diff)
+                np.add(diff, total, out=total)  # the product first, as in einsum's a*b + c
+            out[start:start + rows, c:c + DISTANCE_TILE_CLASSES] = np.sqrt(total, out=total).T
+    return np.negative(out, out=out)
+
+
+@cache
+def _embedding_order_exact() -> bool:
+    """Whether ``_distance_logits`` has a training step's bits here, tried once on a fixed
+    probe: it has where einsum rounds each product before its add (numpy's x86-64 baseline)."""
+    w, emb = map(np.random.default_rng(0).standard_normal, [(16, 37), (64, 16)])
+    return _distance_logits(w, emb).tobytes() == (-_distances(w, emb)[0]).tobytes()
 
 
 def logits(head: HeadKind, params: ModelParams, embeddings) -> np.ndarray:
@@ -116,13 +124,21 @@ def logits(head: HeadKind, params: ModelParams, embeddings) -> np.ndarray:
         raise ValueError(f"embedding width {emb.shape[1]} does not match head "
                          f"fan_in {params.head_weights.shape[0]}")
     if head.is_distance:
-        out = np.empty((emb.shape[0], params.head_weights.shape[1]))
-        rows = max(1, DISTANCE_BLOCK_ENTRIES // params.head_weights.size)
+        w = params.head_weights
+        if w.shape[1] > 1 and _embedding_order_exact():  # for K=1, einsum sums along e
+            return _distance_logits(w, emb)
+        out = np.empty((emb.shape[0], w.shape[1]))
+        rows = max(1, DISTANCE_BLOCK_ENTRIES // w.size)
         for start in range(0, emb.shape[0], rows):
-            out[start:start + rows] = -_distances(params, emb[start:start + rows])[0]
+            out[start:start + rows] = -_distances(w, emb[start:start + rows])[0]
         return out
     z = emb @ params.head_weights
     return np.add(z, params.head_biases, out=z)
+
+
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """Each row's maximum as a column, in long passes; a zero's sign never reaches a result."""
+    return np.ascontiguousarray(z.T).max(axis=0)[:, None]
 
 
 def _checked_logits(head: HeadKind, logits_) -> np.ndarray:
@@ -147,7 +163,7 @@ def probabilities(head: HeadKind, logits_) -> np.ndarray:
     if head.is_ova:
         p = _sigmoid(z)
         return np.multiply(p, 2.0, out=p) if head is HeadKind.OVA_DISTANCE else p
-    e = z - z.max(axis=1, keepdims=True)
+    e = z - _row_max(z)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=1, keepdims=True), out=e)
 
@@ -160,7 +176,15 @@ def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
     sigmoid(d) for the label class and -1/sinh(d) for the rest, zeroed where the clamp acts."""
     if not z.shape[0]:  # the mean would divide by zero
         raise ValueError("batch must contain at least one row")
-    y = _check_labels(labels, z)
+    y = _as_labels(labels)
+    if y.ndim != 1:
+        raise ValueError("labels must be a vector")
+    if y.shape[0] != z.shape[0]:
+        raise ValueError("labels length does not match batch size")
+    k = z.shape[1]
+    if y.size and y.view(np.uint64).max() >= k:  # a negative label wraps above k
+        bad = int(np.argmax((y < 0) | (y >= k)))
+        raise ValueError(f"label {y[bad]} at index {bad} outside [0, {k})")
     own = np.arange(0, z.size, z.shape[1]) + y  # flat indices: take and put beat [rows, y]
     if head is HeadKind.OVA_DISTANCE:
         d = -z
@@ -178,7 +202,7 @@ def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
         per_example = (np.maximum(-z.take(own), 0.0) + log1p_t.take(own) + sp_pos.sum(axis=1)
                        - sp_pos.take(own))
     else:
-        m = z.max(axis=1, keepdims=True)
+        m = _row_max(z)
         e = np.exp(z - m)
         e_sum = e.sum(axis=1, keepdims=True)
         per_example = (m + np.log(e_sum))[:, 0] - z.take(own)
@@ -239,9 +263,8 @@ def loss_and_grads(head: HeadKind, params: ModelParams, inputs, labels,
     emb = activations[-1]
     _check_head_params(head, params)
     if head.is_distance:
-        d, diff = _distances(params, emb)
+        d, unit = _distances(params.head_weights, emb)
         value, g = _loss_and_logit_gradient(head, -d, labels)
-        unit = _by_class(diff, d.shape[1])
         unit /= d[:, :, None]
         if not d.all():  # subgradient 0 for the norm at zero distance
             unit[d == 0.0] = 0.0

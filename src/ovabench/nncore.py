@@ -33,6 +33,8 @@ def _as_labels(x, name: str = "labels") -> np.ndarray:
     arr = np.asarray(x)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} value {arr.max()} does not fit int64")
     return arr.astype(np.int64, copy=False)
 
 

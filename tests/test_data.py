@@ -255,6 +255,12 @@ def test_labels_that_are_not_integers_are_refused(labels):
     assert str(info.value) == f"labels must be integers, got dtype {dtype}"
 
 
+def test_unsigned_labels_above_the_int64_range_are_refused_as_given():
+    with pytest.raises(ValueError) as info:  # once wrapped to label -1, and refused as such
+        Dataset(features=[[0.0, 0.0]], labels=np.array([2 ** 64 - 1], np.uint64), num_classes=2)
+    assert str(info.value) == "labels value 18446744073709551615 does not fit int64"
+
+
 def test_an_empty_dataset_may_carry_float_labels():
     data = Dataset(features=np.zeros((0, 2)), labels=(), num_classes=2)
     assert data.labels.dtype == np.int64 and len(data) == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import platform
 import tracemalloc
 import warnings
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovabench.heads import (DISTANCE_BLOCK_ENTRIES, PROB_CLAMP, HeadKind,
-                            _loss_and_logit_gradient, logits, loss, loss_and_grads,
+from ovabench import heads
+from ovabench.heads import (DISTANCE_BLOCK_ENTRIES, DISTANCE_TILE_CLASSES,
+                            DISTANCE_TILE_ENTRIES, PROB_CLAMP, HeadKind,
+                            _loss_and_logit_gradient, _row_max, logits, loss, loss_and_grads,
                             loss_and_predicted, predict, probabilities)
 from ovabench.nncore import ModelParams, backward, forward, init_params
 
@@ -17,7 +20,8 @@ from gradcheck import gradient_check, params_from_arrays
 
 ALL_HEADS = list(HeadKind)
 DISTANCE_HEADS = [HeadKind.SOFTMAX_DISTANCE, HeadKind.OVA_DISTANCE]
-BLOCK_ROWS = DISTANCE_BLOCK_ENTRIES // (10 * 16)  # rows per distance block at K=10, embed=16
+BLOCK_ROWS = DISTANCE_TILE_ENTRIES // 10  # rows per distance tile at K=10
+LOOP_ROWS = DISTANCE_BLOCK_ENTRIES // (10 * 16)  # rows per block-loop block at K=10, embed=16
 
 
 def head_only_params(weights, biases=None):
@@ -63,7 +67,7 @@ class TestLogits:
     @pytest.mark.parametrize("k, embed, rows", [
         *[(10, 16, n) for n in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                 3 * BLOCK_ROWS + 7)],
-        (DISTANCE_BLOCK_ENTRIES // 16 + 1, 16, 3),  # one row per block
+        (DISTANCE_BLOCK_ENTRIES // 16 + 1, 16, 3),  # 683 class chunks (one row per loop block)
     ])
     def test_blocked_distance_equals_one_shot(self, k, embed, rows):
         rng = np.random.default_rng(rows)
@@ -75,6 +79,15 @@ class TestLogits:
         for head in DISTANCE_HEADS:
             assert np.array_equal(logits(head, params, emb), expected)
 
+    @pytest.mark.parametrize("k, embed, rows", [
+        *[(10, 16, n) for n in (1, LOOP_ROWS - 1, LOOP_ROWS, LOOP_ROWS + 1, 3 * LOOP_ROWS + 7)],
+        (DISTANCE_BLOCK_ENTRIES // 16 + 1, 16, 3),  # one row per block
+    ])
+    def test_the_block_loop_equals_one_shot(self, k, embed, rows, monkeypatch):
+        """The block loop, which scores wherever the probe fails, keeps the same bits."""
+        monkeypatch.setattr(heads, "_embedding_order_exact", lambda: False)
+        self.test_blocked_distance_equals_one_shot(k, embed, rows)
+
     def test_distance_memory_is_bounded(self):
         emb = np.random.default_rng(3).standard_normal((90000, 16))
         params = head_only_params(np.random.default_rng(4).standard_normal((16, 10)))
@@ -85,6 +98,10 @@ class TestLogits:
         finally:
             tracemalloc.stop()
         assert peak < 2 * z.nbytes  # the unblocked difference tensor alone is 115 MB
+
+    def test_the_block_loop_memory_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(heads, "_embedding_order_exact", lambda: False)
+        self.test_distance_memory_is_bounded()
 
     @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
     def test_embedding_width_must_match_the_head(self, head):
@@ -270,9 +287,8 @@ class TestLoss:
         ([0, 4, 1], 4),
         ([0, 2 ** 63 - 1, 1], 2 ** 63 - 1),
         (np.array([0, -2 ** 63, 1], dtype=np.int64), -2 ** 63),
-        (np.array([0, 2 ** 63, 1], dtype=np.uint64), -2 ** 63),  # as int64, it wraps
-        (np.array([0, 2 ** 64 - 1, 1], dtype=np.uint64), -1),
-    ], ids=["minus-one", "k", "int64-max", "int64-min", "uint64-2**63", "uint64-max"])
+        (np.array([0, 4, 1], dtype=np.uint64), 4),
+    ], ids=["minus-one", "k", "int64-max", "int64-min", "uint64-k"])
     @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
     def test_out_of_range_label_is_named_with_its_index(self, head, labels, shown):
         z = -np.ones((3, 4))
@@ -280,6 +296,16 @@ class TestLoss:
             with pytest.raises(ValueError) as info:
                 fn(head, z, labels)
             assert str(info.value) == f"label {shown} at index 1 outside [0, 4)"
+
+    @pytest.mark.parametrize("value", [2 ** 63, 2 ** 63 + 5, 2 ** 64 - 1])
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    def test_unsigned_labels_above_the_int64_range_are_refused_as_given(self, head, value):
+        """Once wrapped: 2^64 - 1 was refused as label -1, which the caller never passed."""
+        z = -np.ones((3, 4))
+        for fn in (loss, _loss_and_logit_gradient):
+            with pytest.raises(ValueError) as info:
+                fn(head, z, np.array([0, value, 1], dtype=np.uint64))
+            assert str(info.value) == f"labels value {value} does not fit int64"
 
     @pytest.mark.parametrize("labels", [[1.7], ["1"], [True], np.array([1.0])],
                              ids=["float", "str", "bool", "integral-float"])
@@ -734,3 +760,200 @@ class TestBitsOfTheSharedForms:
         for name, got, expected in zip(params.layout.names, grads.tensors, want.tensors,
                                        strict=True):
             assert np.array_equal(bits(got), bits(expected)), name
+
+
+def one_shot_distance_logits(emb, w):
+    """Distance logits as one einsum over the whole broadcast difference, whose strides a
+    training step's differences share: the bits scoring must keep."""
+    diff = emb[:, None, :] - w.T[None, :, :]
+    return -np.sqrt(np.einsum("bke,bke->bk", diff, diff))
+
+
+# signed zeros, an offset whose square underflows, values whose squares overflow to inf,
+# and NaN (one payload: a sum of two different NaNs may keep either, in numpy's add too)
+SCORE_EDGES = [0.0, -0.0, 1e-170, -1e-170, 1e-200, 1e150, 1e200, -1e200, np.nan]
+
+
+class TestBitsOfTheScoringPath:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 64), st.integers(1, 40), st.sampled_from([24, 96, 400]),
+           st.integers(0, 2 ** 32 - 1), st.integers(-200, 150))
+    def test_scored_logits_equal_the_one_shot_einsum_bitwise(self, data, embed, k, tile, seed,
+                                                             exponent):
+        """Across tile boundaries (1 row up to 3 tiles + 7) and class chunks, with the tile and
+        the block loop's blocks shrunk so that Hypothesis can afford them; no bit depends on
+        their sizes."""
+        tile_rows = tile // min(k, DISTANCE_TILE_CLASSES)
+        rows = data.draw(st.integers(1, 3 * tile_rows + 7), label="rows")
+        rng = np.random.default_rng(seed)
+        emb = rng.standard_normal((rows, embed)) * 10.0 ** exponent
+        w = rng.standard_normal((embed, k)) * 10.0 ** exponent
+        emb[0] = w[:, 0]  # an exact center hit
+        if rows > 1 and k > 1:  # 1e-170 from a center at the origin: the distance underflows
+            emb[1], w[:, 1] = 0.0, 0.0
+            w[0, 1] = 1e-170
+        edits = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 20),
+                                             st.sampled_from(SCORE_EDGES)), max_size=12))
+        for on_emb, at, value in edits:
+            target = emb if on_emb else w
+            target.reshape(-1)[at % target.size] = value
+        params = head_only_params(w)
+        with np.errstate(all="ignore"):
+            want = one_shot_distance_logits(emb, w)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(heads, "DISTANCE_TILE_ENTRIES", tile)
+                patch.setattr(heads, "DISTANCE_BLOCK_ENTRIES", tile * embed)  # as many rows
+                scored = logits(HeadKind.OVA_DISTANCE, params, emb)
+                patch.setattr(heads, "_embedding_order_exact", lambda: False)
+                fallback = logits(HeadKind.OVA_DISTANCE, params, emb)
+        assert np.array_equal(bits(scored), bits(want))
+        assert np.array_equal(bits(fallback), bits(want))
+
+    def test_the_probe_selects_the_path_whose_bits_it_compared(self):
+        """Where the probe holds, logits take the embedding-order sums; it is cached once."""
+        exact = heads._embedding_order_exact()
+        assert heads._embedding_order_exact.cache_info().currsize == 1
+        w, emb = map(np.random.default_rng(1).standard_normal, [(16, 10), (300, 16)])
+        with np.errstate(all="ignore"):
+            assert (heads._distance_logits(w, emb).tobytes()
+                    == one_shot_distance_logits(emb, w).tobytes()) == exact
+
+
+    @pytest.mark.parametrize("k, rows", [(2, 1), (10, BLOCK_ROWS + 1), (37, 300)])
+    def test_the_tiles_give_the_distances_wherever_they_run(self, k, rows):
+        """To rounding, also where einsum fuses and the probe keeps the block loop: so a
+        broken tile loop fails here instead of only turning the probe off."""
+        w, emb = map(np.random.default_rng(k).standard_normal, [(16, k), (rows, 16)])
+        emb[0] = w[:, 0]
+        got = heads._distance_logits(w, emb)
+        assert got[0, 0] == 0.0
+        np.testing.assert_allclose(got, one_shot_distance_logits(emb, w), rtol=1e-12, atol=0)
+
+    def test_the_probe_holds_where_einsum_cannot_fuse(self):
+        """numpy's x86-64 baseline has no fused multiply-add, and einsum's kernel is built
+        at the baseline: there, scoring must take the tiles."""
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        fusing = {"FMA3", "AVX2", "X86_V3", "X86_V4"} & set(umath.__cpu_baseline__)
+        if platform.machine().lower() not in ("x86_64", "amd64") or fusing:
+            pytest.skip("this numpy's einsum may fuse multiply and add")
+        assert heads._embedding_order_exact()
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_logits_take_the_tiles_exactly_where_the_probe_holds(self, exact, monkeypatch):
+        """From two classes up: one class's einsum sums along the embedding."""
+        taken = []
+        monkeypatch.setattr(heads, "_embedding_order_exact", lambda: exact)
+        monkeypatch.setattr(heads, "_distance_logits",
+                            lambda w, emb: taken.append(w.shape[1]) or np.zeros((3, w.shape[1])))
+        for k in (1, 2, 10):
+            logits(HeadKind.SOFTMAX_DISTANCE, head_only_params(np.ones((4, k))), np.ones((3, 4)))
+        assert taken == ([2, 10] if exact else [])
+
+
+def max_axis1_probabilities(z):
+    """The softmax heads' ``probabilities`` with the row maxima of ``z.max(axis=1)``, as
+    they were before ``_row_max``: the oracle for its bits."""
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=1, keepdims=True), out=e)
+
+
+def max_axis1_loss_and_logit_gradient(z, y, gradient):
+    """The softmax heads' ``_loss_and_logit_gradient`` with ``z.max(axis=1)``, in both of its
+    modes, and the per-example terms that name a refused batch index."""
+    own = np.arange(0, z.size, z.shape[1]) + y
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    e_sum = e.sum(axis=1, keepdims=True)
+    per_example = (m + np.log(e_sum))[:, 0] - z.take(own)
+    value = float(np.add.reduce(per_example) / z.shape[0])
+    p = np.divide(e, e_sum, out=e)
+    if not gradient:
+        return value, p.argmax(axis=1), per_example
+    p.put(own, p.take(own) - 1.0)
+    p /= z.shape[0]
+    return value, p, per_example
+
+
+SOFTMAX_HEADS = [HeadKind.SOFTMAX_AFFINE, HeadKind.SOFTMAX_DISTANCE]
+
+
+def assert_row_maxima_keep_the_bits(z, y):
+    z = np.array(z, dtype=np.float64)
+    want_max = z.max(axis=1, keepdims=True)
+    got_max = _row_max(z)
+    assert got_max.shape == want_max.shape
+    assert ((got_max == want_max) | (np.isnan(got_max) & np.isnan(want_max))).all()
+    for head in SOFTMAX_HEADS:
+        with np.errstate(all="ignore"):
+            assert np.array_equal(bits(probabilities(head, z)), bits(max_axis1_probabilities(z)))
+            for gradient in (True, False):
+                want_value, want_out, per_example = max_axis1_loss_and_logit_gradient(
+                    z.copy(), y, gradient)
+                if not math.isfinite(want_value):
+                    bad = ~np.isfinite(per_example)
+                    message = (f"non-finite loss for batch index {int(np.argmax(bad))}"
+                               if bad.any() else "non-finite mean loss")
+                    with pytest.raises(ValueError) as info:
+                        _loss_and_logit_gradient(head, z, y, gradient)
+                    assert str(info.value) == message
+                    continue
+                value, out = _loss_and_logit_gradient(head, z, y, gradient)
+                assert bits([value]) == bits([want_value]), (head, gradient)
+                if gradient:
+                    assert np.array_equal(bits(out), bits(want_out)), head
+                else:
+                    assert np.array_equal(out, want_out), head
+
+
+# numpy's NaN only: z.max(axis=1) returns numpy's NaN for a -NaN too, where the long pass
+# keeps the input's sign (see test_a_negative_nan_logit_gives_nan_where_it_did)
+ROW_MAX_EDGES = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1.0, -1.0, 709.0, -745.0, 1e300]
+
+
+class TestBitsOfTheRowMaxima:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 9), st.integers(1, 12), st.booleans())
+    def test_softmax_heads_equal_the_max_axis1_forms_bitwise(self, data, rows, k, equal_rows):
+        entries = st.one_of(st.sampled_from(ROW_MAX_EDGES + [-v for v in ROW_MAX_EDGES
+                                                             if not math.isnan(v)]),
+                            st.floats(-50.0, 50.0))
+        size = k if equal_rows else rows * k
+        z = np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
+        z = np.tile(z, (rows, 1)) if equal_rows else z.reshape(rows, k)
+        y = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=rows, max_size=rows)))
+        assert_row_maxima_keep_the_bits(z, y)
+
+    @pytest.mark.parametrize("z", [
+        [[0.0, -0.0]], [[-0.0, 0.0]], [[-0.0, -1.0], [0.0, -3.0], [-0.0, -0.0]],
+        [[-0.0] * 9 + [0.0]] * 3, [[0.0] * 9 + [-0.0, -2.0]] * 3,
+        [[2.5]], [[-0.0]], [[0.0]], [[np.inf]], [[np.nan]], [[-np.inf]],
+        [[1.0, np.nan, 2.0]], [[np.inf, 1.0]], [[-np.inf, -0.0]], [[-np.inf, -np.inf]],
+        [[0.5, -0.0, 0.5]] * 4,
+    ], ids=["+0-0", "-0+0", "zero-maxima", "long-rows-of-zeros-a", "long-rows-of-zeros-b",
+            "k1", "k1-minus-zero", "k1-zero", "k1-inf", "k1-nan", "k1-minus-inf", "nan",
+            "inf", "minus-inf", "all-minus-inf", "equal-rows"])
+    def test_edge_rows_equal_the_max_axis1_forms_bitwise(self, z):
+        assert_row_maxima_keep_the_bits(z, np.zeros(len(z), dtype=np.int64))
+
+    @pytest.mark.parametrize("rows", [1, 128, 5001])
+    def test_long_batches_of_edge_values_equal_the_max_axis1_forms_bitwise(self, rows):
+        rng = np.random.default_rng(rows)
+        z = rng.choice([0.0, -0.0, -1.0, 3.0, -np.inf], size=(rows, 10))
+        assert_row_maxima_keep_the_bits(z, rng.integers(0, 10, rows))
+
+    def test_a_negative_nan_logit_gives_nan_where_it_did(self):
+        """Only a NaN's sign differs: the row's other probabilities take the -NaN's sign."""
+        z = np.array([[0.0, -np.nan, 1.0], [0.0, -1.0, 2.0]])
+        want = max_axis1_probabilities(z)
+        for head in SOFTMAX_HEADS:
+            got = probabilities(head, z)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.array_equal(bits(got[1]), bits(want[1]))
+            for gradient in (True, False):
+                with pytest.raises(ValueError) as info:
+                    _loss_and_logit_gradient(head, z, [0, 0], gradient)
+                assert str(info.value) == "non-finite loss for batch index 0"

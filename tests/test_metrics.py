@@ -489,6 +489,15 @@ class TestPredictions:
             Predictions([0.5], predicted, true, [False])
         assert str(info.value) == f"{name} must be integers, got dtype {dtype}"
 
+    @pytest.mark.parametrize("name", ["predicted_label", "true_label"])
+    def test_unsigned_labels_above_the_int64_range_are_refused_as_given(self, name):
+        """Once wrapped: 2^63 + 5 was stored as label -9223372036854775803."""
+        big = np.array([2 ** 63 + 5], np.uint64)
+        columns = {"predicted_label": [0], "true_label": [0], name: big}
+        with pytest.raises(ValueError) as info:
+            Predictions([0.5], columns["predicted_label"], columns["true_label"], [False])
+        assert str(info.value) == f"{name} value 9223372036854775813 does not fit int64"
+
     def test_empty_columns_may_be_float(self):
         p = Predictions((), (), (), ())
         assert p.predicted_label.dtype == p.true_label.dtype == np.int64 and len(p) == 0
