@@ -286,12 +286,14 @@ def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> Trai
 
     Batches are sampled with replacement from a seeded PRNG; loss and train
     accuracy are logged every 100 steps.  Aborts with step index and head
-    kind if a batch loss, an update or a log evaluation is not finite.
+    kind if a batch loss, an update or a log evaluation is not finite, checking
+    the data once and each log interval once, replaying one that diverged.
     """
     config.validate()
-    x, y = train_data.features, train_data.labels
     if train_data.num_classes != config.data.num_classes:
         raise ValueError("dataset class count does not match the config")
+    train_data = Dataset(train_data.features, train_data.labels, train_data.num_classes)
+    x, y = train_data.features, train_data.labels
 
     zeros = head.is_distance and config.model.distance_init == "zeros"
     head_init = "zeros" if zeros else "glorot"
@@ -302,6 +304,7 @@ def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> Trai
     rng = np.random.default_rng(derive_seed(config.seed, f"train:{head.value}"))
     steps, batch = config.optim.steps, config.optim.batch_size
     block = max(1, BATCH_BLOCK_ENTRIES // batch)
+    row_starts = np.arange(0, batch * config.data.num_classes, config.data.num_classes)
 
     def full_eval():
         value, pred = headsmod.loss_and_predicted(
@@ -309,10 +312,21 @@ def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> Trai
         return value, float((pred == y).mean())
 
     log: dict[str, list] = {"step": [], "loss": [], "accuracy": []}
-    for first in range(1, steps + 1, block):
-        # one draw per block gives the stream of one draw per step (PCG64)
-        idx = rng.integers(0, len(x), size=(min(block, steps + 1 - first), batch))
-        for step, xs, ys in zip(range(first, steps + 1), x[idx], y[idx]):
+    # one draw per block gives the stream of one draw per step (PCG64)
+    blocks = (rng.integers(0, len(x), size=(min(block, steps + 1 - first), batch))
+              for first in range(1, steps + 1, block))
+    stream = (row for idx in blocks for row in zip(x[idx], y[idx]))
+    for first in range(1, steps + 1, LOG_EVERY):
+        interval = [next(stream) for _ in range(min(LOG_EVERY, steps + 1 - first))]
+        saved, total = (params.flat.copy(), velocity.flat.copy()), 0.0
+        with np.errstate(all="ignore"):
+            for xs, ys in interval[:-1]:
+                total += headsmod._train_step(head, params, xs, row_starts + ys, grads, velocity,
+                                              config.optim.learning_rate, config.optim.momentum)
+        diverged = not (math.isfinite(total) and np.isfinite(params.flat).all())
+        if diverged:  # a non-finite loss shows in the sum, a non-finite gradient (lr > 0) here
+            params.flat[...], velocity.flat[...] = saved  # the replay refuses its first such step
+        for step, (xs, ys) in list(enumerate(interval, first))[0 if diverged else -1:]:
             try:
                 headsmod.loss_and_grads(head, params, xs, ys, grads)
                 sgd_step(params, grads, velocity, config.optim.learning_rate,

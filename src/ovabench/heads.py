@@ -18,7 +18,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .nncore import ModelParams, _as_labels, _as_matrix, backward, forward
+from .nncore import (ModelParams, _as_labels, _as_matrix, _backward, _forward, _update,
+                     backward, forward)
 
 # Probabilities entering the diverging one-vs-all log(1 - p) term are clamped
 # into [PROB_CLAMP, 1 - PROB_CLAMP]; the term is unbounded as distance -> 0.
@@ -168,12 +169,11 @@ def probabilities(head: HeadKind, logits_) -> np.ndarray:
     return np.divide(e, e.sum(axis=1, keepdims=True), out=e)
 
 
+@np.errstate(over="ignore", divide="ignore")  # ova_dm's -1/sinh(d): 0 is clamped, inf gives 0
 def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
                              gradient: bool = True) -> tuple[float, np.ndarray]:
     """Mean loss of the logits ``z`` and, with ``gradient``, its gradient w.r.t. ``z``, else
-    ``predict``'s labels of ``probabilities``, sharing intermediates and one label check.
-    The gradient is (p - onehot)/batch, but for the one-vs-all distance head, in d = -z:
-    sigmoid(d) for the label class and -1/sinh(d) for the rest, zeroed where the clamp acts."""
+    ``predict``'s labels: ``_loss_terms`` after one label check, refusing a non-finite loss."""
     if not z.shape[0]:  # the mean would divide by zero
         raise ValueError("batch must contain at least one row")
     y = _as_labels(labels)
@@ -185,7 +185,20 @@ def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
     if y.size and y.view(np.uint64).max() >= k:  # a negative label wraps above k
         bad = int(np.argmax((y < 0) | (y >= k)))
         raise ValueError(f"label {y[bad]} at index {bad} outside [0, {k})")
-    own = np.arange(0, z.size, z.shape[1]) + y  # flat indices: take and put beat [rows, y]
+    value, out, per_example = _loss_terms(head, z, np.arange(0, z.size, k) + y, gradient)
+    # No term is -inf: each sums non-negative pieces (softplus, or log-sum-exp less the
+    # label's logit).  So an inf or NaN term, or finite terms that overflow, end here.
+    if not math.isfinite(value):
+        bad = ~np.isfinite(per_example)
+        raise ValueError(f"non-finite loss for batch index {int(np.argmax(bad))}"
+                         if bad.any() else "non-finite mean loss")
+    return value, out
+
+
+def _loss_terms(head: HeadKind, z: np.ndarray, own: np.ndarray, gradient: bool = True):
+    """``_loss_and_logit_gradient`` unchecked, and the per-example losses, for labels at flat
+    indices ``own`` of ``z``.  The gradient is (p - onehot)/batch, but for ova_dm, in d = -z:
+    sigmoid(d) for the label class and -1/sinh(d) for the rest, zeroed where the clamp acts."""
     if head is HeadKind.OVA_DISTANCE:
         d = -z
         d_own = d.take(own)
@@ -207,28 +220,21 @@ def _loss_and_logit_gradient(head: HeadKind, z: np.ndarray, labels,
         e_sum = e.sum(axis=1, keepdims=True)
         per_example = (m + np.log(e_sum))[:, 0] - z.take(own)
     value = float(np.add.reduce(per_example) / z.shape[0])  # np.mean's sum and division
-    # No term is -inf: each sums non-negative pieces (softplus, or log-sum-exp less the
-    # label's logit).  So an inf or NaN term, or finite terms that overflow, end here.
-    if not math.isfinite(value):
-        bad = ~np.isfinite(per_example)
-        raise ValueError(f"non-finite loss for batch index {int(np.argmax(bad))}"
-                         if bad.any() else "non-finite mean loss")
     if head is HeadKind.OVA_DISTANCE and gradient:
-        with np.errstate(over="ignore", divide="ignore"):  # d = 0 is clamped
-            grad_d = -1.0 / np.sinh(d)
+        grad_d = -1.0 / np.sinh(d)
         grad_d[one_minus_p <= PROB_CLAMP] = 0.0
         grad_d.put(own, _sigmoid(d_own, t_own))
         grad_d /= -z.shape[0]  # the same bits as -grad_d / batch
-        return value, grad_d
+        return value, grad_d, per_example
     if head.is_ova:  # ova_dm's probabilities are 2p, whose argmax is p's: doubling is exact
         p = _sigmoid(z) if head.is_distance else _sigmoid(z, t)
     else:
         p = np.divide(e, e_sum, out=e)
     if not gradient:
-        return value, p.argmax(axis=1)
+        return value, p.argmax(axis=1), per_example
     p.put(own, p.take(own) - 1.0)
     p /= z.shape[0]
-    return value, p
+    return value, p, per_example
 
 
 def loss(head: HeadKind, logits_, labels) -> float:
@@ -260,24 +266,37 @@ def loss_and_grads(head: HeadKind, params: ModelParams, inputs, labels,
     warning first.
     """
     activations = forward(params, inputs)
-    emb = activations[-1]
     _check_head_params(head, params)
+    value, emb_grad = _head_grads(head, params, activations[-1], grads,
+                                  lambda z: _loss_and_logit_gradient(head, z, labels))
+    backward(params, activations, emb_grad, grads)
+    return value, grads
+
+
+def _head_grads(head: HeadKind, params: ModelParams, emb, grads: ModelParams, loss_fn):
+    """``loss_fn``'s loss of ``emb``'s logits and d/d``emb``; head gradients go to ``grads``."""
     if head.is_distance:
         d, unit = _distances(params.head_weights, emb)
-        value, g = _loss_and_logit_gradient(head, -d, labels)
+        value, g = loss_fn(-d)
         unit /= d[:, :, None]
         if not d.all():  # subgradient 0 for the norm at zero distance
             unit[d == 0.0] = 0.0
         grads.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
-        emb_grad = -np.einsum("bk,bke->be", g, unit)
-    else:
-        value, g = _loss_and_logit_gradient(head, emb @ params.head_weights
-                                            + params.head_biases, labels)
-        np.matmul(emb.T, g, out=grads.head_weights)
-        g.sum(axis=0, out=grads.head_biases)
-        emb_grad = g @ params.head_weights.T
-    backward(params, activations, emb_grad, grads)
-    return value, grads
+        return value, -np.einsum("bk,bke->be", g, unit)
+    value, g = loss_fn(emb @ params.head_weights + params.head_biases)
+    np.matmul(emb.T, g, out=grads.head_weights)
+    g.sum(axis=0, out=grads.head_biases)
+    return value, g @ params.head_weights.T
+
+
+def _train_step(head: HeadKind, params: ModelParams, x: np.ndarray, own: np.ndarray,
+                grads: ModelParams, velocity: ModelParams, lr: float, momentum: float) -> float:
+    """``loss_and_grads`` then ``sgd_step``, unchecked, for labels at flat indices ``own``."""
+    acts = _forward(params, x)
+    value, g = _head_grads(head, params, acts[-1], grads, lambda z: _loss_terms(head, z, own)[:2])
+    _backward(params, acts, g, grads)
+    _update(params, grads, velocity, lr, momentum)
+    return value
 
 
 def predict(probs) -> tuple[np.ndarray, np.ndarray]:

@@ -140,6 +140,10 @@ def forward(params: ModelParams, inputs) -> list[np.ndarray]:
     if x.shape[1] != params.weights[0].shape[0]:  # later layers chain by construction
         raise ValueError(f"layer 0: input width {x.shape[1]} does not match "
                          f"fan_in {params.weights[0].shape[0]}")
+    return _forward(params, x)
+
+
+def _forward(params: ModelParams, x: np.ndarray) -> list[np.ndarray]:  # unchecked
     activations = [x]
     last = params.layout.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -164,6 +168,10 @@ def backward(params: ModelParams, activations: list[np.ndarray], embedding_grad,
     if g.shape != activations[-1].shape:
         raise ValueError(f"embedding_grad shape {g.shape} does not match "
                          f"embedding shape {activations[-1].shape}")
+    return _backward(params, activations, g, grads)
+
+
+def _backward(params: ModelParams, activations: list, g, grads: ModelParams):  # unchecked
     for i in range(params.layout.num_layers - 1, -1, -1):
         a_in = activations[i]
         np.matmul(a_in.T, g, out=grads.weights[i])
@@ -185,10 +193,14 @@ def sgd_step(params: ModelParams, grads: ModelParams, velocity: ModelParams,
     warning first; after that second refusal, ``params`` and ``velocity`` hold the update.
     """
     grads.validate("non-finite gradient for {}; update refused")
-    velocity.flat *= momentum
-    velocity.flat -= learning_rate * grads.flat
-    params.flat += velocity.flat
+    _update(params, grads, velocity, learning_rate, momentum)
     params.validate("non-finite parameter {} after update")
+
+
+def _update(params: ModelParams, grads, velocity, lr: float, momentum: float):  # unchecked
+    velocity.flat *= momentum
+    velocity.flat -= lr * grads.flat
+    params.flat += velocity.flat
 
 
 def save_checkpoint(path, params: ModelParams, head: str, seed: int) -> None:

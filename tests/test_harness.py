@@ -7,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovabench import cli
+from ovabench import harness as harness_mod
+from ovabench import heads as heads_mod
 from ovabench.data import CORRUPTION_KINDS, Dataset, gen_ring, save_dataset, split
-from ovabench.harness import (STAGES, ExperimentConfig, TrainingDiverged, centers_report,
+from ovabench.harness import (BATCH_BLOCK_ENTRIES, LOG_EVERY, STAGES, ExperimentConfig,
+                              TrainingDiverged, centers_report,
                               derive_seed, evaluate, landscape, make_datasets, run_all,
                               shift_sweep, train, write_centers_csv, write_landscape_csv,
                               write_landscape_pgm)
-from ovabench.heads import HeadKind, logits, loss_and_grads, predict, probabilities
+from ovabench.heads import (HeadKind, logits, loss_and_grads, loss_and_predicted, predict,
+                            probabilities)
 from ovabench.metrics import auroc_auprc, ece, read_predictions
-from ovabench.nncore import ModelParams, forward, init_params
+from ovabench.nncore import ModelParams, forward, init_params, sgd_step
 
 from gradcheck import params_from_arrays
 
@@ -56,6 +60,52 @@ CONFIG_DICTS = st.one_of([
     for name, names in SECTION_FIELDS.items()]) | st.dictionaries(
     st.sampled_from([*SECTION_FIELDS, "head", "seed", "out_dir", "bogus"]), JSON_VALUES,
     max_size=2)
+
+
+def checked_train(config, head, train_data):
+    """``train`` as it was when every step went through the checked ``loss_and_grads`` and
+    ``sgd_step``, frozen as its oracle: (params, log), or the same ``TrainingDiverged``."""
+    x, y = train_data.features, train_data.labels
+    zeros = head.is_distance and config.model.distance_init == "zeros"
+    params = harness_mod.init_params([x.shape[1], *config.model.hidden],
+                                     config.data.num_classes, head_biases=head.uses_biases,
+                                     head_init="zeros" if zeros else "glorot",
+                                     seed=derive_seed(config.seed, f"init:{head.value}"))
+    velocity, grads = ModelParams.zeros(params.layout), ModelParams.zeros(params.layout)
+    rng = np.random.default_rng(derive_seed(config.seed, f"train:{head.value}"))
+    steps, batch = config.optim.steps, config.optim.batch_size
+    block = max(1, BATCH_BLOCK_ENTRIES // batch)
+
+    def full_eval():
+        value, pred = loss_and_predicted(
+            head, harness_mod._embed(params, head, x, "training row")[1], y)
+        return value, float((pred == y).mean())
+
+    log = {"step": [], "loss": [], "accuracy": []}
+    for first in range(1, steps + 1, block):
+        idx = rng.integers(0, len(x), size=(min(block, steps + 1 - first), batch))
+        for step, xs, ys in zip(range(first, steps + 1), x[idx], y[idx]):
+            try:
+                loss_and_grads(head, params, xs, ys, grads)
+                sgd_step(params, grads, velocity, config.optim.learning_rate,
+                         config.optim.momentum)
+                if step % LOG_EVERY == 0 or step == steps:
+                    for column, value in zip(log.values(), (step, *full_eval())):
+                        column.append(value)
+            except ValueError as exc:
+                raise TrainingDiverged(f"training diverged at step {step} "
+                                       f"for head '{head.value}': {exc}") from exc
+    return params, log
+
+
+def training_outcome(fn, config, head, train_data):
+    """A finished run's parameter bytes and log, or the text of its ``TrainingDiverged``."""
+    try:
+        result = fn(config, head, train_data)
+    except TrainingDiverged as exc:
+        return str(exc)
+    params, log = (result.params, result.log) if hasattr(result, "log") else result
+    return params.flat.tobytes(), log
 
 
 def identity_body_model(head_weights, head_biases=None):
@@ -266,6 +316,136 @@ class TestTrain:
             for name, got, want in zip(params.layout.names, result.params.tensors,
                                        params.tensors, strict=True):
                 assert np.array_equal(got, want), f"{name} at {steps} steps of {batch}"
+
+    @pytest.mark.parametrize("head", ALL_HEADS, ids=[h.value for h in ALL_HEADS])
+    def test_train_equals_the_checked_loop_bitwise(self, head):
+        """Steps 99 and 101 end inside an interval, 100 on its log step, and 0 has none."""
+        for steps in (0, 1, 99, 100, 101, 250):
+            for batch in (1, 16):
+                cfg = tiny_config(steps=steps)
+                cfg.optim.batch_size = batch
+                train_d = make_datasets(cfg)[0]
+                assert training_outcome(train, cfg, head, train_d) == \
+                    training_outcome(checked_train, cfg, head, train_d), (steps, batch)
+
+    @pytest.mark.filterwarnings("error")  # neither the unchecked steps nor the replay warn
+    @pytest.mark.parametrize("head, change, learning_rate, batch, momentum, n_per_class, "
+                             "steps, message", [
+        (HeadKind.OVA_DISTANCE, None, 20, 16, 0.9, 24, 250, "non-finite loss for batch index"),
+        (HeadKind.SOFTMAX_AFFINE, ("head_biases", 1e307), 1e-4, 1, 0.9, 2, 250,
+         "non-finite loss for batch index"),
+        (HeadKind.SOFTMAX_AFFINE, ("head_weights", 1e300), 1e-300, 16, 0.9, 24, 250,
+         "non-finite mean loss"),
+        (HeadKind.SOFTMAX_AFFINE, None, 5, 1, 0.9, 24, 250, "non-finite gradient for"),
+        (HeadKind.OVA_AFFINE, ("head_biases", 1e307), 1e-3, 1, 0.0, 2, 250,
+         "non-finite gradient for"),
+        (HeadKind.SOFTMAX_AFFINE, ("flat", 1e-264), 1e271, 16, 0.9, 24, 250,
+         "non-finite parameter"),
+        (HeadKind.OVA_AFFINE, None, 50, 16, 0.9, 30, 6, "the model's logits are not finite"),
+    ], ids=["loss", "loss-later-interval", "mean-loss", "gradient",
+            "gradient-later-interval", "parameter", "log-evaluation"])
+    def test_divergence_is_refused_as_by_the_checked_loop(self, monkeypatch, head, change,
+                                                          learning_rate, batch, momentum,
+                                                          n_per_class, steps, message):
+        """Each kind of divergence, at the step and with the text of the checked loop.  All
+        but the log evaluation's happen at steps that are not log steps, and those before step
+        99 once more at the last step before a log step; a head bias of 1e307 gives losses near
+        1e307 that the parameters survive for a while at small rates."""
+        if change:
+            monkeypatch.setattr(harness_mod, "init_params",
+                                lambda *args, **kwargs: changed(init_params(*args, **kwargs)))
+
+        def changed(params):
+            tensor, value = change
+            if tensor == "head_biases":
+                params.head_biases[1] = value
+            else:
+                getattr(params, tensor)[...] *= value
+            return params
+
+        cfg = tiny_config(steps=steps, learning_rate=learning_rate)
+        cfg.optim.batch_size, cfg.optim.momentum, cfg.data.n_per_class = \
+            batch, momentum, n_per_class
+        train_d = make_datasets(cfg)[0]
+        got = training_outcome(train, cfg, head, train_d)
+        assert got == training_outcome(checked_train, cfg, head, train_d)
+        step, text = got.removeprefix("training diverged at step ").split(
+            f" for head '{head.value}': ")
+        assert text.startswith(message), got
+        assert (int(step) == steps) == (message == "the model's logits are not finite"), got
+        assert int(step) % LOG_EVERY or int(step) == steps, got
+        if int(step) < min(steps, LOG_EVERY - 1):  # again as the interval's last unchecked step,
+            cfg.optim.steps = int(step) + 1  # where only the parameters show a bad gradient
+            assert training_outcome(train, cfg, head, train_d) == got
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("head", [HeadKind.SOFTMAX_AFFINE, HeadKind.OVA_AFFINE],
+                             ids=["softmax", "ova"])
+    def test_a_loss_sum_that_overflows_from_finite_losses_trains_on_bitwise(self, monkeypatch,
+                                                                            head):
+        """A head bias of 1e307 makes 9 of the 10 training rows' losses about 1e307: each
+        step's loss and each log evaluation's mean are finite, but an interval's sum is not.
+        The replay finds no diverging step, and training goes on with the oracle's bits."""
+        def biased(*args, **kwargs):
+            params = init_params(*args, **kwargs)
+            params.head_biases[1] = 1e307
+            return params
+
+        monkeypatch.setattr(harness_mod, "init_params", biased)
+        cfg = tiny_config(steps=250, learning_rate=1e-6)
+        cfg.optim.batch_size, cfg.data.n_per_class = 1, 2
+        train_d = make_datasets(cfg)[0]
+        want = training_outcome(checked_train, cfg, head, train_d)
+        calls = []
+        real = heads_mod.loss_and_grads
+        monkeypatch.setattr(heads_mod, "loss_and_grads",
+                            lambda *args: calls.append(args) or real(*args))
+        got = training_outcome(train, cfg, head, train_d)
+        assert got == want
+        assert got[1]["step"] == [100, 200, 250] and min(got[1]["loss"]) > 1e306
+        assert len(calls) == 250  # every interval replayed: its 1e307 losses overflow the sum
+
+    def test_each_log_step_and_no_other_goes_through_the_checked_pair(self, monkeypatch):
+        """``bench/`` times a step from ``heads.loss_and_grads`` to the ``harness.sgd_step``
+        after it: a run without divergence calls that pair once per log step, in order."""
+        calls = []
+        for module, name in ((heads_mod, "loss_and_grads"), (harness_mod, "sgd_step")):
+            monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name),
+                                name=name: calls.append(name) or real(*args))
+        for steps, pairs in ((30, 1), (10000, 100)):
+            calls.clear()
+            cfg = tiny_config(steps=steps)
+            train(cfg, HeadKind.SOFTMAX_AFFINE, make_datasets(cfg)[0])
+            assert calls == ["loss_and_grads", "sgd_step"] * pairs
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("labels", lambda ds: ds.labels[:-1], "features and labels are misaligned"),
+        ("labels", lambda ds: np.where(np.arange(len(ds)) == 7, 99, ds.labels),
+         "labels must lie in [0, 10)"),
+    ], ids=["shortened", "out-of-range"])
+    def test_a_reassigned_dataset_field_is_refused_before_any_step(self, field, value,
+                                                                   message):
+        """``Dataset`` checks its fields when built; a field reassigned afterwards once ended in
+        an IndexError, or in a ``TrainingDiverged`` named after a step."""
+        cfg = tiny_config()
+        train_d = make_datasets(cfg)[0]
+        setattr(train_d, field, value(train_d))
+        with pytest.raises(ValueError) as info:
+            train(cfg, HeadKind.SOFTMAX_AFFINE, train_d)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    @pytest.mark.parametrize("convert", [lambda f: f.astype(np.float32), np.ndarray.tolist],
+                             ids=["float32", "list"])
+    def test_reassigned_features_are_converted_once_bitwise(self, convert):
+        """As float64, like every other input: float32 rows would give a float32 step."""
+        cfg = tiny_config(steps=150)
+        train_d = make_datasets(cfg)[0]
+        train_d.features = convert(train_d.features)
+        as_float64 = Dataset(np.asarray(train_d.features, dtype=np.float64), train_d.labels,
+                             train_d.num_classes)
+        for head in (HeadKind.SOFTMAX_AFFINE, HeadKind.OVA_DISTANCE):
+            assert training_outcome(train, cfg, head, train_d) == \
+                training_outcome(checked_train, cfg, head, as_float64)
 
 
 class TestEvaluate:
