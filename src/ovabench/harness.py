@@ -55,10 +55,10 @@ _RULES = {"gt": (operator.gt, "> {!r}"), "ge": (operator.ge, ">= {!r}"),
 
 
 def _field(default, **rules):
-    """A config field's default and the ``_RULES`` its value keeps; on a list
-    they hold for each item, the list is non-empty and ``distinct=True`` forbids
-    repeats.  Upper bounds stop a size before numpy tries to allocate it, or
-    coordinates whose squares or sums overflow."""
+    """A config field's default and the ``_RULES`` its value keeps; on a list they hold for
+    each item, the list is non-empty and ``distinct=True`` forbids repeats.  Upper bounds hold
+    for each field alone (a size numpy cannot allocate, coordinates whose squares overflow),
+    not their product: a ``dm`` step at hidden [4096], K 1000, batch 128 asks for 3.91 GiB."""
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata=rules)
     return field(default=default, metadata=rules)
@@ -346,9 +346,10 @@ def evaluate(params: ModelParams, head: HeadKind, test_data: Dataset,
     """Score the test set and the OOD points; returns the metrics.json summary.
 
     Writes predictions.csv, calibration.csv, curve.csv, histograms.csv and
-    metrics.json into ``out_dir``.
+    metrics.json into ``out_dir``.  ``test_data`` is checked again first, as in ``train``.
     """
     config.validate()
+    test_data = Dataset(test_data.features, test_data.labels, test_data.num_classes)
     id_preds = _score(params, head, test_data.features, test_data.labels, "test row")
     preds = Predictions.concatenate([id_preds, _score(params, head, ood_points, None, "OOD row")])
     ece_value, calibration = metricsmod.ece(id_preds, config.metrics.num_bins)
@@ -455,6 +456,7 @@ def centers_report(params: ModelParams, head: HeadKind,
     point rows, then center rows; points have no alignment error.
     """
     _check_centers(params, head)
+    train_data = Dataset(train_data.features, train_data.labels, train_data.num_classes)
     emb = _embed(params, head, train_data.features, "training row")[0]
     k = train_data.num_classes
     means = np.empty((k, emb.shape[1]))

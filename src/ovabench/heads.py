@@ -92,11 +92,15 @@ def _distance_logits(w: np.ndarray, emb: np.ndarray) -> np.ndarray:
     in [classes x rows] tiles: einsum's bits where it fuses no multiply and add."""
     out = np.empty((emb.shape[0], w.shape[1]))
     rows = DISTANCE_TILE_ENTRIES // min(w.shape[1], DISTANCE_TILE_CLASSES)
+    emb_all = np.empty((emb.shape[1], min(rows, emb.shape[0])))  # tiles slice these two buffers
+    sums = np.empty((2, min(w.shape[1], DISTANCE_TILE_CLASSES), emb_all.shape[1]))
     for start in range(0, emb.shape[0], rows):
-        emb_t = np.ascontiguousarray(emb[start:start + rows].T)
+        emb_t = emb_all[:, :min(rows, emb.shape[0] - start)]
+        np.copyto(emb_t, emb[start:start + rows].T)
         for c in range(0, w.shape[1], DISTANCE_TILE_CLASSES):
             w_c = w[:, c:c + DISTANCE_TILE_CLASSES, None]
-            total, diff = np.zeros((2, w_c.shape[1], emb_t.shape[1]))
+            total, diff = sums[:, :w_c.shape[1], :emb_t.shape[1]]
+            total.fill(0.0)
             for e, w_e in enumerate(w_c):
                 np.square(np.subtract(emb_t[e], w_e, out=diff), out=diff)
                 np.add(diff, total, out=total)  # the product first, as in einsum's a*b + c

@@ -108,6 +108,14 @@ def training_outcome(fn, config, head, train_data):
     return params.flat.tobytes(), log
 
 
+# A dataset field reassigned after the Dataset was built, and the ValueError Dataset gives it.
+REASSIGNED_LABELS = pytest.mark.parametrize("field, value, message", [
+    ("labels", lambda ds: ds.labels[:-1], "features and labels are misaligned"),
+    ("labels", lambda ds: np.where(np.arange(len(ds)) == 7, 99, ds.labels),
+     "labels must lie in [0, 10)"),
+], ids=["shortened", "out-of-range"])
+
+
 def identity_body_model(head_weights, head_biases=None):
     return params_from_arrays([np.eye(2)], [np.zeros(2)],
                               head_weights=np.asarray(head_weights, dtype=np.float64),
@@ -268,7 +276,6 @@ class TestTrain:
         assert (tmp_path / "a/checkpoint.json").read_bytes() \
             == (tmp_path / "b/checkpoint.json").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_reports_step_and_head(self):
         cfg = tiny_config(learning_rate=50.0, steps=400)
         with pytest.raises(TrainingDiverged, match=r"step \d+ for head 'softmax'"):
@@ -418,11 +425,7 @@ class TestTrain:
             train(cfg, HeadKind.SOFTMAX_AFFINE, make_datasets(cfg)[0])
             assert calls == ["loss_and_grads", "sgd_step"] * pairs
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("labels", lambda ds: ds.labels[:-1], "features and labels are misaligned"),
-        ("labels", lambda ds: np.where(np.arange(len(ds)) == 7, 99, ds.labels),
-         "labels must lie in [0, 10)"),
-    ], ids=["shortened", "out-of-range"])
+    @REASSIGNED_LABELS
     def test_a_reassigned_dataset_field_is_refused_before_any_step(self, field, value,
                                                                    message):
         """``Dataset`` checks its fields when built; a field reassigned afterwards once ended in
@@ -493,6 +496,20 @@ class TestEvaluate:
         for name in ("predictions.csv", "calibration.csv", "curve.csv",
                      "histograms.csv", "metrics.json"):
             assert (tmp_path / name).exists()
+
+    @REASSIGNED_LABELS
+    def test_a_reassigned_test_set_field_is_refused_before_any_file(self, tmp_path, field,
+                                                                    value, message):
+        """As in ``train``: a label of 99 was once scored as a wrong prediction, and a cut
+        label vector failed on prediction columns of unequal length."""
+        cfg = tiny_config()
+        _, test_d, ood = make_datasets(cfg)
+        setattr(test_d, field, value(test_d))
+        model = identity_body_model(np.zeros((2, 10)), head_biases=np.zeros(10))
+        with pytest.raises(ValueError) as info:
+            evaluate(model, HeadKind.SOFTMAX_AFFINE, test_d, ood, cfg, out_dir=tmp_path)
+        assert type(info.value) is ValueError and str(info.value) == message
+        assert not any(tmp_path.iterdir())
 
 
 class TestLandscape:
@@ -570,6 +587,18 @@ class TestCentersReport:
         write_centers_csv(tmp_path / "centers.csv", report)
         lines = (tmp_path / "centers.csv").read_text().splitlines()
         assert len(lines) == 1 + len(data) + 4
+
+    @REASSIGNED_LABELS
+    def test_a_reassigned_training_set_field_is_refused(self, field, value, message):
+        """As in ``train``: a row labelled 99 was once left out of every class mean, and a
+        cut label vector ended in an IndexError."""
+        cfg = tiny_config()
+        train_d = make_datasets(cfg)[0]
+        setattr(train_d, field, value(train_d))
+        model = identity_body_model(np.random.default_rng(0).standard_normal((2, 10)))
+        with pytest.raises(ValueError) as info:
+            centers_report(model, HeadKind.SOFTMAX_DISTANCE, train_d)
+        assert type(info.value) is ValueError and str(info.value) == message
 
 
 class TestShiftSweep:
