@@ -9,30 +9,30 @@ sidecar written next to each dataset CSV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .ioutil import write_csv, write_json
-from .nncore import _as_labels
+from .nncore import _as_labels, _freeze
 
 PRNG_NOTE = "numpy default_rng (PCG64); normals via Generator.standard_normal (ziggurat)"
 
 CORRUPTION_KINDS = ("gaussian_noise", "rotation")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Feature rows with integer class labels in [0, num_classes)."""
+    """Feature rows with integer class labels in [0, num_classes), as read-only copies."""
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = _as_labels(self.labels)
+        _freeze(self, features=np.asarray(self.features, dtype=np.float64),
+                labels=_as_labels(self.labels))
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ValueError("features must be a matrix and labels a vector")
         if len(self.features) != len(self.labels):
@@ -99,7 +99,7 @@ def corrupt(data: Dataset, kind: str, intensity: int, seed: int) -> Dataset:
         rot = np.array([[math.cos(phi), -math.sin(phi)],
                         [math.sin(phi), math.cos(phi)]])
         features = data.features @ rot.T
-    return Dataset(features=features, labels=data.labels.copy(), num_classes=data.num_classes)
+    return replace(data, features=features)
 
 
 def gen_ood(n: int, class_means, seed: int, box_halfwidth: float = 50.0,
@@ -153,8 +153,7 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
         test_idx.append(perm[cut:])
     tr = np.concatenate(train_idx)
     te = np.concatenate(test_idx)
-    make = lambda sel: Dataset(features=data.features[sel], labels=data.labels[sel],
-                               num_classes=data.num_classes)
+    make = lambda sel: replace(data, features=data.features[sel], labels=data.labels[sel])
     return make(tr), make(te)
 
 

@@ -257,7 +257,7 @@ def _score(params: ModelParams, head: HeadKind, features, labels, rows: str) -> 
 def make_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, np.ndarray]:
     """Generate the (train, test, ood) triple the experiment shares across heads.
 
-    With train_fraction = 1.0 the full dataset plays both roles.
+    With train_fraction = 1.0 the full dataset plays both roles.  All three are read-only.
     """
     config.validate()
     d = config.data
@@ -278,6 +278,7 @@ def make_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, np.ndarra
     except ValueError as exc:  # data knows no config names; name the fields to change
         raise ValueError(f"ood.exclusion_radius {config.ood.exclusion_radius!r} with "
                          f"ood.box_halfwidth {config.ood.box_halfwidth!r}: {exc}") from exc
+    ood_points.flags.writeable = False
     return train_d, test_d, ood_points
 
 
@@ -287,12 +288,11 @@ def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> Trai
     Batches are sampled with replacement from a seeded PRNG; loss and train
     accuracy are logged every 100 steps.  Aborts with step index and head
     kind if a batch loss, an update or a log evaluation is not finite, checking
-    the data once and each log interval once, replaying one that diverged.
+    each log interval once, replaying one that diverged.
     """
     config.validate()
     if train_data.num_classes != config.data.num_classes:
         raise ValueError("dataset class count does not match the config")
-    train_data = Dataset(train_data.features, train_data.labels, train_data.num_classes)
     x, y = train_data.features, train_data.labels
 
     zeros = head.is_distance and config.model.distance_init == "zeros"
@@ -346,10 +346,9 @@ def evaluate(params: ModelParams, head: HeadKind, test_data: Dataset,
     """Score the test set and the OOD points; returns the metrics.json summary.
 
     Writes predictions.csv, calibration.csv, curve.csv, histograms.csv and
-    metrics.json into ``out_dir``.  ``test_data`` is checked again first, as in ``train``.
+    metrics.json into ``out_dir``.
     """
     config.validate()
-    test_data = Dataset(test_data.features, test_data.labels, test_data.num_classes)
     id_preds = _score(params, head, test_data.features, test_data.labels, "test row")
     preds = Predictions.concatenate([id_preds, _score(params, head, ood_points, None, "OOD row")])
     ece_value, calibration = metricsmod.ece(id_preds, config.metrics.num_bins)
@@ -456,7 +455,6 @@ def centers_report(params: ModelParams, head: HeadKind,
     point rows, then center rows; points have no alignment error.
     """
     _check_centers(params, head)
-    train_data = Dataset(train_data.features, train_data.labels, train_data.num_classes)
     emb = _embed(params, head, train_data.features, "training row")[0]
     k = train_data.num_classes
     means = np.empty((k, emb.shape[1]))

@@ -14,14 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from .ioutil import write_csv
-from .nncore import _as_labels
+from .nncore import _as_labels, _freeze
 
 _PREDICTIONS_HEADER = ["confidence", "predicted_label", "true_label", "is_ood"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Predictions:
-    """Scored examples as four parallel columns; ``true_label`` is -1 on OOD rows."""
+    """Scored examples as four read-only columns (copies); ``true_label`` is -1 on OOD rows."""
 
     confidence: np.ndarray
     predicted_label: np.ndarray
@@ -29,10 +29,10 @@ class Predictions:
     is_ood: np.ndarray
 
     def __post_init__(self):
-        self.confidence = np.asarray(self.confidence, dtype=np.float64)
-        self.predicted_label = _as_labels(self.predicted_label, "predicted_label")
-        self.true_label = _as_labels(self.true_label, "true_label")
-        self.is_ood = np.asarray(self.is_ood, dtype=bool)
+        _freeze(self, confidence=np.asarray(self.confidence, dtype=np.float64),
+                predicted_label=_as_labels(self.predicted_label, "predicted_label"),
+                true_label=_as_labels(self.true_label, "true_label"),
+                is_ood=np.asarray(self.is_ood, dtype=bool))
         if any(c.ndim != 1 or c.shape != self.confidence.shape for c in self._columns()):
             raise ValueError("prediction columns must be equal-length vectors")
         bad = ~((self.confidence >= 0.0) & (self.confidence <= 1.0))  # NaN included

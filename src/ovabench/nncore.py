@@ -38,6 +38,13 @@ def _as_labels(x, name: str = "labels") -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _freeze(value, **arrays) -> None:
+    for name, arr in arrays.items():
+        arr = np.array(arr)  # a copy: no write into the caller's array reaches ``value``
+        arr.flags.writeable = False
+        object.__setattr__(value, name, arr)
+
+
 class Layout:
     """Names, shapes and offsets of a model's tensors in its flat vector, in
     checkpoint order: ``layers.{i}.weights``, ``layers.{i}.biases`` per body

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -264,6 +265,38 @@ def test_unsigned_labels_above_the_int64_range_are_refused_as_given():
 def test_an_empty_dataset_may_carry_float_labels():
     data = Dataset(features=np.zeros((0, 2)), labels=(), num_classes=2)
     assert data.labels.dtype == np.int64 and len(data) == 0
+
+
+class TestDatasetIsFrozen:
+    """A ``Dataset`` is checked once, when it is built, and cannot change after that: a label
+    of 99 written into a test set once reached ``shift_sweep``, which wrote a prediction dump
+    scoring it as wrong before ``corrupt`` refused the set."""
+
+    @pytest.mark.parametrize("field", ["features", "labels", "num_classes"])
+    def test_a_field_cannot_be_reassigned(self, field):
+        data = gen_ring(num_classes=3, n_per_class=4, seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(data, field, getattr(data, field))
+
+    @pytest.mark.parametrize("field", ["features", "labels"])
+    @pytest.mark.parametrize("make", [
+        lambda: gen_ring(num_classes=3, n_per_class=4, seed=0),
+        lambda: split(gen_ring(num_classes=3, n_per_class=4, seed=0), 0.5, seed=1)[1],
+        lambda: corrupt(gen_ring(num_classes=3, n_per_class=4, seed=0), "rotation", 1, 2),
+        lambda: Dataset([[0.0, 1.0], [2.0, 3.0]], [0, 2], num_classes=3),
+    ], ids=["gen_ring", "split", "corrupt", "lists"])
+    def test_an_array_cannot_be_written(self, make, field):
+        data = make()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(data, field)[1] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(data, field)[:1][...] = 0  # and so is a view of it
+
+    def test_a_write_into_the_source_arrays_does_not_reach_it(self):
+        features, labels = np.zeros((3, 2)), np.array([0, 1, 0])
+        data = Dataset(features=features, labels=labels, num_classes=2)
+        features[0, 0], labels[1] = 1e300, 99
+        assert data.features.tolist() == [[0.0, 0.0]] * 3 and data.labels.tolist() == [0, 1, 0]
 
 
 class TestDatasetIo:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -509,3 +510,35 @@ class TestPredictions:
     def test_ood_rows_never_correct(self):
         p = Predictions([0.5, 0.5], [3, -1], [3, -1], [False, True])
         assert p.is_correct.tolist() == [True, False]
+
+    FIELDS = ["confidence", "predicted_label", "true_label", "is_ood"]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_field_cannot_be_reassigned(self, field):
+        """Checked once, when built: a reassigned confidence of 2.0 was once accepted."""
+        p = Predictions.from_scores([0.5, 0.75], [1, 0], [1, 1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, field, getattr(p, field))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("make", [
+        lambda: Predictions([0.5, 0.75], [1, 0], [1, 1], [False, False]),
+        lambda: Predictions.from_scores(np.array([0.5, 0.75]), np.array([1, 0])),
+        lambda: Predictions.concatenate([preds([rec(0.5)]), preds([rec(0.75, ood=True)])]),
+        lambda: preds([rec(0.5), rec(0.75), rec(0.25)])[np.array([True, True, False])],
+    ], ids=["lists", "from_scores", "concatenate", "mask"])
+    def test_a_column_cannot_be_written(self, make, field):
+        p = make()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p, field)[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p, field)[:1][...] = 0  # and so is a view of it
+
+    def test_a_write_into_the_source_columns_does_not_reach_it(self):
+        columns = [np.array([0.5, 0.75]), np.array([1, 0]), np.array([1, -1]),
+                   np.array([False, True])]
+        p = Predictions(*columns)
+        for column, value in zip(columns, (2.0, 99, 99, False)):
+            column[1] = value
+        assert [getattr(p, f).tolist() for f in self.FIELDS] == [
+            [0.5, 0.75], [1, 0], [1, -1], [False, True]]
