@@ -40,6 +40,9 @@ class Dataset:
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
 
+    def __reduce__(self):  # a copy or an unpickled value is built, so checked and frozen, again
+        return Dataset, (self.features, self.labels, self.num_classes)
+
     def __len__(self) -> int:
         return len(self.labels)
 

@@ -25,7 +25,8 @@ from .data import Dataset
 from .heads import HeadKind
 from .ioutil import write_csv, write_json
 from .metrics import Predictions, boxplot_stats
-from .nncore import ModelParams, forward, init_params, save_checkpoint, sgd_step
+from .nncore import (ModelParams, ModelStack, forward, init_params, save_checkpoint,
+                     sgd_step)
 
 LOG_EVERY = 100
 
@@ -282,63 +283,105 @@ def make_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset, np.ndarra
     return train_d, test_d, ood_points
 
 
-def train(config: ExperimentConfig, head: HeadKind, train_data: Dataset) -> TrainResult:
+def train(config: ExperimentConfig, head: HeadKind | tuple[HeadKind, ...],
+          train_data: Dataset) -> TrainResult | list[TrainResult | TrainingDiverged]:
     """Mini-batch SGD for the configured number of steps; writes no file.
 
     Batches are sampled with replacement from a seeded PRNG; loss and train
     accuracy are logged every 100 steps.  Aborts with step index and head
     kind if a batch loss, an update or a log evaluation is not finite, checking
     each log interval once, replaying one that diverged.
+
+    Given a tuple of heads, trains them in lockstep, each with the bits it has
+    alone, and returns a ``TrainResult`` or ``TrainingDiverged`` per head: a
+    head that diverged leaves the stack and the others go on.
     """
     config.validate()
     if train_data.num_classes != config.data.num_classes:
         raise ValueError("dataset class count does not match the config")
+    group = head if isinstance(head, tuple) else (head,)
     x, y = train_data.features, train_data.labels
-
-    zeros = head.is_distance and config.model.distance_init == "zeros"
-    head_init = "zeros" if zeros else "glorot"
-    params = init_params([x.shape[1], *config.model.hidden], config.data.num_classes,
-                         head_biases=head.uses_biases, head_init=head_init,
-                         seed=derive_seed(config.seed, f"init:{head.value}"))
-    velocity, grads = ModelParams.zeros(params.layout), ModelParams.zeros(params.layout)
-    rng = np.random.default_rng(derive_seed(config.seed, f"train:{head.value}"))
+    k, zeros = config.data.num_classes, config.model.distance_init == "zeros"
+    params = ModelStack.of([init_params([x.shape[1], *config.model.hidden], k,
+                                        head_biases=h.uses_biases,
+                                        head_init="zeros" if h.is_distance and zeros else "glorot",
+                                        seed=derive_seed(config.seed, f"init:{h.value}"))
+                            for h in group])
+    velocity, grads = params.zeros_like(), params.zeros_like()
+    rngs = [np.random.default_rng(derive_seed(config.seed, f"train:{h.value}")) for h in group]
     steps, batch = config.optim.steps, config.optim.batch_size
-    block = max(1, BATCH_BLOCK_ENTRIES // batch)
-    row_starts = np.arange(0, batch * config.data.num_classes, config.data.num_classes)
+    lr, momentum = config.optim.learning_rate, config.optim.momentum
+    block = max(1, BATCH_BLOCK_ENTRIES // (batch * len(group)))
+    row_starts = np.arange(0, batch * k, k)
+    live = list(range(len(group)))  # the group index of each row of the stacks
+    logs = [{"step": [], "loss": [], "accuracy": []} for _ in group]
+    failed: dict[int, TrainingDiverged] = {}
 
-    def full_eval():
+    def full_eval(h, model):
         value, pred = headsmod.loss_and_predicted(
-            head, _embed(params, head, x, "training row")[1], y)
+            group[h], _embed(model, group[h], x, "training row")[1], y)
         return value, float((pred == y).mean())
 
-    log: dict[str, list] = {"step": [], "loss": [], "accuracy": []}
-    # one draw per block gives the stream of one draw per step (PCG64)
-    blocks = (rng.integers(0, len(x), size=(min(block, steps + 1 - first), batch))
-              for first in range(1, steps + 1, block))
-    stream = (row for idx in blocks for row in zip(x[idx], y[idx]))
+    # Per step, the batch of each row of the stacks.  One draw per block and head gives the
+    # stream of one draw per step (PCG64), and a block gathers at most BATCH_BLOCK_ENTRIES rows.
+    def batches():
+        for first in range(1, steps + 1, block):
+            rows = live.copy()
+            idx = np.stack([rngs[h].integers(0, len(x), size=(min(block, steps + 1 - first),
+                                                                batch)) for h in rows], axis=1)
+            xb, yb = x[idx], y[idx]
+            for c in range(len(idx)):
+                if rows != live:  # a head left the stacks: its rows of the block go too
+                    keep = [rows.index(h) for h in live]
+                    xb, yb, rows = xb[:, keep], yb[:, keep], live.copy()
+                yield xb[c], yb[c]
+
+    stream = batches()
     for first in range(1, steps + 1, LOG_EVERY):
         interval = [next(stream) for _ in range(min(LOG_EVERY, steps + 1 - first))]
-        saved, total = (params.flat.copy(), velocity.flat.copy()), 0.0
+        heads = [group[h] for h in live]
+        saved, totals = (params.flat.copy(), velocity.flat.copy()), [0.0] * len(live)
         with np.errstate(all="ignore"):
             for xs, ys in interval[:-1]:
-                total += headsmod._train_step(head, params, xs, row_starts + ys, grads, velocity,
-                                              config.optim.learning_rate, config.optim.momentum)
-        diverged = not (math.isfinite(total) and np.isfinite(params.flat).all())
-        if diverged:  # a non-finite loss shows in the sum, a non-finite gradient (lr > 0) here
-            params.flat[...], velocity.flat[...] = saved  # the replay refuses its first such step
-        for step, (xs, ys) in list(enumerate(interval, first))[0 if diverged else -1:]:
+                totals = list(map(operator.add, totals, headsmod._stacked_step(
+                    heads, params, xs, row_starts + ys, grads, velocity, lr, momentum)))
+        # a non-finite loss shows in a head's sum, a non-finite gradient (lr > 0) in its row
+        diverged = ~(np.isfinite(totals) & np.isfinite(params.flat).all(axis=1))
+        for r, h in enumerate(live):
+            model, grad, vel = params.models[r], grads.models[r], velocity.models[r]
+            if diverged[r]:  # the replay alone refuses the row's first such step
+                params.flat[r], velocity.flat[r] = saved[0][r], saved[1][r]
             try:
-                headsmod.loss_and_grads(head, params, xs, ys, grads)
-                sgd_step(params, grads, velocity, config.optim.learning_rate,
-                         config.optim.momentum)
-                if step % LOG_EVERY == 0 or step == steps:
-                    for column, value in zip(log.values(), (step, *full_eval())):
-                        column.append(value)
+                for step, (xs, ys) in list(enumerate(interval, first))[0 if diverged[r] else -1:]:
+                    headsmod.loss_and_grads(group[h], model, xs[r], ys[r], grad)
+                    sgd_step(model, grad, vel, lr, momentum)
+                    if step % LOG_EVERY == 0 or step == steps:
+                        for column, value in zip(logs[h].values(), (step, *full_eval(h, model))):
+                            column.append(value)
             except ValueError as exc:
-                raise TrainingDiverged(f"training diverged at step {step} "
-                                       f"for head '{head.value}': {exc}") from exc
-    final_accuracy = log["accuracy"][-1] if log["step"] else full_eval()[1]
-    return TrainResult(params=params, log=log, final_accuracy=final_accuracy)
+                failed[h] = TrainingDiverged(f"training diverged at step {step} "
+                                             f"for head '{group[h].value}': {exc}")
+                failed[h].__cause__ = exc
+        keep = [r for r, h in enumerate(live) if h not in failed]
+        if not keep:
+            break
+        if len(keep) < len(live):
+            params, grads, velocity = params.rows(keep), grads.rows(keep), velocity.rows(keep)
+            live[:] = [live[r] for r in keep]
+    results = []
+    for h in range(len(group)):
+        if h in failed:
+            results.append(failed[h])
+            continue
+        model = params.models[live.index(h)]
+        model = ModelParams(model.flat.copy(), model.layout)
+        final_accuracy = logs[h]["accuracy"][-1] if logs[h]["step"] else full_eval(h, model)[1]
+        results.append(TrainResult(params=model, log=logs[h], final_accuracy=final_accuracy))
+    if isinstance(head, tuple):
+        return results
+    if isinstance(results[0], TrainingDiverged):
+        raise results[0]
+    return results[0]
 
 
 def evaluate(params: ModelParams, head: HeadKind, test_data: Dataset,
@@ -477,14 +520,17 @@ def write_centers_csv(path, columns: dict[str, np.ndarray]) -> None:
     write_csv(path, columns)
 
 
-# Stages: each takes the config, the head, the trained params (None for
-# train), a zero-argument callable giving the (train, test, ood) datasets so
+# Stages: each takes the config, the head, the trained params (for train:
+# the head's outcome of run_all's lockstep ``train``, or None to train it
+# alone), a zero-argument callable giving the (train, test, ood) datasets so
 # that only stages that need them generate them, and the head's output
 # directory, which the caller has made.  It writes that stage's files and
 # returns its result plus the summary the CLI prints.
 
-def _train_stage(config, head, params, datasets, head_dir):
-    result = train(config, head, datasets()[0])
+def _train_stage(config, head, trained, datasets, head_dir):
+    result = train(config, head, datasets()[0]) if trained is None else trained
+    if isinstance(result, Exception):
+        raise result
     save_checkpoint(head_dir / "checkpoint.json", result.params, head.value, config.seed)
     write_csv(head_dir / "train_log.csv", result.log)
     return result, (f"trained head '{head.value}' for {config.optim.steps} steps; "
@@ -560,6 +606,10 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
     datamod.save_dataset(data_dir / "test.csv", test_d, gen_params, data_seed)
     write_csv(data_dir / "ood.csv", {"x0": ood_points[:, 0], "x1": ood_points[:, 1]})
 
+    try:  # all four heads in one lockstep loop; each head's train stage writes its files
+        trained = dict(zip(HeadKind, train(config, tuple(HeadKind), train_d)))
+    except Exception as exc:  # noqa: BLE001 - recorded as every head's train stage
+        trained = dict.fromkeys(HeadKind, exc)
     manifest: dict = {"config": asdict(config), "stages": {}}
     compared = []
     ok = True
@@ -576,7 +626,7 @@ def run_all(config: ExperimentConfig, out_dir) -> RunOutcome:
             if failed:
                 stages[name] = "skipped"
                 continue
-            params = results["train"].params if "train" in results else None
+            params = results["train"].params if "train" in results else trained[head]
             try:
                 results[name], _ = stage(config, head, params, lambda: datasets, head_dir)
                 stages[name] = "ok"

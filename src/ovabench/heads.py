@@ -18,8 +18,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .nncore import (ModelParams, _as_labels, _as_matrix, _backward, _forward, _update,
-                     backward, forward)
+from .nncore import (ModelParams, ModelStack, _as_labels, _as_matrix, _backward, _forward,
+                     _update, backward, forward)
 
 # Probabilities entering the diverging one-vs-all log(1 - p) term are clamped
 # into [PROB_CLAMP, 1 - PROB_CLAMP]; the term is unbounded as distance -> 0.
@@ -277,8 +277,10 @@ def loss_and_grads(head: HeadKind, params: ModelParams, inputs, labels,
     return value, grads
 
 
-def _head_grads(head: HeadKind, params: ModelParams, emb, grads: ModelParams, loss_fn):
-    """``loss_fn``'s loss of ``emb``'s logits and d/d``emb``; head gradients go to ``grads``."""
+def _head_grads(head: HeadKind, params: ModelParams, emb, grads: ModelParams, loss_fn,
+                out: np.ndarray | None = None):
+    """``loss_fn``'s loss of ``emb``'s logits and d/d``emb``, written into ``out`` if given;
+    head gradients go to ``grads``."""
     if head.is_distance:
         d, unit = _distances(params.head_weights, emb)
         value, g = loss_fn(-d)
@@ -286,21 +288,28 @@ def _head_grads(head: HeadKind, params: ModelParams, emb, grads: ModelParams, lo
         if not d.all():  # subgradient 0 for the norm at zero distance
             unit[d == 0.0] = 0.0
         grads.head_weights[...] = np.einsum("bk,bke->ek", g, unit)
-        return value, -np.einsum("bk,bke->be", g, unit)
+        emb_grad = np.einsum("bk,bke->be", g, unit, out=out)
+        return value, np.negative(emb_grad, out=emb_grad)
     value, g = loss_fn(emb @ params.head_weights + params.head_biases)
     np.matmul(emb.T, g, out=grads.head_weights)
     g.sum(axis=0, out=grads.head_biases)
-    return value, g @ params.head_weights.T
+    return value, np.matmul(g, params.head_weights.T, out=out)
 
 
-def _train_step(head: HeadKind, params: ModelParams, x: np.ndarray, own: np.ndarray,
-                grads: ModelParams, velocity: ModelParams, lr: float, momentum: float) -> float:
-    """``loss_and_grads`` then ``sgd_step``, unchecked, for labels at flat indices ``own``."""
+def _stacked_step(heads: list[HeadKind], params: ModelStack, x: np.ndarray, own: np.ndarray,
+                  grads: ModelStack, velocity: ModelStack, lr: float,
+                  momentum: float) -> list[float]:
+    """``loss_and_grads`` then ``sgd_step``, unchecked, for each model of ``params`` with its
+    head, on its batch ``x[i]`` with labels at flat indices ``own[i]``: one body pass over
+    the leading model axis, each head on its slice of the embedding, and one update."""
     acts = _forward(params, x)
-    value, g = _head_grads(head, params, acts[-1], grads, lambda z: _loss_terms(head, z, own)[:2])
+    g = np.empty_like(acts[-1])
+    values = [_head_grads(head, model, emb, grad, lambda z: _loss_terms(head, z, o)[:2], out)[0]
+              for head, model, emb, grad, o, out
+              in zip(heads, params.models, acts[-1], grads.models, own, g)]
     _backward(params, acts, g, grads)
     _update(params, grads, velocity, lr, momentum)
-    return value
+    return values
 
 
 def predict(probs) -> tuple[np.ndarray, np.ndarray]:

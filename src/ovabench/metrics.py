@@ -55,6 +55,9 @@ class Predictions:
     def _columns(self) -> list[np.ndarray]:
         return [getattr(self, f.name) for f in fields(self)]
 
+    def __reduce__(self):  # a copy or an unpickled value is built, so checked and frozen, again
+        return Predictions, tuple(self._columns())
+
     def __len__(self) -> int:
         return len(self.confidence)
 

@@ -7,7 +7,9 @@ momentum updated in place, and every operation is deterministic given its
 inputs.
 
 Parameters, gradients and optimizer velocity are each one contiguous float64
-vector; the named tensors are views into it.
+vector; the named tensors are views into it.  Models trained in lockstep keep
+theirs as the rows of one array, a ``ModelStack``, whose body layers are also
+views over all rows, so each numpy call of a step serves every model.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ def _as_labels(x, name: str = "labels") -> np.ndarray:
 def _freeze(value, **arrays) -> None:
     for name, arr in arrays.items():
         arr = np.array(arr)  # a copy: no write into the caller's array reaches ``value``
-        arr.flags.writeable = False
-        object.__setattr__(value, name, arr)
+        arr.flags.writeable = False  # and a view of it, whose flag cannot be set back
+        object.__setattr__(value, name, arr.view())
 
 
 class Layout:
@@ -108,6 +110,43 @@ class ModelParams:
             raise ValueError(message.format(self.layout.locate(int(np.argmin(finite)))[0]))
 
 
+class ModelStack:
+    """Several models with one body, as one [models x widest layout] float64 array, zero
+    past each model's own layout: their parameters, gradients or velocity.
+
+    ``models[i]`` is model i's :class:`ModelParams`, a view of the start of row i.
+    ``weights[l]`` [models x fan_in x fan_out] and ``biases[l]`` [models x fan_out] are
+    views of body layer l of every model, so ``_forward``, ``_backward`` and ``_update``
+    take a stack where they take one model and run each numpy call over all of them.
+    """
+
+    def __init__(self, flat: np.ndarray, layouts):
+        self.flat, self.layouts = flat, list(layouts)
+        self.models = [ModelParams(row[:layout.size], layout)
+                       for row, layout in zip(flat, self.layouts)]
+        n = 2 * self.layouts[0].num_layers
+        if any(layout.shapes[:n] != self.layouts[0].shapes[:n] for layout in self.layouts):
+            raise ValueError("the models of a stack must share their body layers")
+        body = [flat[:, a:b].reshape(len(flat), *shape) for a, b, shape in zip(
+            self.layouts[0].offsets, self.layouts[0].offsets[1:n + 1], self.layouts[0].shapes)]
+        self.weights, self.biases = body[0::2], body[1::2]
+
+    @classmethod
+    def of(cls, models: list[ModelParams]) -> "ModelStack":
+        """A stack holding a copy of each model's vector."""
+        flat = np.zeros((len(models), max(m.layout.size for m in models)))
+        for row, m in zip(flat, models):
+            row[:m.layout.size] = m.flat
+        return cls(flat, [m.layout for m in models])
+
+    def zeros_like(self) -> "ModelStack":
+        return ModelStack(np.zeros_like(self.flat), self.layouts)
+
+    def rows(self, keep: list[int]) -> "ModelStack":
+        """A stack of copies of the models at positions ``keep``."""
+        return ModelStack(self.flat[keep], [self.layouts[i] for i in keep])
+
+
 def init_params(layer_dims: list[int], num_classes: int, *, head_biases: bool,
                 head_init: str = "glorot", seed: int = 0) -> ModelParams:
     """Build a fresh parameter set from a seeded PRNG.
@@ -150,12 +189,12 @@ def forward(params: ModelParams, inputs) -> list[np.ndarray]:
     return _forward(params, x)
 
 
-def _forward(params: ModelParams, x: np.ndarray) -> list[np.ndarray]:  # unchecked
+def _forward(params, x: np.ndarray) -> list[np.ndarray]:  # unchecked; or over a ModelStack
     activations = [x]
-    last = params.layout.num_layers - 1
+    last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = activations[-1] @ w
-        z += b
+        z += b[..., None, :]
         activations.append(np.maximum(z, 0.0, out=z) if i < last else z)
     return activations
 
@@ -178,13 +217,13 @@ def backward(params: ModelParams, activations: list[np.ndarray], embedding_grad,
     return _backward(params, activations, g, grads)
 
 
-def _backward(params: ModelParams, activations: list, g, grads: ModelParams):  # unchecked
-    for i in range(params.layout.num_layers - 1, -1, -1):
+def _backward(params, activations: list, g, grads):  # unchecked; or over a ModelStack
+    for i in range(len(params.weights) - 1, -1, -1):
         a_in = activations[i]
-        np.matmul(a_in.T, g, out=grads.weights[i])
-        g.sum(axis=0, out=grads.biases[i])
+        np.matmul(a_in.swapaxes(-1, -2), g, out=grads.weights[i])
+        g.sum(axis=-2, out=grads.biases[i])
         if i > 0:  # a_in = max(z, 0) is positive exactly where z is
-            g = g @ params.weights[i].T
+            g = g @ params.weights[i].swapaxes(-1, -2)
             g *= a_in > 0.0
     return grads
 
@@ -204,7 +243,7 @@ def sgd_step(params: ModelParams, grads: ModelParams, velocity: ModelParams,
     params.validate("non-finite parameter {} after update")
 
 
-def _update(params: ModelParams, grads, velocity, lr: float, momentum: float):  # unchecked
+def _update(params, grads, velocity, lr: float, momentum: float):  # unchecked; or stacks
     velocity.flat *= momentum
     velocity.flat -= lr * grads.flat
     params.flat += velocity.flat

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -297,6 +299,31 @@ class TestDatasetIsFrozen:
         data = Dataset(features=features, labels=labels, num_classes=2)
         features[0, 0], labels[1] = 1e300, 99
         assert data.features.tolist() == [[0.0, 0.0]] * 3 and data.labels.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("field", ["features", "labels"])
+    def test_the_read_only_flag_cannot_be_set_back(self, field):
+        """Each field is a view of a read-only copy, so only a write through ``.base`` is left."""
+        data = gen_ring(num_classes=3, n_per_class=4, seed=0)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            getattr(data, field).flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(data, field)[0] = 2
+
+    @pytest.mark.parametrize("copy_", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy,
+                                       copy.copy], ids=["pickle", "deepcopy", "copy"])
+    def test_a_copy_is_built_checked_and_frozen_again(self, copy_):
+        """numpy pickles no read-only flag: a copy that skipped the constructor was writeable."""
+        data = gen_ring(num_classes=3, n_per_class=4, seed=0)
+        copied = copy_(data)
+        assert type(copied) is Dataset and copied.num_classes == 3
+        for field in ("features", "labels"):
+            assert np.array_equal(getattr(copied, field), getattr(data, field))
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(copied, field)[0] = 2
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                getattr(copied, field).flags.writeable = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.labels = data.labels
 
 
 class TestDatasetIo:

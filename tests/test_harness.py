@@ -433,6 +433,120 @@ class TestTrain:
                 training_outcome(checked_train, cfg, head, as_float64)
 
 
+def group_outcomes(config, train_data):
+    """``training_outcome`` with the final accuracy, per head, of training all four in
+    lockstep and of training each alone."""
+    def outcome(result):
+        if isinstance(result, TrainingDiverged):  # raised from the refusal, as alone
+            assert str(result).endswith(f": {result.__cause__}"), result
+            return str(result)
+        return result.params.flat.tobytes(), result.log, result.final_accuracy
+
+    def alone(head):
+        try:
+            return outcome(train(config, head, train_data))
+        except TrainingDiverged as exc:
+            return str(exc)
+
+    lockstep = train(config, tuple(ALL_HEADS), train_data)
+    return [outcome(r) for r in lockstep], [alone(head) for head in ALL_HEADS]
+
+
+def diverging(head, change, config):
+    """An ``init_params`` that applies ``change`` (tensor, factor or value) to ``head``'s
+    initial parameters only, as the divergence tests do."""
+    def init(*args, **kwargs):
+        params = init_params(*args, **kwargs)
+        if kwargs["seed"] == derive_seed(config.seed, f"init:{head.value}"):
+            tensor, value = change
+            if tensor == "head_biases":
+                params.head_biases[1] = value
+            else:
+                getattr(params, tensor)[...] *= value
+        return params
+    return init
+
+
+class TestLockstep:
+    """``train`` given a tuple of heads runs one step loop for all of them."""
+
+    def test_lockstep_equals_training_alone_bitwise(self):
+        """Steps 99 and 101 end inside an interval, 100 on its log step, and 0 has none; at
+        batch 1000 the lockstep block (32 steps) is a quarter of one head's (131 steps).  At
+        batch 1, 99 steps and more, the affine heads diverge here and leave the stacks."""
+        for steps, batch in [(s, b) for s in (0, 1, 99, 100, 101, 250) for b in (1, 16)] + [
+                (300, 1000)]:
+            cfg = tiny_config(steps=steps)
+            cfg.optim.batch_size = batch
+            lockstep, alone = group_outcomes(cfg, make_datasets(cfg)[0])
+            assert lockstep == alone, (steps, batch)
+
+    def test_a_single_head_in_a_tuple_trains_as_alone_bitwise(self):
+        cfg = tiny_config(steps=150)
+        train_d = make_datasets(cfg)[0]
+        for head in ALL_HEADS:
+            (result,) = train(cfg, (head,), train_d)
+            assert training_outcome(lambda *args: result, cfg, head, train_d) == \
+                training_outcome(checked_train, cfg, head, train_d)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("head, change, learning_rate, batch, momentum, n_per_class, "
+                             "message", [
+        (HeadKind.SOFTMAX_AFFINE, ("head_biases", 1e307), 1e-4, 1, 0.9, 2,
+         "non-finite loss for batch index"),
+        (HeadKind.OVA_AFFINE, ("head_biases", 1e307), 1e-3, 1, 0.0, 2,
+         "non-finite gradient for"),
+        (HeadKind.SOFTMAX_AFFINE, ("head_weights", 1e300), 1e-300, 16, 0.9, 24,
+         "non-finite mean loss"),
+        (HeadKind.OVA_DISTANCE, ("head_weights", np.nan), 0.01, 16, 0.9, 24,
+         "non-finite loss for batch index"),
+        (HeadKind.SOFTMAX_AFFINE, ("head_biases", 1e307), 1e-6, 1, 0.9, 2, None),
+    ], ids=["loss-later-interval", "gradient-later-interval", "mean-loss", "first-step",
+            "sum-overflow"])
+    def test_a_diverging_head_fails_alone_bitwise(self, monkeypatch, head, change,
+                                                 learning_rate, batch, momentum, n_per_class,
+                                                 message):
+        """The head that diverges gets the checked loop's message and step; the others, and
+        a head whose replay refuses nothing (only its loss sum overflowed), train on with the
+        bits they have alone."""
+        cfg = tiny_config(steps=250, learning_rate=learning_rate)
+        cfg.optim.batch_size, cfg.optim.momentum, cfg.data.n_per_class = \
+            batch, momentum, n_per_class
+        monkeypatch.setattr(harness_mod, "init_params", diverging(head, change, cfg))
+        train_d = make_datasets(cfg)[0]
+        lockstep, alone = group_outcomes(cfg, train_d)
+        assert lockstep == alone
+        for h, got in zip(ALL_HEADS, lockstep):
+            if h is head and message:
+                assert got == training_outcome(checked_train, cfg, head, train_d)
+                assert got.split(f" for head '{head.value}': ")[1].startswith(message), got
+            else:
+                assert not isinstance(got, str), got
+
+    def test_heads_diverging_in_one_interval_leave_together(self, monkeypatch):
+        cfg = tiny_config(steps=250, learning_rate=1e-3)
+        cfg.optim.batch_size, cfg.data.n_per_class = 1, 2
+        nan = diverging(HeadKind.OVA_DISTANCE, ("head_weights", np.nan), cfg)
+        monkeypatch.setattr(harness_mod, "init_params", lambda *args, **kwargs: diverging(
+            HeadKind.SOFTMAX_AFFINE, ("head_biases", 1e307), cfg)(*args, **kwargs)
+            if kwargs["seed"] != derive_seed(cfg.seed, "init:ova_dm") else nan(*args, **kwargs))
+        lockstep, alone = group_outcomes(cfg, make_datasets(cfg)[0])
+        assert lockstep == alone
+        assert [isinstance(o, str) for o in lockstep] == [True, False, False, True]
+
+    def test_each_log_step_goes_through_the_checked_pair_in_head_order(self, monkeypatch):
+        """``bench/`` pairs each ``heads.loss_and_grads`` with the ``harness.sgd_step`` after it."""
+        calls = []
+        real = heads_mod.loss_and_grads
+        monkeypatch.setattr(heads_mod, "loss_and_grads",
+                            lambda head, *args: calls.append(head) or real(head, *args))
+        monkeypatch.setattr(harness_mod, "sgd_step", lambda *args, real=sgd_step:
+                            calls.append("sgd_step") or real(*args))
+        cfg = tiny_config(steps=250)
+        train(cfg, tuple(ALL_HEADS), make_datasets(cfg)[0])
+        assert calls == [c for head in ALL_HEADS for c in (head, "sgd_step")] * 3
+
+
 class TestEvaluate:
     def test_forced_correct_labels(self, tmp_path):
         cfg = tiny_config()
@@ -697,6 +811,28 @@ class TestRunAll:
             for suffix in (".csv", ".meta.json"):
                 assert ((tmp_path / name).with_suffix(suffix).read_bytes()
                         == (out / "data" / name).with_suffix(suffix).read_bytes()), name
+
+    def test_a_head_that_diverges_fails_alone(self, completed_run, tmp_path, monkeypatch):
+        """All four heads train in one lockstep loop; one that diverges leaves it, and the
+        other three write the files they write in a run without the fault."""
+        cfg, _, out = completed_run
+        monkeypatch.setattr(harness_mod, "init_params",
+                            diverging(HeadKind.OVA_DISTANCE, ("head_weights", np.nan), cfg))
+        outcome = run_all(cfg, tmp_path / "one_diverged")
+        stages = outcome.manifest["stages"]
+        assert not outcome.ok
+        assert stages["ova_dm"]["train"].startswith(
+            "failed: training diverged at step 1 for head 'ova_dm': non-finite loss for batch "
+            "index "), stages["ova_dm"]
+        assert {name: state for name, state in stages["ova_dm"].items() if name != "train"} \
+            == dict.fromkeys(["evaluate", "sweep", "landscape", "centers"], "skipped")
+        assert not any((tmp_path / "one_diverged" / "ova_dm").iterdir())
+        for head in ("softmax", "dm", "ova"):
+            assert set(stages[head].values()) == {"ok"}, stages[head]
+        for name in ("data", "softmax", "dm", "ova"):
+            files = sorted(p for p in (out / name).rglob("*") if p.is_file())
+            assert files and [p.read_bytes() for p in files] == [
+                (tmp_path / "one_diverged" / p.relative_to(out)).read_bytes() for p in files]
 
     def test_invalid_config_rejected_upfront(self, tmp_path):
         cfg = tiny_config()

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -542,3 +544,29 @@ class TestPredictions:
             column[1] = value
         assert [getattr(p, f).tolist() for f in self.FIELDS] == [
             [0.5, 0.75], [1, 0], [1, -1], [False, True]]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_the_read_only_flag_cannot_be_set_back(self, field):
+        """Each column is a view of a read-only copy, so only a write through ``.base`` is left."""
+        p = Predictions.from_scores([0.5, 0.75], [1, 0], [1, 1])
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            getattr(p, field).flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p, field)[0] = 1
+
+    @pytest.mark.parametrize("copy_", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy,
+                                       copy.copy], ids=["pickle", "deepcopy", "copy"])
+    def test_a_copy_is_built_checked_and_frozen_again(self, copy_):
+        """numpy pickles no read-only flag: a copy that skipped the constructor was writeable."""
+        p = Predictions.concatenate([preds([rec(0.5), rec(0.25, correct=False)]),
+                                     preds([rec(0.75, ood=True)])])
+        copied = copy_(p)
+        assert type(copied) is Predictions
+        for field in self.FIELDS:
+            assert getattr(copied, field).tolist() == getattr(p, field).tolist()
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(copied, field)[0] = 1
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                getattr(copied, field).flags.writeable = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.confidence = p.confidence

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ovabench.nncore import (ModelParams, backward, forward, init_params, load_checkpoint,
-                             save_checkpoint, sgd_step)
+from ovabench.nncore import (ModelParams, ModelStack, _backward, _forward, _update, backward,
+                             forward, init_params, load_checkpoint, save_checkpoint, sgd_step)
 
 from gradcheck import gradient_check, params_from_arrays
 
@@ -223,6 +223,54 @@ class TestSgd:
                 t[...] = rng.standard_normal(t.shape)
             sgd_step(params, grads, velocity, 0.05, 0.9)
         params.validate()
+
+
+class TestModelStack:
+    """Models with one body as rows of one array, for training in lockstep."""
+
+    def stack(self):
+        models = [small_params(seed, biases) for seed, biases in ((0, True), (1, False), (2, True))]
+        return models, ModelStack.of(models)
+
+    def test_rows_hold_the_models_and_zero_padding(self):
+        models, stack = self.stack()
+        assert stack.flat.shape == (3, models[0].layout.size)
+        for m, row, flat in zip(models, stack.models, stack.flat):
+            assert row.layout is m.layout and row.flat.tobytes() == m.flat.tobytes()
+            assert not flat[m.layout.size:].any()  # the distance head's K missing biases
+
+    def test_body_views_and_model_views_share_the_rows(self):
+        _, stack = self.stack()
+        for layer in range(2):
+            stack.weights[layer][1][0, 2] = 7.0
+            stack.biases[layer][2][3] = 8.0
+            assert stack.models[1].weights[layer][0, 2] == 7.0
+            assert stack.models[2].biases[layer][3] == 8.0
+        assert stack.rows([2]).models[0].flat.tobytes() == stack.models[2].flat.tobytes()
+
+    def test_models_with_other_bodies_are_refused(self):
+        with pytest.raises(ValueError, match="share their body"):
+            ModelStack.of([small_params(), init_params([2, 16, 8], 10, head_biases=True)])
+
+    def test_body_pass_and_update_over_a_stack_equal_each_model_bitwise(self):
+        models, stack = self.stack()
+        rng = np.random.default_rng(3)
+        x, g = rng.standard_normal((3, 32, 2)) * 20, rng.standard_normal((3, 32, 16))
+        acts = _forward(stack, x)
+        grads, velocity = stack.zeros_like(), stack.zeros_like()
+        velocity.flat[...] = rng.standard_normal(velocity.flat.shape)
+        _backward(stack, acts, g, grads)
+        want = [(_forward(m, x[i]), ModelParams.zeros(m.layout), ModelParams(
+            velocity.flat[i, :m.layout.size].copy(), m.layout)) for i, m in enumerate(models)]
+        _update(stack, grads, velocity, 0.01, 0.9)
+        for i, (m, (m_acts, m_grads, m_velocity)) in enumerate(zip(models, want)):
+            assert all(a[i].tobytes() == b.tobytes() for a, b in zip(acts, m_acts))
+            _backward(m, m_acts, g[i], m_grads)
+            body = slice(0, m.layout.offsets[2 * m.layout.num_layers])
+            assert grads.models[i].flat[body].tobytes() == m_grads.flat[body].tobytes()
+            _update(m, m_grads, m_velocity, 0.01, 0.9)
+            assert stack.models[i].flat[body].tobytes() == m.flat[body].tobytes()
+            assert velocity.models[i].flat.tobytes() == m_velocity.flat.tobytes()
 
 
 class TestInit:
