@@ -294,7 +294,7 @@ def train(config: ExperimentConfig, head: HeadKind | tuple[HeadKind, ...],
 
     Given a tuple of heads, trains them in lockstep, each with the bits it has
     alone, and returns a ``TrainResult`` or ``TrainingDiverged`` per head: a
-    head that diverged leaves the stack and the others go on.
+    head that diverged keeps its row of the stacks, unread, and the others go on.
     """
     config.validate()
     if train_data.num_classes != config.data.num_classes:
@@ -313,7 +313,6 @@ def train(config: ExperimentConfig, head: HeadKind | tuple[HeadKind, ...],
     lr, momentum = config.optim.learning_rate, config.optim.momentum
     block = max(1, BATCH_BLOCK_ENTRIES // (batch * len(group)))
     row_starts = np.arange(0, batch * k, k)
-    live = list(range(len(group)))  # the group index of each row of the stacks
     logs = [{"step": [], "loss": [], "accuracy": []} for _ in group]
     failed: dict[int, TrainingDiverged] = {}
 
@@ -322,38 +321,31 @@ def train(config: ExperimentConfig, head: HeadKind | tuple[HeadKind, ...],
             group[h], _embed(model, group[h], x, "training row")[1], y)
         return value, float((pred == y).mean())
 
-    # Per step, the batch of each row of the stacks.  One draw per block and head gives the
-    # stream of one draw per step (PCG64), and a block gathers at most BATCH_BLOCK_ENTRIES rows.
+    # Per step, each head's batch.  One draw per block and head gives the stream of one
+    # draw per step (PCG64), and a block gathers at most BATCH_BLOCK_ENTRIES rows.
     def batches():
         for first in range(1, steps + 1, block):
-            rows = live.copy()
-            idx = np.stack([rngs[h].integers(0, len(x), size=(min(block, steps + 1 - first),
-                                                                batch)) for h in rows], axis=1)
-            xb, yb = x[idx], y[idx]
-            for c in range(len(idx)):
-                if rows != live:  # a head left the stacks: its rows of the block go too
-                    keep = [rows.index(h) for h in live]
-                    xb, yb, rows = xb[:, keep], yb[:, keep], live.copy()
-                yield xb[c], yb[c]
+            idx = np.stack([rng.integers(0, len(x), size=(min(block, steps + 1 - first), batch))
+                            for rng in rngs], axis=1)
+            yield from zip(x[idx], y[idx])
 
     stream = batches()
     for first in range(1, steps + 1, LOG_EVERY):
         interval = [next(stream) for _ in range(min(LOG_EVERY, steps + 1 - first))]
-        heads = [group[h] for h in live]
-        saved, totals = (params.flat.copy(), velocity.flat.copy()), [0.0] * len(live)
-        with np.errstate(all="ignore"):
+        saved, totals = (params.flat.copy(), velocity.flat.copy()), [0.0] * len(group)
+        with np.errstate(all="ignore"):  # a failed head's row steps on, unread
             for xs, ys in interval[:-1]:
                 totals = list(map(operator.add, totals, headsmod._stacked_step(
-                    heads, params, xs, row_starts + ys, grads, velocity, lr, momentum)))
+                    group, params, xs, row_starts + ys, grads, velocity, lr, momentum)))
         # a non-finite loss shows in a head's sum, a non-finite gradient (lr > 0) in its row
         diverged = ~(np.isfinite(totals) & np.isfinite(params.flat).all(axis=1))
-        for r, h in enumerate(live):
-            model, grad, vel = params.models[r], grads.models[r], velocity.models[r]
-            if diverged[r]:  # the replay alone refuses the row's first such step
-                params.flat[r], velocity.flat[r] = saved[0][r], saved[1][r]
+        for h in (h for h in range(len(group)) if h not in failed):
+            model, grad, vel = params.models[h], grads.models[h], velocity.models[h]
+            if diverged[h]:  # the replay alone refuses the row's first such step
+                params.flat[h], velocity.flat[h] = saved[0][h], saved[1][h]
             try:
-                for step, (xs, ys) in list(enumerate(interval, first))[0 if diverged[r] else -1:]:
-                    headsmod.loss_and_grads(group[h], model, xs[r], ys[r], grad)
+                for step, (xs, ys) in list(enumerate(interval, first))[0 if diverged[h] else -1:]:
+                    headsmod.loss_and_grads(group[h], model, xs[h], ys[h], grad)
                     sgd_step(model, grad, vel, lr, momentum)
                     if step % LOG_EVERY == 0 or step == steps:
                         for column, value in zip(logs[h].values(), (step, *full_eval(h, model))):
@@ -362,19 +354,14 @@ def train(config: ExperimentConfig, head: HeadKind | tuple[HeadKind, ...],
                 failed[h] = TrainingDiverged(f"training diverged at step {step} "
                                              f"for head '{group[h].value}': {exc}")
                 failed[h].__cause__ = exc
-        keep = [r for r, h in enumerate(live) if h not in failed]
-        if not keep:
+        if len(failed) == len(group):
             break
-        if len(keep) < len(live):
-            params, grads, velocity = params.rows(keep), grads.rows(keep), velocity.rows(keep)
-            live[:] = [live[r] for r in keep]
     results = []
     for h in range(len(group)):
         if h in failed:
             results.append(failed[h])
             continue
-        model = params.models[live.index(h)]
-        model = ModelParams(model.flat.copy(), model.layout)
+        model = ModelParams(params.models[h].flat.copy(), params.models[h].layout)
         final_accuracy = logs[h]["accuracy"][-1] if logs[h]["step"] else full_eval(h, model)[1]
         results.append(TrainResult(params=model, log=logs[h], final_accuracy=final_accuracy))
     if isinstance(head, tuple):

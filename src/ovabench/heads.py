@@ -296,7 +296,7 @@ def _head_grads(head: HeadKind, params: ModelParams, emb, grads: ModelParams, lo
     return value, np.matmul(g, params.head_weights.T, out=out)
 
 
-def _stacked_step(heads: list[HeadKind], params: ModelStack, x: np.ndarray, own: np.ndarray,
+def _stacked_step(heads: tuple[HeadKind, ...], params: ModelStack, x: np.ndarray, own: np.ndarray,
                   grads: ModelStack, velocity: ModelStack, lr: float,
                   momentum: float) -> list[float]:
     """``loss_and_grads`` then ``sgd_step``, unchecked, for each model of ``params`` with its

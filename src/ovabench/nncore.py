@@ -8,8 +8,8 @@ inputs.
 
 Parameters, gradients and optimizer velocity are each one contiguous float64
 vector; the named tensors are views into it.  Models trained in lockstep keep
-theirs as the rows of one array, a ``ModelStack``, whose body layers are also
-views over all rows, so each numpy call of a step serves every model.
+theirs as the rows of one array for the whole run, a ``ModelStack``; its body
+layers are views over all rows, and each numpy call of a step works row by row.
 """
 
 from __future__ import annotations
@@ -141,10 +141,6 @@ class ModelStack:
 
     def zeros_like(self) -> "ModelStack":
         return ModelStack(np.zeros_like(self.flat), self.layouts)
-
-    def rows(self, keep: list[int]) -> "ModelStack":
-        """A stack of copies of the models at positions ``keep``."""
-        return ModelStack(self.flat[keep], [self.layouts[i] for i in keep])
 
 
 def init_params(layer_dims: list[int], num_classes: int, *, head_biases: bool,

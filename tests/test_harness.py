@@ -534,6 +534,21 @@ class TestLockstep:
         assert lockstep == alone
         assert [isinstance(o, str) for o in lockstep] == [True, False, False, True]
 
+    def test_training_stops_in_the_interval_where_the_last_head_diverged(self, monkeypatch):
+        """A failed head's row steps on, unread, only while another head still trains."""
+        calls = []
+        real = heads_mod._stacked_step
+        monkeypatch.setattr(heads_mod, "_stacked_step",
+                            lambda *args: calls.append(1) or real(*args))
+        cfg = tiny_config(steps=1000, learning_rate=1e-3)
+        cfg.optim.batch_size, cfg.data.n_per_class = 1, 2
+        monkeypatch.setattr(harness_mod, "init_params",
+                            diverging(HeadKind.SOFTMAX_AFFINE, ("head_biases", 1e307), cfg))
+        with pytest.raises(TrainingDiverged, match="at step") as exc:
+            train(cfg, HeadKind.SOFTMAX_AFFINE, make_datasets(cfg)[0])
+        step = int(str(exc.value).split("at step ")[1].split()[0])
+        assert step < 900 and len(calls) == 99 * -(-step // LOG_EVERY)
+
     def test_each_log_step_goes_through_the_checked_pair_in_head_order(self, monkeypatch):
         """``bench/`` pairs each ``heads.loss_and_grads`` with the ``harness.sgd_step`` after it."""
         calls = []
@@ -833,6 +848,16 @@ class TestRunAll:
             files = sorted(p for p in (out / name).rglob("*") if p.is_file())
             assert files and [p.read_bytes() for p in files] == [
                 (tmp_path / "one_diverged" / p.relative_to(out)).read_bytes() for p in files]
+
+    def test_an_error_from_the_lockstep_call_is_every_heads_train_failure(self, tmp_path,
+                                                                          monkeypatch):
+        def broken(*args):
+            raise MemoryError("no room for the stacks")
+        monkeypatch.setattr(harness_mod, "train", broken)
+        outcome = run_all(tiny_config(), tmp_path / "out")
+        assert not outcome.ok
+        assert {head: stages["train"] for head, stages in outcome.manifest["stages"].items()} \
+            == dict.fromkeys([h.value for h in HeadKind], "failed: no room for the stacks")
 
     def test_invalid_config_rejected_upfront(self, tmp_path):
         cfg = tiny_config()
